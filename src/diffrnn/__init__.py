@@ -6,7 +6,6 @@ a boosted per-order ensemble."""
 from .cells import (
     CellKind,
     CellParams,
-    LayerState,
     Model,
     StackConfig,
     build_model,

@@ -21,7 +21,7 @@ oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -31,6 +31,7 @@ from .cells import (
     OutputParams,
     RnnParams,
     Tape,
+    gate_weight_stacks,
     stack_forward,
 )
 
@@ -45,25 +46,6 @@ class Gradients:
 
     layers: list
     output: OutputParams
-
-
-def zeros_like_params(p):
-    if isinstance(p, CellParams):
-        kw = {name: np.zeros_like(getattr(p, name)) for name in _CELL_MATS + _CELL_BIASES}
-        for dname in _CELL_DICTS:
-            kw[dname] = {n: np.zeros_like(m) for n, m in getattr(p, dname).items()}
-        return CellParams(**kw)
-    if isinstance(p, RnnParams):
-        return RnnParams(w_hh=np.zeros_like(p.w_hh), w_hx=np.zeros_like(p.w_hx),
-                         b_h=np.zeros_like(p.b_h))
-    if isinstance(p, OutputParams):
-        return OutputParams(w_yh=np.zeros_like(p.w_yh), b_y=np.zeros_like(p.b_y))
-    raise TypeError(f"unknown parameter container {type(p)}")
-
-
-def zeros_like_model(model: Model) -> Gradients:
-    return Gradients(layers=[zeros_like_params(p) for p in model.layers],
-                     output=zeros_like_params(model.output))
 
 
 def param_items(p, prefix=""):
@@ -87,6 +69,20 @@ def param_items(p, prefix=""):
         raise TypeError(f"unknown parameter container {type(p)}")
 
 
+def map_params(fn, p):
+    """A container of ``p``'s type holding ``fn(array)`` for each array."""
+    if isinstance(p, CellParams):
+        kw = {name: fn(getattr(p, name)) for name in _CELL_MATS + _CELL_BIASES}
+        for dname in _CELL_DICTS:
+            kw[dname] = {n: fn(m) for n, m in getattr(p, dname).items()}
+        return CellParams(**kw)
+    if isinstance(p, RnnParams):
+        return RnnParams(w_hh=fn(p.w_hh), w_hx=fn(p.w_hx), b_h=fn(p.b_h))
+    if isinstance(p, OutputParams):
+        return OutputParams(w_yh=fn(p.w_yh), b_y=fn(p.b_y))
+    raise TypeError(f"unknown parameter container {type(p)}")
+
+
 def model_param_items(obj):
     """Works for both Model and Gradients."""
     for li, p in enumerate(obj.layers):
@@ -106,8 +102,6 @@ def _cell_backward(params: CellParams, kind, ltape, dh_in, truncated, tie):
     all weight gradients are formed afterwards as single time-batched
     matmuls against the tape.
     """
-    from .cells import gate_weight_stacks
-
     T = ltape.s.shape[0]
     u = params.units
     orders = kind.dos_orders
@@ -157,7 +151,7 @@ def _cell_backward(params: CellParams, kind, ltape, dh_in, truncated, tie):
         if t >= 1:
             dh[t - 1] += wh.T @ dz
 
-    g = zeros_like_params(params)
+    g = map_params(np.zeros_like, params)
     h_prev_all = np.vstack([np.zeros(u), ltape.h[:-1]])
     gwx = dz_all.T @ ltape.x        # (4u, in), row blocks i, f, o, s
     gwh = dz_all.T @ h_prev_all
@@ -191,7 +185,7 @@ def _rnn_backward(params: RnnParams, ltape, dh_in):
         dz_all[t] = dz
         if t >= 1:
             dh[t - 1] += params.w_hh.T @ dz
-    g = zeros_like_params(params)
+    g = map_params(np.zeros_like, params)
     h_prev_all = np.vstack([np.zeros(u), ltape.h[:-1]])
     g.w_hh = dz_all.T @ h_prev_all
     g.w_hx = dz_all.T @ ltape.x
@@ -210,7 +204,7 @@ def backward(model: Model, tape: Tape, dlogits: np.ndarray, truncated: bool) -> 
             f"logit gradient shape {dlogits.shape} does not match tape "
             f"logits {tape.logits.shape}"
         )
-    grads = Gradients(layers=[], output=zeros_like_params(model.output))
+    grads = Gradients(layers=[], output=map_params(np.zeros_like, model.output))
     tie = model.config.tie_gate_hidden_weights
 
     du_all = dlogits * (1.0 - tape.logits ** 2)
@@ -242,92 +236,6 @@ def backward_truncated(model: Model, tape: Tape, dlogits) -> Gradients:
     return backward(model, tape, dlogits, truncated=True)
 
 
-# ---------------------------------------------------------------------------
-# Finite-difference oracle
-#
-# The numeric side runs its own forward evaluation in extended precision
-# (longdouble): central differences of a float64 loss at h=1e-5 carry
-# ~1e-11 of cancellation noise, which would swamp honestly-tiny gradients
-# deep in a stack.  The re-statement below is deliberately simple and
-# independent of the tape machinery.
-
-
-def _ld_sigmoid(v):
-    out = np.empty_like(v)
-    pos = v >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
-    ev = np.exp(v[~pos])
-    out[~pos] = ev / (1.0 + ev)
-    return out
-
-
-def _ld_params(p):
-    if isinstance(p, CellParams):
-        kw = {name: getattr(p, name).astype(np.longdouble)
-              for name in _CELL_MATS + _CELL_BIASES}
-        for dname in _CELL_DICTS:
-            kw[dname] = {n: m.astype(np.longdouble) for n, m in getattr(p, dname).items()}
-        return CellParams(**kw)
-    if isinstance(p, RnnParams):
-        return RnnParams(p.w_hh.astype(np.longdouble), p.w_hx.astype(np.longdouble),
-                         p.b_h.astype(np.longdouble))
-    return OutputParams(p.w_yh.astype(np.longdouble), p.b_y.astype(np.longdouble))
-
-
-def _ld_sequence_loss(config, layers, output, frames, label):
-    tie = config.tie_gate_hidden_weights
-    inputs = [frames[t] for t in range(frames.shape[0])]
-    for (kind, units), p in zip(config.layers, layers):
-        outs = []
-        if kind.kind == "rnn":
-            h = np.zeros(units, dtype=np.longdouble)
-            for x in inputs:
-                h = np.tanh(p.w_hh @ h + p.w_hx @ x + p.b_h)
-                outs.append(h)
-        else:
-            orders = kind.dos_orders
-            s = np.zeros(units, dtype=np.longdouble)
-            h = np.zeros(units, dtype=np.longdouble)
-            hist: list = []
-            w_fh = p.w_ih if tie else p.w_fh
-            w_oh = p.w_ih if tie else p.w_oh
-            for x in inputs:
-                d_prev = {}
-                for n in orders:
-                    d = s.copy()
-                    for j in range(1, n + 1):
-                        if j - 1 < len(hist):
-                            d += _coeff(n, j) * hist[j - 1]
-                    d_prev[n] = d
-                z_i = p.w_ih @ h + p.w_ix @ x + p.b_i
-                z_f = w_fh @ h + p.w_fx @ x + p.b_f
-                for n in orders:
-                    z_i += p.w_id[n] @ d_prev[n]
-                    z_f += p.w_fd[n] @ d_prev[n]
-                i_t = _ld_sigmoid(z_i)
-                f_t = _ld_sigmoid(z_f)
-                g_t = np.tanh(p.w_sh @ h + p.w_sx @ x + p.b_s)
-                s_new = f_t * s + i_t * g_t
-                hist_cur = [s] + hist
-                z_o = w_oh @ h + p.w_ox @ x + p.b_o
-                for n in orders:
-                    d = s_new.copy()
-                    for j in range(1, n + 1):
-                        if j - 1 < len(hist_cur):
-                            d += _coeff(n, j) * hist_cur[j - 1]
-                    z_o += p.w_od[n] @ d
-                o_t = _ld_sigmoid(z_o)
-                h = o_t * np.tanh(s_new)
-                hist = hist_cur[: kind.max_order] if kind.max_order > 0 else []
-                s = s_new
-                outs.append(h)
-        inputs = outs
-    y = np.tanh(output.w_yh @ inputs[-1] + output.b_y)
-    z = np.exp(y - np.max(y))
-    p_label = z[label] / np.sum(z)
-    return -np.log(p_label)
-
-
 @dataclass
 class GradCheckEntry:
     name: str
@@ -353,38 +261,40 @@ class GradCheckReport:
         return "\n".join(lines)
 
 
-def sequence_loss_and_grad(logits: np.ndarray, label: int):
-    """-log p_label at the final frame; gradient w.r.t. every frame's logits."""
-    from .numerics import softmax
-
-    p = softmax(logits[-1])
-    loss = -math.log(max(p[label], 1e-300))
-    d = np.zeros_like(logits)
-    d[-1] = p.copy()
-    d[-1][label] -= 1.0
-    return loss, d
+# ---------------------------------------------------------------------------
+# Finite-difference oracle
 
 
 def grad_check(model: Model, frames: np.ndarray, label: int,
                h: float = 1e-5, tol: float = 1e-4) -> GradCheckReport:
     """Central finite differences vs. the full backward pass, every parameter.
 
-    Relative error is |g_a - g_n| / max(|g_a|, |g_n|, 1e-8); the check passes
-    iff the maximum over all parameters is below ``tol``.
+    The numeric side runs ``stack_forward`` itself on a longdouble copy of
+    the model: central differences of a float64 loss at h=1e-5 carry ~1e-11
+    of cancellation noise, which would swamp honestly-tiny gradients deep in
+    a stack.  Relative error is |g_a - g_n| / max(|g_a|, |g_n|, 1e-8); the
+    check passes iff the maximum over all parameters is below ``tol``.
     """
+    from .train import loss_sequence   # train imports this module
+
     tape = stack_forward(model, frames)
-    _, dlogits = sequence_loss_and_grad(tape.logits, label)
+    _, dlogits = loss_sequence(tape.logits, label)
     grads = backward_full(model, tape, dlogits)
     analytic = dict(model_param_items(grads))
 
-    ld_layers = [_ld_params(p) for p in model.layers]
-    ld_output = _ld_params(model.output)
+    def to_ld(a):
+        return a.astype(np.longdouble)
+
+    ld_model = replace(model, layers=[map_params(to_ld, p) for p in model.layers],
+                       output=map_params(to_ld, model.output))
     ld_frames = np.asarray(frames, dtype=np.longdouble)
-    ld_shadow = dict(model_param_items(Gradients(layers=ld_layers, output=ld_output)))
+    ld_shadow = dict(model_param_items(ld_model))
     hl = np.longdouble(h)
 
     def loss_now():
-        return _ld_sequence_loss(model.config, ld_layers, ld_output, ld_frames, label)
+        y = stack_forward(ld_model, ld_frames).logits[-1]
+        z = np.exp(y - np.max(y))
+        return -np.log(z[label] / np.sum(z))
 
     entries = []
     for name, arr in model_param_items(model):

@@ -21,11 +21,11 @@ output gate reads the derivative of the CURRENT state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import ShapeMismatchError, seeded_rng, sigmoid, softmax, tanh
+from .numerics import ShapeMismatchError, seeded_rng, sigmoid, softmax
 
 VALID_KINDS = ("rnn", "lstm", "dos", "drnn")
 
@@ -111,17 +111,6 @@ class OutputParams:
     b_y: np.ndarray
 
 
-@dataclass
-class LayerState:
-    """Evolving state of one layer: internal state ``s``, hidden state ``h``,
-    and a bounded history of past internal states (most recent first) deep
-    enough for the layer's highest derivative order."""
-
-    s: np.ndarray
-    h: np.ndarray
-    history: list[np.ndarray] = field(default_factory=list)
-
-
 @dataclass(frozen=True)
 class StackConfig:
     layers: tuple[tuple[CellKind, int], ...]
@@ -150,9 +139,12 @@ def dos(order: int, s_t: np.ndarray, history) -> np.ndarray:
     ``history`` holds earlier states, most recent first; missing lags at the
     start of a sequence are treated as zero.  Order 0 returns ``s_t``; order 1
     is s_t - s_{t-1}; order 2 is s_t - 2 s_{t-1} + s_{t-2}; higher orders
-    iterate the differencing.
+    iterate the differencing.  The result keeps the dtype of a float ``s_t``
+    (float64, or longdouble in a gradient check).
     """
-    out = np.array(s_t, dtype=np.float64, copy=True)
+    out = np.array(s_t, copy=True)
+    if out.dtype.kind != "f":
+        out = out.astype(np.float64)
     for j in range(1, order + 1):
         coeff = (-1.0) ** j * math.comb(order, j)
         if j - 1 < len(history):
@@ -261,86 +253,6 @@ class Tape:
     hidden_top: np.ndarray    # (T, units) h_t of the final layer
 
 
-def init_layer_state(units: int) -> LayerState:
-    return LayerState(s=np.zeros(units), h=np.zeros(units), history=[])
-
-
-def rnn_step(params: RnnParams, state: LayerState, x_t: np.ndarray) -> LayerState:
-    h = tanh(params.w_hh @ state.h + params.w_hx @ x_t + params.b_h)
-    return LayerState(s=state.s, h=h, history=[])
-
-
-def cell_step(
-    params: CellParams,
-    state: LayerState,
-    x_t: np.ndarray,
-    kind: CellKind,
-    tie_gates: bool = False,
-):
-    """One step of a gated cell.  Returns (new_state, record) where record is
-    a dict of intermediates for the tape."""
-    if x_t.shape[0] != params.input_units:
-        raise ShapeMismatchError(
-            f"layer expects input of length {params.input_units}, got {x_t.shape[0]}"
-        )
-    orders = kind.dos_orders
-    s_prev, h_prev, hist = state.s, state.h, state.history
-
-    d_prev = {n: dos(n, s_prev, hist) for n in orders}
-    w_fh = params.w_ih if tie_gates else params.w_fh
-    w_oh = params.w_ih if tie_gates else params.w_oh
-
-    z_i = params.w_ih @ h_prev + params.w_ix @ x_t + params.b_i
-    z_f = w_fh @ h_prev + params.w_fx @ x_t + params.b_f
-    for n in orders:
-        z_i += params.w_id[n] @ d_prev[n]
-        z_f += params.w_fd[n] @ d_prev[n]
-    i_t = sigmoid(z_i)
-    f_t = sigmoid(z_f)
-
-    g_t = tanh(params.w_sh @ h_prev + params.w_sx @ x_t + params.b_s)
-    s_t = f_t * s_prev + i_t * g_t
-
-    hist_cur = [s_prev] + hist
-    d_cur = {n: dos(n, s_t, hist_cur) for n in orders}
-
-    z_o = w_oh @ h_prev + params.w_ox @ x_t + params.b_o
-    for n in orders:
-        z_o += params.w_od[n] @ d_cur[n]
-    o_t = sigmoid(z_o)
-
-    th = np.tanh(s_t)
-    h_t = o_t * th
-
-    new_hist = hist_cur[: kind.max_order] if kind.max_order > 0 else []
-    new_state = LayerState(s=s_t, h=h_t, history=new_hist)
-    record = dict(
-        x=x_t, i=i_t, f=f_t, o=o_t, g=g_t, s=s_t, h=h_t, tanh_s=th,
-        d_prev=d_prev, d_cur=d_cur,
-    )
-    return new_state, record
-
-
-def lstm_step(params: CellParams, state: LayerState, x_t: np.ndarray):
-    """Conventional LSTM update (no derivative terms in the gates)."""
-    new_state, rec = cell_step(params, state, x_t, CellKind("lstm"))
-    return new_state, (rec["i"], rec["f"], rec["o"])
-
-
-def dos_cell_step(params: CellParams, state: LayerState, x_t: np.ndarray, order: int):
-    new_state, rec = cell_step(params, state, x_t, CellKind("dos", order))
-    return new_state, (rec["i"], rec["f"], rec["o"])
-
-
-def drnn_cell_step(params: CellParams, state: LayerState, x_t: np.ndarray, max_order: int):
-    new_state, rec = cell_step(params, state, x_t, CellKind("drnn", max_order))
-    return new_state, (rec["i"], rec["f"], rec["o"])
-
-
-def output_logits(output: OutputParams, h_t: np.ndarray) -> np.ndarray:
-    return tanh(output.w_yh @ h_t + output.b_y)
-
-
 def gate_weight_stacks(params: CellParams, tie: bool):
     """Per-gate matrices fused for batched evaluation: input-side (4u x in),
     hidden-side (4u x u), and per-order (w_id; w_fd) stacks (2u x u).
@@ -359,19 +271,18 @@ def _layer_forward(params: CellParams, kind: CellKind, tie: bool,
                    x_all: np.ndarray) -> LayerTape:
     T = x_all.shape[0]
     u = params.units
+    dt = x_all.dtype
     orders = kind.dos_orders
     max_order = kind.max_order
     wx, wh, wifd, bias = gate_weight_stacks(params, tie)
     zx = x_all @ wx.T + bias                  # (T, 4u) input-side gate terms
 
-    i_a = np.empty((T, u)); f_a = np.empty((T, u)); o_a = np.empty((T, u))
-    g_a = np.empty((T, u)); s_a = np.empty((T, u)); h_a = np.empty((T, u))
-    th_a = np.empty((T, u))
-    d_prev = {n: np.empty((T, u)) for n in orders}
-    d_cur = {n: np.empty((T, u)) for n in orders}
+    i_a, f_a, o_a, g_a, s_a, h_a, th_a = (np.empty((T, u), dt) for _ in range(7))
+    d_prev = {n: np.empty((T, u), dt) for n in orders}
+    d_cur = {n: np.empty((T, u), dt) for n in orders}
 
-    s = np.zeros(u)
-    h = np.zeros(u)
+    s = np.zeros(u, dt)
+    h = np.zeros(u, dt)
     hist: list[np.ndarray] = []
     for t in range(T):
         z = zx[t] + wh @ h
@@ -409,8 +320,8 @@ def _rnn_layer_forward(params: RnnParams, x_all: np.ndarray) -> LayerTape:
     T = x_all.shape[0]
     u = params.units
     zx = x_all @ params.w_hx.T + params.b_h
-    h_a = np.empty((T, u))
-    h = np.zeros(u)
+    h_a = np.empty((T, u), x_all.dtype)
+    h = np.zeros(u, x_all.dtype)
     for t in range(T):
         h = np.tanh(params.w_hh @ h + zx[t])
         h_a[t] = h
@@ -424,9 +335,11 @@ def stack_forward(model: Model, frames: np.ndarray) -> Tape:
 
     Layer k consumes layer k-1's hidden states; the final layer's hidden
     state maps through the tanh output projection to per-frame confidence
-    scores.  Sequence-level scores are those of the last frame.
+    scores.  Sequence-level scores are those of the last frame.  Frames are
+    cast to the model's weight dtype, so a longdouble copy of a model runs
+    the same equations in extended precision.
     """
-    frames = np.asarray(frames, dtype=np.float64)
+    frames = np.asarray(frames, dtype=model.output.w_yh.dtype)
     if frames.ndim != 2 or frames.shape[0] == 0:
         raise ShapeMismatchError("forward pass needs a nonempty (T, dim) sequence")
     if frames.shape[1] != model.config.input_units:

@@ -159,7 +159,12 @@ def load_jsonl(path) -> Dataset:
             frames = np.asarray(rec["frames"], dtype=np.float64)
             if frames.ndim != 2:
                 raise ValueError("frames of differing dimensions")
-            seq = Sequence(frames=frames, label=int(rec["label"]),
+            if not np.all(np.isfinite(frames)):
+                raise ValueError("frames hold a non-finite value")
+            label = rec["label"]
+            if type(label) is not int:
+                raise ValueError(f"label {label!r} is not an integer")
+            seq = Sequence(frames=frames, label=label,
                            id=str(rec.get("id", f"seq-{lineno}")),
                            frame_labels=rec.get("frame_labels"),
                            group=rec.get("group"))

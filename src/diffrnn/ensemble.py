@@ -23,7 +23,7 @@ import numpy as np
 from .cells import CellKind, Model, StackConfig, build_model, predict_sequence
 from .data import Dataset
 from .numerics import seeded_rng
-from .train import TrainConfig, model_from_doc, model_to_doc, train
+from .train import CheckpointError, TrainConfig, model_from_doc, model_to_doc, train
 
 ALPHA_CAP = math.log(1e6)
 
@@ -143,6 +143,11 @@ def ensemble_save(e: EnsembleModel, path) -> None:
 def ensemble_load(path) -> EnsembleModel:
     with open(path) as fh:
         doc = json.load(fh)
-    members = [(model_from_doc(m["checkpoint"]), float(m["alpha"]))
-               for m in doc["members"]]
-    return EnsembleModel(members=members, n_classes=int(doc["n_classes"]))
+    try:
+        members = [(model_from_doc(m["checkpoint"]), float(m["alpha"]))
+                   for m in doc["members"]]
+        n_classes = int(doc["n_classes"])
+    except (KeyError, TypeError) as exc:
+        raise CheckpointError(f"{path} is not an ensemble file "
+                              f"({type(exc).__name__}: {exc})") from exc
+    return EnsembleModel(members=members, n_classes=n_classes)

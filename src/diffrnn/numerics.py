@@ -3,7 +3,8 @@
 Everything downstream (cells, training, data generation) goes through this
 module so that numeric conventions live in one place:
 
-* all arrays are numpy float64,
+* arrays are numpy float64, except that ``sigmoid`` keeps its input's
+  dtype so the forward pass can also run in longdouble for gradient checks,
 * randomness flows through numpy's PCG64 generator (O'Neill's permuted
   congruential generator, the documented default of ``numpy.random``),
   seeded explicitly, so a fixed seed reproduces every draw bit-for-bit.
@@ -30,42 +31,11 @@ def as_vector(x) -> np.ndarray:
     return v
 
 
-def as_matrix(x) -> np.ndarray:
-    m = np.asarray(x, dtype=np.float64)
-    if m.ndim != 2:
-        raise ShapeMismatchError(f"expected a 2-d matrix, got shape {m.shape}")
-    return m
-
-
-def matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    m = as_matrix(m)
-    v = as_vector(v)
-    if m.shape[1] != v.shape[0]:
-        raise ShapeMismatchError(
-            f"matrix of shape {m.shape} cannot multiply vector of length {v.shape[0]}"
-        )
-    return m @ v
-
-
-def elementwise_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    a = as_vector(a)
-    b = as_vector(b)
-    if a.shape != b.shape:
-        raise ShapeMismatchError(
-            f"elementwise product needs equal lengths, got {a.shape[0]} and {b.shape[0]}"
-        )
-    return a * b
-
-
 def sigmoid(v: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function, elementwise."""
-    v = np.asarray(v, dtype=np.float64)
-    out = np.empty_like(v)
-    pos = v >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
-    ev = np.exp(v[~pos])
-    out[~pos] = ev / (1.0 + ev)
-    return out
+    """Numerically stable logistic function, elementwise, in the dtype of
+    ``v``.  exp only ever sees -|v|, so neither branch can overflow."""
+    e = np.exp(-np.abs(v))
+    return np.where(v >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def tanh(v: np.ndarray) -> np.ndarray:
@@ -146,10 +116,6 @@ def pca_apply(t: PcaTransform, v: np.ndarray) -> np.ndarray:
     return t.basis @ (v - t.mean)
 
 
-def pca_reconstruct(t: PcaTransform, projected: np.ndarray) -> np.ndarray:
-    return t.basis.T @ as_vector(projected) + t.mean
-
-
 # ---------------------------------------------------------------------------
 # Randomness
 
@@ -157,7 +123,3 @@ def pca_reconstruct(t: PcaTransform, projected: np.ndarray) -> np.ndarray:
 def seeded_rng(seed: int) -> np.random.Generator:
     """Deterministic generator; PCG64 keyed through numpy's SeedSequence."""
     return np.random.Generator(np.random.PCG64(seed))
-
-
-def uniform(rng: np.random.Generator, lo: float, hi: float, size=None) -> np.ndarray:
-    return rng.uniform(lo, hi, size=size)

@@ -18,6 +18,7 @@ from .backprop import (
     Gradients,
     backward,
     model_param_items,
+    param_items,
 )
 from .cells import (
     CellKind,
@@ -48,7 +49,6 @@ class TrainConfig:
     seed: int = 0
     clip_norm: float | None = None
     shuffle: bool = True
-    momentum: float = 0.0             # off by default; plain SGD
 
     def __post_init__(self):
         # lr = 0 is allowed: a zero-rate epoch is a pure evaluation pass and
@@ -135,13 +135,8 @@ def apply_sgd_step(model: Model, grads: Gradients, lr: float,
 
 
 def sgd_epoch(model: Model, dataset, config: TrainConfig,
-              rng: np.random.Generator | None = None,
-              velocity: Gradients | None = None) -> Metrics:
-    """One pass over the dataset, updating the model in place.
-
-    ``velocity`` carries classical momentum state between epochs; leave it
-    None for plain SGD (the default, momentum == 0).
-    """
+              rng: np.random.Generator | None = None) -> Metrics:
+    """One pass over the dataset, updating the model in place."""
     seqs = dataset.sequences
     if not seqs:
         raise ValueError("cannot train on an empty dataset")
@@ -165,12 +160,6 @@ def sgd_epoch(model: Model, dataset, config: TrainConfig,
         pred = int(np.argmax(tape.logits[-1]))
         confusion[seq.label, pred] += 1
         grads = backward(model, tape, dlogits, truncated=truncated)
-        if velocity is not None and config.momentum > 0:
-            for (_, v), (_, g) in zip(model_param_items(velocity),
-                                      model_param_items(grads)):
-                v *= config.momentum
-                v += g
-            grads = velocity
         apply_sgd_step(model, grads, config.learning_rate, config.clip_norm)
     accuracy = float(np.trace(confusion)) / len(seqs)
     return Metrics(mean_loss=total_loss / len(seqs), accuracy=accuracy,
@@ -180,12 +169,7 @@ def sgd_epoch(model: Model, dataset, config: TrainConfig,
 def train(model: Model, dataset, config: TrainConfig) -> list[Metrics]:
     """Run the full epoch budget; returns per-epoch metrics."""
     rng = seeded_rng(config.seed)
-    velocity = None
-    if config.momentum > 0:
-        from .backprop import zeros_like_model
-        velocity = zeros_like_model(model)
-    return [sgd_epoch(model, dataset, config, rng, velocity)
-            for _ in range(config.epochs)]
+    return [sgd_epoch(model, dataset, config, rng) for _ in range(config.epochs)]
 
 
 def evaluate(model: Model, dataset) -> Metrics:
@@ -241,9 +225,44 @@ def _params_from_json(d):
                          for n, m in d[dname].items()}
         return CellParams(**kw)
     if d["type"] == "rnn":
-        return RnnParams(w_hh=np.asarray(d["w_hh"]), w_hx=np.asarray(d["w_hx"]),
-                         b_h=np.asarray(d["b_h"]))
+        return RnnParams(**{name: np.asarray(d[name], dtype=np.float64)
+                            for name in ("w_hh", "w_hx", "b_h")})
     raise CheckpointError(f"unknown layer type {d['type']!r}")
+
+
+def _check_against_config(model: Model) -> None:
+    """Every stored weight must be the one ``model.config`` implies: layer
+    types match kinds, derivative-order keys match ``dos_orders``, shapes
+    chain from ``input_units`` and all values are finite."""
+    config = model.config
+    if len(model.layers) != len(config.layers):
+        raise CheckpointError(f"config lists {len(config.layers)} layers, "
+                              f"checkpoint stores {len(model.layers)}")
+    arrays = []   # (name, array, expected shape)
+    in_units = config.input_units
+    for li, ((kind, units), p) in enumerate(zip(config.layers, model.layers)):
+        if isinstance(p, RnnParams) != (kind.kind == "rnn"):
+            raise CheckpointError(f"layer {li}: a {kind.kind} layer cannot hold "
+                                  f"{type(p).__name__} weights")
+        for dname in ("w_id", "w_fd", "w_od") if isinstance(p, CellParams) else ():
+            orders = sorted(getattr(p, dname))
+            if orders != list(kind.dos_orders):
+                raise CheckpointError(
+                    f"layer {li}: {dname} holds orders {orders}, "
+                    f"{kind.kind}:{kind.order} needs {list(kind.dos_orders)}")
+        for name, arr in param_items(p, f"layer{li}."):
+            base = name.split(".")[1]
+            cols = in_units if base.endswith("x") else units
+            arrays.append((name, arr, (units,) if base.startswith("b_") else (units, cols)))
+        in_units = units
+    k = config.output_classes
+    arrays += [("output.w_yh", model.output.w_yh, (k, in_units)),
+               ("output.b_y", model.output.b_y, (k,))]
+    for name, arr, want in arrays:
+        if arr.shape != want:
+            raise CheckpointError(f"{name} has shape {arr.shape}, expected {want}")
+        if not np.all(np.isfinite(arr)):
+            raise CheckpointError(f"{name} holds a non-finite value")
 
 
 def model_to_doc(model: Model) -> dict:
@@ -278,12 +297,15 @@ def model_from_doc(doc: dict) -> Model:
             tie_gate_hidden_weights=cfg.get("tie_gate_hidden_weights", False),
         )
         layers = [_params_from_json(d) for d in doc["layers"]]
-        output = OutputParams(w_yh=np.asarray(doc["output"]["w_yh"]),
-                              b_y=np.asarray(doc["output"]["b_y"]))
-    except (KeyError, TypeError, ValueError) as exc:
+        output = OutputParams(
+            w_yh=np.asarray(doc["output"]["w_yh"], dtype=np.float64),
+            b_y=np.asarray(doc["output"]["b_y"], dtype=np.float64))
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise CheckpointError(f"malformed checkpoint: {exc}") from exc
-    return Model(config=config, layers=layers, output=output,
-                 seed=doc.get("seed", 0))
+    model = Model(config=config, layers=layers, output=output,
+                  seed=doc.get("seed", 0))
+    _check_against_config(model)
+    return model
 
 
 def checkpoint_save(model: Model, path) -> None:

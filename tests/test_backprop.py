@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 
 import diffrnn.backprop as bp
+import diffrnn.cells as cells
 from diffrnn.backprop import (
     Gradients,
     backward_full,
     backward_truncated,
     grad_check,
+    map_params,
     model_param_items,
-    sequence_loss_and_grad,
-    zeros_like_model,
 )
 from diffrnn.cells import (
     CellKind,
@@ -19,7 +19,8 @@ from diffrnn.cells import (
     stack_forward,
     stacked_lstm_config,
 )
-from diffrnn.numerics import seeded_rng, softmax
+from diffrnn.numerics import seeded_rng, sigmoid, softmax
+from diffrnn.train import loss_sequence
 
 
 def small_model(layers, input_units=3, classes=2, seed=0, tie=False):
@@ -42,7 +43,8 @@ def grads_bitwise_equal(a: Gradients, b: Gradients) -> bool:
 class TestContainers:
     def test_zeros_like_model_shapes(self):
         model = build_model(d2rnn_config(2, 3, 4, 2), seed=0)
-        z = zeros_like_model(model)
+        z = Gradients(layers=[map_params(np.zeros_like, p) for p in model.layers],
+                      output=map_params(np.zeros_like, model.output))
         for (name, arr), (zname, zarr) in zip(model_param_items(model),
                                               model_param_items(z)):
             assert name == zname
@@ -68,12 +70,12 @@ class TestSequenceLoss:
     def test_loss_value(self):
         logits = np.array([[0.0, 0.0], [2.0, -1.0]])
         p = softmax(logits[-1])
-        loss, d = sequence_loss_and_grad(logits, label=1)
+        loss, d = loss_sequence(logits, 1)
         assert abs(loss + np.log(p[1])) < 1e-12
 
     def test_grad_only_on_last_frame(self):
         logits = np.array([[0.5, -0.5], [0.1, 0.2], [1.0, 0.0]])
-        _, d = sequence_loss_and_grad(logits, label=0)
+        _, d = loss_sequence(logits, 0)
         assert not np.any(d[:-1])
         # softmax-minus-onehot rows sum to zero
         assert abs(d[-1].sum()) < 1e-12
@@ -85,7 +87,7 @@ class TestOutputLayerClosedForm:
         model = build_model(d2rnn_config(1, 3, 4, 3), seed=2)
         frames = seeded_rng(3).normal(size=(5, 3))
         tape = stack_forward(model, frames)
-        _, dlogits = sequence_loss_and_grad(tape.logits, label=1)
+        _, dlogits = loss_sequence(tape.logits, 1)
         grads = backward_full(model, tape, dlogits)
         # y_t = tanh(W h_t + b): dW = sum_t (dy_t * (1 - y_t^2)) h_t^T
         expected_w = np.zeros_like(model.output.w_yh)
@@ -134,7 +136,7 @@ class TestHandOneStepLstm:
         exp_w_fx = 0.0
 
         tape = stack_forward(model, frames)
-        _, dlogits = sequence_loss_and_grad(tape.logits, label=0)
+        _, dlogits = loss_sequence(tape.logits, 0)
         grads = backward_full(model, tape, dlogits)
         gl = grads.layers[0]
         assert abs(gl.w_ox[0, 0] - exp_w_ox) < 1e-14
@@ -199,6 +201,15 @@ class TestGradCheck:
         assert not report.passed
         assert report.worst.startswith("layer0.w_ix")
 
+    def test_planted_forward_bug_is_caught(self, monkeypatch):
+        # both sides of the check run the production forward; a gate whose
+        # forward no longer matches the derivative the backward pass assumes
+        # must still fail it
+        monkeypatch.setattr(cells, "sigmoid", lambda v: sigmoid(1.01 * v))
+        model = build_model(ARCHS["dos1"](), seed=11)
+        frames = seeded_rng(12).normal(size=(5, 3))
+        assert grad_check(model, frames, label=1).passed is False
+
     def test_report_format(self):
         model = build_model(ARCHS["lstm"](), seed=1)
         report = grad_check(model, seeded_rng(2).normal(size=(3, 3)), label=0)
@@ -220,7 +231,7 @@ class TestTruncationContract:
         self._zero_dos_weights(model)
         frames = seeded_rng(9).normal(size=(5, 3))
         tape = stack_forward(model, frames)
-        _, dlogits = sequence_loss_and_grad(tape.logits, label=0)
+        _, dlogits = loss_sequence(tape.logits, 0)
         assert grads_bitwise_equal(backward_full(model, tape, dlogits),
                                    backward_truncated(model, tape, dlogits))
 
@@ -228,7 +239,7 @@ class TestTruncationContract:
         model = small_model([(CellKind("dos", 0), 4)], seed=8)
         frames = seeded_rng(9).normal(size=(5, 3))
         tape = stack_forward(model, frames)
-        _, dlogits = sequence_loss_and_grad(tape.logits, label=0)
+        _, dlogits = loss_sequence(tape.logits, 0)
         assert grads_bitwise_equal(backward_full(model, tape, dlogits),
                                    backward_truncated(model, tape, dlogits))
 
@@ -236,7 +247,7 @@ class TestTruncationContract:
         model = small_model([(CellKind("dos", 1), 4)], seed=8)
         frames = seeded_rng(9).normal(size=(4, 3))
         tape = stack_forward(model, frames)
-        _, dlogits = sequence_loss_and_grad(tape.logits, label=0)
+        _, dlogits = loss_sequence(tape.logits, 0)
         full = backward_full(model, tape, dlogits)
         trunc = backward_truncated(model, tape, dlogits)
         assert np.max(np.abs(full.layers[0].w_ix - trunc.layers[0].w_ix)) > 1e-10
@@ -250,7 +261,7 @@ class TestTruncationContract:
         frames = seeded_rng(15).normal(size=(5, 3))
         label = 1
         tape = stack_forward(model, frames)
-        _, dlogits = sequence_loss_and_grad(tape.logits, label)
+        _, dlogits = loss_sequence(tape.logits, label)
         trunc = dict(model_param_items(backward_truncated(model, tape, dlogits)))
 
         frozen = {n: (tape.layers[0].d_prev[n].astype(np.longdouble),
@@ -298,8 +309,8 @@ def _frozen_surrogate_loss(layers, output, config, kind, frames, label, frozen):
 def _fd_frozen_surrogate(model, kind, frames, label, frozen, h=1e-5):
     """Central differences of the frozen surrogate for every parameter entry.
     Returns a list of (param name, index, numeric gradient)."""
-    ld_layers = [bp._ld_params(p) for p in model.layers]
-    ld_output = bp._ld_params(model.output)
+    ld_layers = [map_params(lambda a: a.astype(np.longdouble), p) for p in model.layers]
+    ld_output = map_params(lambda a: a.astype(np.longdouble), model.output)
     ld_frames = frames.astype(np.longdouble)
     shadow = dict(model_param_items(Gradients(layers=ld_layers, output=ld_output)))
     hl = np.longdouble(h)

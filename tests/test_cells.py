@@ -1,17 +1,18 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diffrnn.backprop import map_params
 from diffrnn.cells import (
     CellKind,
     StackConfig,
     build_model,
-    cell_step,
     d2rnn_config,
     dos,
     dos_energy,
-    init_layer_state,
     predict_sequence,
     stack_forward,
     stacked_lstm_config,
@@ -167,18 +168,26 @@ class TestForwardAgainstReference:
         ref = ref_stack_logits(model, frames)
         assert np.max(np.abs(tape.logits - np.array(ref))) < 1e-12
 
-    def test_step_api_agrees_with_batched_forward(self):
-        kind = CellKind("drnn", 2)
-        model = small_model([(kind, 4)], seed=9)
-        frames = random_frames(seeded_rng(10), 7, 3)
-        tape = stack_forward(model, frames)
-        state = init_layer_state(4)
-        for t in range(7):
-            state, rec = cell_step(model.layers[0], state, frames[t], kind)
-            # summation order differs (fused GEMM vs per-gate matvecs), so
-            # agreement is to rounding, not bitwise
-            assert np.allclose(rec["h"], tape.layers[0].h[t], atol=1e-12)
-            assert np.allclose(rec["s"], tape.layers[0].s[t], atol=1e-12)
+    @pytest.mark.parametrize("layers", [
+        [(CellKind("rnn"), 4)],
+        [(CellKind("drnn", 2), 4)],
+        [(CellKind("dos", k), 4) for k in range(3)],
+    ], ids=["rnn", "drnn2", "d2rnn3"])
+    def test_longdouble_model_runs_in_longdouble(self, layers):
+        # grad_check runs this forward on a longdouble copy of the model
+        model = small_model(layers, seed=5)
+
+        def to_ld(a):
+            return a.astype(np.longdouble)
+
+        ld = replace(model, layers=[map_params(to_ld, p) for p in model.layers],
+                     output=map_params(to_ld, model.output))
+        frames = random_frames(seeded_rng(6), 6, 3)
+        tape = stack_forward(ld, frames)
+        assert tape.logits.dtype == np.longdouble
+        assert all(lt.h.dtype == np.longdouble for lt in tape.layers)
+        f64 = stack_forward(model, frames).logits
+        assert np.max(np.abs(tape.logits - f64)) < 1e-12
 
     def test_dos0_gate_inputs_differ_from_lstm(self):
         # an order-0 cell feeds the raw state into its gates; with nonzero

@@ -161,6 +161,27 @@ class TestJsonl:
         with pytest.raises(DataFormatError, match="line 2"):
             load_jsonl(path)
 
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_frame_rejected_with_line(self, tmp_path, value):
+        path = tmp_path / "nan.jsonl"
+        path.write_text("\n".join([
+            '{"classes": ["a", "b"]}',
+            '{"id": "x", "label": 0, "frames": [[1.0, 2.0]]}',
+            '{"id": "y", "label": 1, "frames": [[1.0, %s]]}' % value,
+        ]) + "\n")
+        with pytest.raises(DataFormatError, match="line 3: frames hold a non-finite"):
+            load_jsonl(path)
+
+    @pytest.mark.parametrize("label", ["1.7", "1.0", "true", '"1"'])
+    def test_non_integer_label_rejected_with_line(self, tmp_path, label):
+        path = tmp_path / "lab.jsonl"
+        path.write_text("\n".join([
+            '{"classes": ["a", "b"]}',
+            '{"id": "x", "label": %s, "frames": [[1.0]]}' % label,
+        ]) + "\n")
+        with pytest.raises(DataFormatError, match="line 2: label .* is not an integer"):
+            load_jsonl(path)
+
     def test_unparseable_line(self, tmp_path):
         path = tmp_path / "syn.jsonl"
         path.write_text('{"classes": ["a", "b"]}\nnot json\n')

@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -18,7 +19,7 @@ from diffrnn.ensemble import (
     predict_ensemble,
     samme_round,
 )
-from diffrnn.train import TrainConfig, train
+from diffrnn.train import CheckpointError, TrainConfig, checkpoint_save, train
 
 
 def constant_predictor(cls, classes=2, dim=2):
@@ -178,3 +179,17 @@ class TestFitErnn:
         frames = self._dataset().sequences[0].frames
         assert np.array_equal(predict_ensemble(e, frames)[1],
                               predict_ensemble(back, frames)[1])
+
+    @pytest.mark.parametrize("drop", [None, "members", "n_classes"])
+    def test_non_ensemble_document_rejected(self, tmp_path, drop):
+        path = tmp_path / "not_ensemble.json"
+        if drop is None:    # a plain model checkpoint
+            checkpoint_save(constant_predictor(0), path)
+        else:
+            e = EnsembleModel(members=[(constant_predictor(0), 1.0)], n_classes=2)
+            ensemble_save(e, path)
+            doc = json.loads(path.read_text())
+            del doc[drop]
+            path.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointError, match="not an ensemble file"):
+            ensemble_load(path)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from diffrnn.backprop import backward_full, model_param_items
-from diffrnn.cells import build_model, d2rnn_config, stack_forward
+from diffrnn.cells import CellKind, StackConfig, build_model, d2rnn_config, stack_forward
 from diffrnn.data import Dataset, gen_synthetic
 from diffrnn.numerics import seeded_rng
 from diffrnn.train import (
@@ -263,3 +263,69 @@ class TestCheckpoint:
         del doc["layers"][0]["w_ix"]
         with pytest.raises(CheckpointError):
             model_from_doc(doc)
+
+
+class TestCheckpointSchema:
+    """model_from_doc rejects weights that do not fit the stored config."""
+
+    def _doc(self):
+        # tiny_model is d2rnn:2 over 3 inputs with 4 units: orders 0 and 1
+        return model_to_doc(tiny_model())
+
+    def test_missing_order_key(self):
+        doc = self._doc()
+        del doc["layers"][1]["w_id"]["1"]
+        with pytest.raises(CheckpointError, match=r"layer 1: w_id holds orders \[\]"):
+            model_from_doc(doc)
+
+    def test_extra_order_key(self):
+        doc = self._doc()
+        doc["layers"][0]["w_od"]["1"] = doc["layers"][0]["w_od"]["0"]
+        with pytest.raises(CheckpointError, match="layer 0: w_od holds orders"):
+            model_from_doc(doc)
+
+    def test_layer_type_must_match_kind(self):
+        doc = self._doc()
+        doc["config"]["layers"][0][0] = "rnn"
+        with pytest.raises(CheckpointError, match="layer 0: a rnn layer"):
+            model_from_doc(doc)
+
+    def test_layer_count_must_match_config(self):
+        doc = self._doc()
+        doc["layers"].pop()
+        with pytest.raises(CheckpointError, match="config lists 2 layers"):
+            model_from_doc(doc)
+
+    def test_input_weight_shape_must_chain(self):
+        doc = self._doc()
+        doc["layers"][1]["w_fx"] = [row[:3] for row in doc["layers"][1]["w_fx"]]
+        with pytest.raises(CheckpointError, match=r"layer1.w_fx has shape \(4, 3\), "
+                                                  r"expected \(4, 4\)"):
+            model_from_doc(doc)
+
+    def test_output_shape_must_chain(self):
+        doc = self._doc()
+        doc["output"]["b_y"] = [0.0, 0.0, 0.0]
+        with pytest.raises(CheckpointError, match="output.b_y has shape"):
+            model_from_doc(doc)
+
+    def test_non_finite_weight(self):
+        doc = self._doc()
+        doc["layers"][0]["b_f"][2] = float("nan")
+        with pytest.raises(CheckpointError, match="layer0.b_f holds a non-finite"):
+            model_from_doc(doc)
+
+    def test_eval_exits_2_on_missing_order(self, tmp_path, capsys):
+        from diffrnn.cli import main
+        from diffrnn.data import save_jsonl
+
+        model = build_model(StackConfig(((CellKind("dos", 1), 3),), 3, 2), seed=0)
+        doc = model_to_doc(model)
+        for dname in ("w_id", "w_fd", "w_od"):
+            del doc["layers"][0][dname]["1"]
+        ckpt = tmp_path / "dos1.json"
+        ckpt.write_text(json.dumps(doc))
+        data = tmp_path / "data.jsonl"
+        save_jsonl(tiny_dataset(), data)
+        assert main(["eval", "--checkpoint", str(ckpt), "--data", str(data)]) == 2
+        assert "w_id holds orders []" in capsys.readouterr().err
