@@ -26,18 +26,20 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .cells import (
+    _CELL_BIASES,
+    _CELL_DICTS,
+    _CELL_MATS,
+    _RNN_NAMES,
     CellParams,
     Model,
     OutputParams,
     RnnParams,
     Tape,
+    dos,
     gate_weight_stacks,
+    lag_weights,
     stack_forward,
 )
-
-_CELL_MATS = ("w_ix", "w_fx", "w_ox", "w_sx", "w_ih", "w_fh", "w_oh", "w_sh")
-_CELL_DICTS = ("w_id", "w_fd", "w_od")
-_CELL_BIASES = ("b_i", "b_f", "b_o", "b_s")
 
 
 @dataclass
@@ -60,7 +62,7 @@ def param_items(p, prefix=""):
         for name in _CELL_BIASES:
             yield prefix + name, getattr(p, name)
     elif isinstance(p, RnnParams):
-        for name in ("w_hh", "w_hx", "b_h"):
+        for name in _RNN_NAMES:
             yield prefix + name, getattr(p, name)
     elif isinstance(p, OutputParams):
         for name in ("w_yh", "b_y"):
@@ -77,7 +79,7 @@ def map_params(fn, p):
             kw[dname] = {n: fn(m) for n, m in getattr(p, dname).items()}
         return CellParams(**kw)
     if isinstance(p, RnnParams):
-        return RnnParams(w_hh=fn(p.w_hh), w_hx=fn(p.w_hx), b_h=fn(p.b_h))
+        return RnnParams(**{name: fn(getattr(p, name)) for name in _RNN_NAMES})
     if isinstance(p, OutputParams):
         return OutputParams(w_yh=fn(p.w_yh), b_y=fn(p.b_y))
     raise TypeError(f"unknown parameter container {type(p)}")
@@ -90,63 +92,54 @@ def model_param_items(obj):
     yield from param_items(obj.output, "output.")
 
 
-def _coeff(order: int, j: int) -> float:
-    return (-1.0) ** j * math.comb(order, j)
-
-
 def _cell_backward(params: CellParams, kind, ltape, dh_in, truncated, tie):
     """Backward through one gated layer.  ``dh_in`` is (T, units) gradient at
     the layer's hidden outputs; returns (grads, dx) with dx (T, input_units).
 
     The time loop only carries the recurrences (state and hidden gradients);
     all weight gradients are formed afterwards as single time-batched
-    matmuls against the tape.
+    matmuls against the tape.  Truncation keeps only the order-0 DoS paths
+    in the lag weights the state gradient flows through.
     """
     T = ltape.s.shape[0]
     u = params.units
-    orders = kind.dos_orders
-    wx, wh, wifd, _bias = gate_weight_stacks(params, tie)
+    flow = tuple(n for n in kind.dos_orders if not truncated or n == 0)
+    wx, wh, _bias = gate_weight_stacks(params, tie)
+    lags, cur = lag_weights(params, flow)
+    lags_t = lags.transpose(0, 2, 1)
 
     dz_all = np.empty((T, 4 * u))
     dh = dh_in.copy()
-    ds = np.zeros((T, u))
+    # newest-first like the forward's states: row T-1-t is time t, and lags
+    # reaching before the sequence land in the padding rows from T on
+    ds = np.zeros((T + len(lags), u))
     i_a, f_a, o_a, g_a = ltape.i, ltape.f, ltape.o, ltape.g
     th_a, s_a = ltape.tanh_s, ltape.s
 
     for t in range(T - 1, -1, -1):
+        r = T - 1 - t
         i_t, f_t, o_t, g_t, th = i_a[t], f_a[t], o_a[t], g_a[t], th_a[t]
         s_prev = s_a[t - 1] if t >= 1 else 0.0
 
         dht = dh[t]
         do = dht * th
-        ds[t] += dht * o_t * (1.0 - th * th)
-
+        ds[r] += dht * o_t * (1.0 - th * th)
         dzo = do * o_t * (1.0 - o_t)
-        for n in orders:
-            if not truncated or n == 0:
-                dd = params.w_od[n].T @ dzo
-                for j in range(n + 1):
-                    if t - j >= 0:
-                        ds[t - j] += _coeff(n, j) * dd
+        if flow:
+            ds[r] += cur.T @ dzo
 
-        dst = ds[t]
+        dst = ds[r]
         di = dst * g_t
         df = dst * s_prev
         dg = dst * i_t
-        if t >= 1:
-            ds[t - 1] += dst * f_t
+        ds[r + 1] += dst * f_t
 
         dzg = dg * (1.0 - g_t * g_t)
         dzi = di * i_t * (1.0 - i_t)
         dzf = df * f_t * (1.0 - f_t)
-        for n in orders:
-            if not truncated or n == 0:
-                dd = wifd[n].T @ np.concatenate([dzi, dzf])
-                for j in range(n + 1):
-                    if t - 1 - j >= 0:
-                        ds[t - 1 - j] += _coeff(n, j) * dd
-
         dz = np.concatenate([dzi, dzf, dzo, dzg])
+        if flow:
+            ds[r + 1:r + 1 + len(lags)] += (lags_t @ dz[:, None])[:, :, 0]
         dz_all[t] = dz
         if t >= 1:
             dh[t - 1] += wh.T @ dz
@@ -155,21 +148,18 @@ def _cell_backward(params: CellParams, kind, ltape, dh_in, truncated, tie):
     h_prev_all = np.vstack([np.zeros(u), ltape.h[:-1]])
     gwx = dz_all.T @ ltape.x        # (4u, in), row blocks i, f, o, s
     gwh = dz_all.T @ h_prev_all
-    g.w_ix, g.w_fx, g.w_ox, g.w_sx = (
-        gwx[:u], gwx[u:2 * u], gwx[2 * u:3 * u], gwx[3 * u:])
+    g.w_ix, g.w_fx, g.w_ox, g.w_sx = gwx.reshape(4, u, -1)
     if tie:
         g.w_ih += gwh[:u] + gwh[u:2 * u] + gwh[2 * u:3 * u]
         g.w_sh += gwh[3 * u:]
     else:
-        g.w_ih, g.w_fh, g.w_oh, g.w_sh = (
-            gwh[:u], gwh[u:2 * u], gwh[2 * u:3 * u], gwh[3 * u:])
-    gb = dz_all.sum(axis=0)
-    g.b_i, g.b_f, g.b_o, g.b_s = gb[:u], gb[u:2 * u], gb[2 * u:3 * u], gb[3 * u:]
-    for n in orders:
-        gif = dz_all[:, :2 * u].T @ ltape.d_prev[n]
-        g.w_id[n] = gif[:u]
-        g.w_fd[n] = gif[u:]
-        g.w_od[n] = dz_all[:, 2 * u:3 * u].T @ ltape.d_cur[n]
+        g.w_ih, g.w_fh, g.w_oh, g.w_sh = gwh.reshape(4, u, u)
+    g.b_i, g.b_f, g.b_o, g.b_s = dz_all.sum(axis=0).reshape(4, u)
+    for n in kind.dos_orders:
+        d = dos(n, s_a)             # row t-1 is what the i/f gates see at t
+        gif = dz_all[1:, :2 * u].T @ d[:-1]
+        g.w_id[n], g.w_fd[n] = gif[:u], gif[u:]
+        g.w_od[n] = dz_all[:, 2 * u:3 * u].T @ d
     dx = dz_all @ wx
     return g, dx
 

@@ -105,6 +105,13 @@ class RnnParams:
         return self.w_hx.shape[1]
 
 
+# parameter names in the fixed order of gradients, checkpoints and grad checks
+_CELL_MATS = ("w_ix", "w_fx", "w_ox", "w_sx", "w_ih", "w_fh", "w_oh", "w_sh")
+_CELL_DICTS = ("w_id", "w_fd", "w_od")
+_CELL_BIASES = ("b_i", "b_f", "b_o", "b_s")
+_RNN_NAMES = ("w_hh", "w_hx", "b_h")
+
+
 @dataclass
 class OutputParams:
     w_yh: np.ndarray
@@ -133,22 +140,24 @@ class Model:
     seed: int = 0
 
 
-def dos(order: int, s_t: np.ndarray, history) -> np.ndarray:
-    """Order-n backward finite difference of the internal state.
+def _dos_weight(order: int, j: int) -> float:
+    """Weight of s_{t-j} in the order-n backward difference at t."""
+    return (-1.0) ** j * math.comb(order, j)
 
-    ``history`` holds earlier states, most recent first; missing lags at the
-    start of a sequence are treated as zero.  Order 0 returns ``s_t``; order 1
-    is s_t - s_{t-1}; order 2 is s_t - 2 s_{t-1} + s_{t-2}; higher orders
-    iterate the differencing.  The result keeps the dtype of a float ``s_t``
-    (float64, or longdouble in a gradient check).
+
+def dos(order: int, states: np.ndarray) -> np.ndarray:
+    """Order-n backward finite differences of a (T, units) state sequence.
+
+    Row t is sum_j c(n, j) s_{t-j}; states before the first row are zero.
+    Order 0 returns the states; order 1 is s_t - s_{t-1}; order 2 is
+    s_t - 2 s_{t-1} + s_{t-2}; higher orders iterate the differencing.  The
+    result keeps the dtype of float states (float64, or longdouble in a
+    gradient check).
     """
-    out = np.array(s_t, copy=True)
-    if out.dtype.kind != "f":
-        out = out.astype(np.float64)
+    states = np.asarray(states)
+    out = states.astype(states.dtype if states.dtype.kind == "f" else np.float64)
     for j in range(1, order + 1):
-        coeff = (-1.0) ** j * math.comb(order, j)
-        if j - 1 < len(history):
-            out += coeff * history[j - 1]
+        out[j:] += _dos_weight(order, j) * states[:-j]
     return out
 
 
@@ -227,9 +236,7 @@ def stacked_lstm_config(depth: int, input_units: int, units: int, classes: int) 
 @dataclass
 class LayerTape:
     """Per-timestep intermediates of one layer; arrays are (T, units),
-    row index = t-1.  ``d_prev``/``d_cur`` map a derivative order to the
-    (T, units) array of state derivatives seen by the input/forget gates
-    (previous state) and the output gate (current state)."""
+    row index = t-1."""
 
     x: np.ndarray
     i: np.ndarray
@@ -239,8 +246,6 @@ class LayerTape:
     s: np.ndarray
     h: np.ndarray
     tanh_s: np.ndarray
-    d_prev: dict[int, np.ndarray]
-    d_cur: dict[int, np.ndarray]
 
 
 @dataclass
@@ -254,17 +259,36 @@ class Tape:
 
 
 def gate_weight_stacks(params: CellParams, tie: bool):
-    """Per-gate matrices fused for batched evaluation: input-side (4u x in),
-    hidden-side (4u x u), and per-order (w_id; w_fd) stacks (2u x u).
-    Row blocks are ordered i, f, o, s."""
+    """Per-gate matrices fused for batched evaluation: input-side (4u x in)
+    and hidden-side (4u x u).  Row blocks are ordered i, f, o, s."""
     w_fh = params.w_ih if tie else params.w_fh
     w_oh = params.w_ih if tie else params.w_oh
     wx = np.vstack([params.w_ix, params.w_fx, params.w_ox, params.w_sx])
     wh = np.vstack([params.w_ih, w_fh, w_oh, params.w_sh])
-    wifd = {n: np.vstack([params.w_id[n], params.w_fd[n]])
-            for n in params.w_id}
     bias = np.concatenate([params.b_i, params.b_f, params.b_o, params.b_s])
-    return wx, wh, wifd, bias
+    return wx, wh, bias
+
+
+def lag_weights(params: CellParams, orders):
+    """The DoS gate terms of ``orders`` as weights on past states.
+
+    An order-n derivative is sum_j c(n, j) s_{t-j}, so the terms fold into a
+    (K+1, 4u, u) stack whose block j weighs s_{t-1-j}, K the highest order:
+    i and f rows hold lags 0..K of the previous state's derivatives, o rows
+    lags 1..K of the current state's, s rows zeros.  Also returns the o
+    gate's (u, u) weight on s_t itself."""
+    u = params.units
+    lags = np.zeros((max(orders, default=0) + 1, 4 * u, u), params.w_ih.dtype)
+    cur = np.zeros((u, u), params.w_ih.dtype)
+    for n in orders:
+        cur += params.w_od[n]
+        for j in range(n + 1):
+            c = _dos_weight(n, j)
+            lags[j, :u] += c * params.w_id[n]
+            lags[j, u:2 * u] += c * params.w_fd[n]
+            if j:
+                lags[j - 1, 2 * u:3 * u] += c * params.w_od[n]
+    return lags, cur
 
 
 def _layer_forward(params: CellParams, kind: CellKind, tie: bool,
@@ -273,47 +297,35 @@ def _layer_forward(params: CellParams, kind: CellKind, tie: bool,
     u = params.units
     dt = x_all.dtype
     orders = kind.dos_orders
-    max_order = kind.max_order
-    wx, wh, wifd, bias = gate_weight_stacks(params, tie)
+    wx, wh, bias = gate_weight_stacks(params, tie)
+    lags, cur = lag_weights(params, orders)
     zx = x_all @ wx.T + bias                  # (T, 4u) input-side gate terms
 
-    i_a, f_a, o_a, g_a, s_a, h_a, th_a = (np.empty((T, u), dt) for _ in range(7))
-    d_prev = {n: np.empty((T, u), dt) for n in orders}
-    d_cur = {n: np.empty((T, u), dt) for n in orders}
-
+    i_a, f_a, o_a, g_a, h_a, th_a = (np.empty((T, u), dt) for _ in range(6))
+    # states newest-first: row T-1-t holds s_t and the zero rows from T on the
+    # states before the sequence, so step t's lags are the rows T-t .. T-t+K
+    past = np.zeros((T + len(lags), u), dt)
     s = np.zeros(u, dt)
     h = np.zeros(u, dt)
-    hist: list[np.ndarray] = []
     for t in range(T):
+        r = T - 1 - t
         z = zx[t] + wh @ h
-        zi = z[:u].copy()
-        zf = z[u:2 * u].copy()
-        zo = z[2 * u:3 * u].copy()
-        zs = z[3 * u:]
-        for n in orders:
-            dp = dos(n, s, hist)
-            d_prev[n][t] = dp
-            dif = wifd[n] @ dp
-            zi += dif[:u]
-            zf += dif[u:]
-        i_t = sigmoid(zi)
-        f_t = sigmoid(zf)
-        g_t = np.tanh(zs)
-        s_new = f_t * s + i_t * g_t
-        hist_cur = [s] + hist
-        for n in orders:
-            dc = dos(n, s_new, hist_cur)
-            d_cur[n][t] = dc
-            zo += params.w_od[n] @ dc
+        if orders:
+            z += (lags @ past[r + 1:r + 1 + len(lags), :, None]).sum(axis=0)[:, 0]
+        i_t = sigmoid(z[:u])
+        f_t = sigmoid(z[u:2 * u])
+        g_t = np.tanh(z[3 * u:])
+        s = f_t * s + i_t * g_t
+        zo = z[2 * u:3 * u]
+        if orders:
+            zo = zo + cur @ s
         o_t = sigmoid(zo)
-        th = np.tanh(s_new)
+        th = np.tanh(s)
         h = o_t * th
         i_a[t], f_a[t], o_a[t], g_a[t] = i_t, f_t, o_t, g_t
-        s_a[t], h_a[t], th_a[t] = s_new, h, th
-        hist = hist_cur[:max_order] if max_order > 0 else []
-        s = s_new
-    return LayerTape(x=x_all, i=i_a, f=f_a, o=o_a, g=g_a, s=s_a, h=h_a,
-                     tanh_s=th_a, d_prev=d_prev, d_cur=d_cur)
+        past[r], h_a[t], th_a[t] = s, h, th
+    return LayerTape(x=x_all, i=i_a, f=f_a, o=o_a, g=g_a, s=past[T - 1::-1],
+                     h=h_a, tanh_s=th_a)
 
 
 def _rnn_layer_forward(params: RnnParams, x_all: np.ndarray) -> LayerTape:
@@ -327,7 +339,7 @@ def _rnn_layer_forward(params: RnnParams, x_all: np.ndarray) -> LayerTape:
         h_a[t] = h
     empty = np.zeros((T, 0))
     return LayerTape(x=x_all, i=empty, f=empty, o=empty, g=empty,
-                     s=empty, h=h_a, tanh_s=empty, d_prev={}, d_cur={})
+                     s=empty, h=h_a, tanh_s=empty)
 
 
 def stack_forward(model: Model, frames: np.ndarray) -> Tape:
@@ -380,13 +392,6 @@ def dos_energy(model: Model, frames: np.ndarray, layer: int) -> np.ndarray:
     kind, _units = model.config.layers[layer]
     if kind.kind == "rnn":
         raise ValueError("classical RNN layers have no internal state derivatives")
-    tape = stack_forward(model, frames)
-    s_list = tape.layers[layer].s
-    max_order = kind.max_order
-    T = len(s_list)
-    out = np.zeros((T, max_order + 1))
-    for t in range(T):
-        history = [s_list[t - j] for j in range(1, t + 1)][:max_order]
-        for k in range(max_order + 1):
-            out[t, k] = float(np.linalg.norm(dos(k, s_list[t], history)))
-    return out
+    s = stack_forward(model, frames).layers[layer].s
+    return np.stack([np.linalg.norm(dos(k, s), axis=1)
+                     for k in range(kind.max_order + 1)], axis=1)

@@ -28,6 +28,7 @@ from .cells import (
     build_model,
     d2rnn_config,
     dos_energy,
+    predict_sequence,
     stacked_lstm_config,
 )
 from .data import DataFormatError, KFold, MonteCarlo
@@ -320,7 +321,6 @@ def cmd_ensemble(spec: RunSpec, data_path: str) -> int:
         ens_hits = 0
         for seq in test_set.sequences:
             for mi, (model, _alpha) in enumerate(ens.members):
-                from .cells import predict_sequence
                 if predict_sequence(model, seq.frames)[0] == seq.label:
                     hits[mi] += 1
             if predict_ensemble(ens, seq.frames)[0] == seq.label:

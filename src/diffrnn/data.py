@@ -164,9 +164,14 @@ def load_jsonl(path) -> Dataset:
             label = rec["label"]
             if type(label) is not int:
                 raise ValueError(f"label {label!r} is not an integer")
+            frame_labels = rec.get("frame_labels")
+            for c in frame_labels or ():
+                if type(c) is not int or not 0 <= c < len(class_names):
+                    raise ValueError(f"frame label {c!r} is not a class index "
+                                     f"in [0, {len(class_names)})")
             seq = Sequence(frames=frames, label=label,
                            id=str(rec.get("id", f"seq-{lineno}")),
-                           frame_labels=rec.get("frame_labels"),
+                           frame_labels=frame_labels,
                            group=rec.get("group"))
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise DataFormatError(f"line {lineno}: {exc}")

@@ -38,10 +38,6 @@ def sigmoid(v: np.ndarray) -> np.ndarray:
     return np.where(v >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def tanh(v: np.ndarray) -> np.ndarray:
-    return np.tanh(np.asarray(v, dtype=np.float64))
-
-
 def softmax(y: np.ndarray) -> np.ndarray:
     """Probabilities from confidence scores, with max-subtraction for stability."""
     y = as_vector(y)

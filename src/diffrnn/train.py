@@ -21,6 +21,10 @@ from .backprop import (
     param_items,
 )
 from .cells import (
+    _CELL_BIASES,
+    _CELL_DICTS,
+    _CELL_MATS,
+    _RNN_NAMES,
     CellKind,
     CellParams,
     Model,
@@ -175,6 +179,8 @@ def train(model: Model, dataset, config: TrainConfig) -> list[Metrics]:
 def evaluate(model: Model, dataset) -> Metrics:
     """Accuracy and confusion matrix; prediction is the argmax of the
     final frame's class probabilities."""
+    if not dataset.sequences:
+        raise ValueError("cannot evaluate on an empty dataset")
     k = len(dataset.class_names)
     confusion = np.zeros((k, k), dtype=np.int64)
     total_loss = 0.0
@@ -184,7 +190,7 @@ def evaluate(model: Model, dataset) -> Metrics:
         total_loss += loss
         pred = int(np.argmax(tape.logits[-1]))
         confusion[seq.label, pred] += 1
-    n = max(len(dataset.sequences), 1)
+    n = len(dataset.sequences)
     return Metrics(mean_loss=total_loss / n,
                    accuracy=float(np.trace(confusion)) / n,
                    confusion=confusion)
@@ -203,30 +209,27 @@ def _arr(a: np.ndarray):
 def _params_to_json(p):
     if isinstance(p, CellParams):
         out = {"type": "cell"}
-        for name in ("w_ix", "w_fx", "w_ox", "w_sx", "w_ih", "w_fh", "w_oh",
-                     "w_sh", "b_i", "b_f", "b_o", "b_s"):
+        for name in _CELL_MATS + _CELL_BIASES:
             out[name] = _arr(getattr(p, name))
-        for dname in ("w_id", "w_fd", "w_od"):
+        for dname in _CELL_DICTS:
             out[dname] = {str(n): _arr(m) for n, m in getattr(p, dname).items()}
         return out
     if isinstance(p, RnnParams):
-        return {"type": "rnn", "w_hh": _arr(p.w_hh), "w_hx": _arr(p.w_hx),
-                "b_h": _arr(p.b_h)}
+        return {"type": "rnn", **{name: _arr(getattr(p, name)) for name in _RNN_NAMES}}
     raise TypeError(type(p))
 
 
 def _params_from_json(d):
     if d["type"] == "cell":
         kw = {name: np.asarray(d[name], dtype=np.float64)
-              for name in ("w_ix", "w_fx", "w_ox", "w_sx", "w_ih", "w_fh",
-                           "w_oh", "w_sh", "b_i", "b_f", "b_o", "b_s")}
-        for dname in ("w_id", "w_fd", "w_od"):
+              for name in _CELL_MATS + _CELL_BIASES}
+        for dname in _CELL_DICTS:
             kw[dname] = {int(n): np.asarray(m, dtype=np.float64)
                          for n, m in d[dname].items()}
         return CellParams(**kw)
     if d["type"] == "rnn":
         return RnnParams(**{name: np.asarray(d[name], dtype=np.float64)
-                            for name in ("w_hh", "w_hx", "b_h")})
+                            for name in _RNN_NAMES})
     raise CheckpointError(f"unknown layer type {d['type']!r}")
 
 
@@ -244,7 +247,7 @@ def _check_against_config(model: Model) -> None:
         if isinstance(p, RnnParams) != (kind.kind == "rnn"):
             raise CheckpointError(f"layer {li}: a {kind.kind} layer cannot hold "
                                   f"{type(p).__name__} weights")
-        for dname in ("w_id", "w_fd", "w_od") if isinstance(p, CellParams) else ():
+        for dname in _CELL_DICTS if isinstance(p, CellParams) else ():
             orders = sorted(getattr(p, dname))
             if orders != list(kind.dos_orders):
                 raise CheckpointError(

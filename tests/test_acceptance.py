@@ -163,8 +163,7 @@ def test_criterion_3_truncation_contract():
     tape = stack_forward(model, frames)
     _, dlogits = loss_sequence(tape.logits, 1)
     trunc = dict(model_param_items(backward_truncated(model, tape, dlogits)))
-    frozen = {1: (tape.layers[0].d_prev[1].astype(np.longdouble),
-                  tape.layers[0].d_cur[1].astype(np.longdouble))}
+    frozen = {1: dos(1, tape.layers[0].s).astype(np.longdouble)}
     numeric = _fd_frozen_surrogate(model, kind, frames, 1, frozen)
     worst = max(abs(float(trunc[name][idx]) - gn) for name, idx, gn in numeric)
     assert worst < 1e-10, (
@@ -179,22 +178,20 @@ def test_criterion_4_discretization_identities():
     the difference of consecutive dos(1) within 1e-12."""
     rng = seeded_rng(20)
     c = rng.normal(size=4)
-    assert np.array_equal(dos(1, c, [c.copy()]), np.zeros(4)), \
+    assert np.array_equal(dos(1, np.stack([c, c]))[1], np.zeros(4)), \
         "ACCEPTANCE 4: FAIL — dos(1) nonzero on constant trajectory"
     base, slope = rng.normal(size=4), rng.normal(size=4)
-    line = [base + t * slope for t in range(5)]
+    line = np.stack([base + t * slope for t in range(5)])
+    d2_line = dos(2, line)
     worst = 0.0
     for t in range(2, 5):
-        d2 = dos(2, line[t], [line[t - 1], line[t - 2]])
-        worst = max(worst, float(np.max(np.abs(d2))))
+        worst = max(worst, float(np.max(np.abs(d2_line[t]))))
     assert worst <= 1e-12, \
         f"ACCEPTANCE 4: FAIL — dos(2) on linear trajectory = {worst:.2e}"
-    states = [rng.normal(size=4) for _ in range(6)]
+    states = np.stack([rng.normal(size=4) for _ in range(6)])
+    v, d2 = dos(1, states), dos(2, states)
     for t in range(2, 6):
-        v_t = dos(1, states[t], [states[t - 1]])
-        v_tm1 = dos(1, states[t - 1], [states[t - 2]])
-        d2 = dos(2, states[t], [states[t - 1], states[t - 2]])
-        delta = float(np.max(np.abs(d2 - (v_t - v_tm1))))
+        delta = float(np.max(np.abs(d2[t] - (v[t] - v[t - 1]))))
         worst = max(worst, delta)
         assert delta <= 1e-12, \
             f"ACCEPTANCE 4: FAIL — dos(2) != delta dos(1) by {delta:.2e}"

@@ -16,6 +16,7 @@ from diffrnn.cells import (
     StackConfig,
     build_model,
     d2rnn_config,
+    dos,
     stack_forward,
     stacked_lstm_config,
 )
@@ -252,8 +253,9 @@ class TestTruncationContract:
         trunc = backward_truncated(model, tape, dlogits)
         assert np.max(np.abs(full.layers[0].w_ix - trunc.layers[0].w_ix)) > 1e-10
 
-    @pytest.mark.parametrize("kind", [CellKind("dos", 1), CellKind("drnn", 1)],
-                             ids=["dos1", "drnn1"])
+    @pytest.mark.parametrize("kind", [CellKind("dos", 1), CellKind("drnn", 1),
+                                      CellKind("dos", 2), CellKind("drnn", 3)],
+                             ids=["dos1", "drnn1", "dos2", "drnn3"])
     def test_constant_substitution_oracle(self, kind):
         """Truncated gradients equal full gradients of a surrogate whose
         order->=1 state derivatives are frozen external constants."""
@@ -264,8 +266,7 @@ class TestTruncationContract:
         _, dlogits = loss_sequence(tape.logits, label)
         trunc = dict(model_param_items(backward_truncated(model, tape, dlogits)))
 
-        frozen = {n: (tape.layers[0].d_prev[n].astype(np.longdouble),
-                      tape.layers[0].d_cur[n].astype(np.longdouble))
+        frozen = {n: dos(n, tape.layers[0].s).astype(np.longdouble)
                   for n in kind.dos_orders if n >= 1}
         numeric = _fd_frozen_surrogate(model, kind, frames, label, frozen)
         worst = max(abs(float(trunc[name][idx]) - gn)
@@ -275,7 +276,8 @@ class TestTruncationContract:
 
 def _frozen_surrogate_loss(layers, output, config, kind, frames, label, frozen):
     """Longdouble forward of a one-layer gated stack where derivatives of
-    order >= 1 are replaced by the given per-step constants."""
+    order >= 1 are replaced by constants: ``frozen[n]`` is the (T, units)
+    order-n derivative of the states, zero before the first one."""
     p = layers[0]
     u = p.b_i.shape[0]
     s = np.zeros(u, dtype=np.longdouble)
@@ -289,7 +291,8 @@ def _frozen_surrogate_loss(layers, output, config, kind, frames, label, frozen):
         z_i = p.w_ih @ h + p.w_ix @ x + p.b_i
         z_f = p.w_fh @ h + p.w_fx @ x + p.b_f
         for n in kind.dos_orders:
-            d = s if n == 0 else frozen[n][0][t]
+            # the i/f gates see the previous state's derivative; s is zero at t=0
+            d = s if n == 0 or t == 0 else frozen[n][t - 1]
             z_i = z_i + p.w_id[n] @ d
             z_f = z_f + p.w_fd[n] @ d
         i_t, f_t = sig(z_i), sig(z_f)
@@ -297,7 +300,7 @@ def _frozen_surrogate_loss(layers, output, config, kind, frames, label, frozen):
         s_new = f_t * s + i_t * g_t
         z_o = p.w_oh @ h + p.w_ox @ x + p.b_o
         for n in kind.dos_orders:
-            d = s_new if n == 0 else frozen[n][1][t]
+            d = s_new if n == 0 else frozen[n][t]
             z_o = z_o + p.w_od[n] @ d
         h = sig(z_o) * np.tanh(s_new)
         s = s_new

@@ -50,58 +50,51 @@ class TestCellKind:
 class TestDos:
     def test_order0_is_state(self):
         s = np.array([1.0, -2.0])
-        assert np.array_equal(dos(0, s, [np.array([9.0, 9.0])]), s)
+        assert np.array_equal(dos(0, np.array([[9.0, 9.0], s]))[1], s)
 
     def test_order1_is_difference(self):
         s, p = np.array([3.0, 1.0]), np.array([1.0, 4.0])
-        assert np.array_equal(dos(1, s, [p]), [2.0, -3.0])
+        assert np.array_equal(dos(1, np.array([p, s]))[1], [2.0, -3.0])
 
     def test_order2_hand(self):
-        s = np.array([5.0])
-        hist = [np.array([3.0]), np.array([2.0])]  # s_{t-1}, s_{t-2}
+        states = np.array([[2.0], [3.0], [5.0]])   # s_{t-2}, s_{t-1}, s_t
         # 5 - 2*3 + 2 = 1
-        assert np.array_equal(dos(2, s, hist), [1.0])
+        assert np.array_equal(dos(2, states)[2], [1.0])
 
     def test_order3_binomial(self):
-        s = np.array([1.0])
-        hist = [np.array([1.0]), np.array([1.0]), np.array([1.0])]
+        states = np.ones((4, 1))
         # 1 - 3 + 3 - 1 = 0
-        assert np.array_equal(dos(3, s, hist), [0.0])
+        assert np.array_equal(dos(3, states)[3], [0.0])
 
     def test_missing_history_is_zero_padded(self):
-        s = np.array([4.0])
-        assert np.array_equal(dos(2, s, [np.array([1.0])]), [2.0])  # 4 - 2*1 + 0
-        assert np.array_equal(dos(2, s, []), [4.0])
+        assert np.array_equal(dos(2, np.array([[1.0], [4.0]]))[1], [2.0])  # 4 - 2*1 + 0
+        assert np.array_equal(dos(2, np.array([[4.0]]))[0], [4.0])
 
     def test_matches_reference(self):
         rng = seeded_rng(11)
-        states = [rng.normal(size=3) for _ in range(6)]
+        states = rng.normal(size=(6, 3))
         for order in range(5):
+            mine = dos(order, states)
             for t in range(6):
-                hist = list(reversed(states[max(0, t - order):t]))
-                mine = dos(order, states[t], hist)
                 ref = ref_dos(order, states, t)
-                assert np.allclose(mine, ref, atol=1e-12)
+                assert np.allclose(mine[t], ref, atol=1e-12)
 
     @given(st.integers(1, 5), st.integers(0, 4))
     def test_constant_states_vanish_above_order0(self, dim, order):
         # derivative of any order >= 1 of a constant trajectory is zero
-        s = np.full(dim, 1.5)
-        hist = [s.copy() for _ in range(order)]
-        d = dos(order, s, hist)
-        expected = s if order == 0 else np.zeros(dim)
+        states = np.full((order + 1, dim), 1.5)
+        d = dos(order, states)[-1]
+        expected = states[-1] if order == 0 else np.zeros(dim)
         assert np.array_equal(d, expected)
 
     @given(st.integers(1, 4))
     def test_iterated_differencing(self, order):
         # dos(n) equals dos(1) applied to the order-(n-1) derivative stream
         rng = seeded_rng(order)
-        states = [rng.normal(size=2) for _ in range(8)]
-        for t in range(8):
-            direct = ref_dos(order, states, t)
-            lower = [ref_dos(order - 1, states, i) for i in range(8)]
-            via_chain = ref_dos(1, lower, t)
-            assert np.allclose(direct, via_chain, atol=1e-12)
+        states = rng.normal(size=(8, 2))
+        direct = dos(order, states)
+        via_chain = dos(1, dos(order - 1, states))
+        assert np.allclose(direct, via_chain, atol=1e-12)
 
 
 class TestLstmStepHand:
@@ -156,10 +149,12 @@ class TestForwardAgainstReference:
         f"{k.kind}{k.order}" for k, _ in a))
     def test_logits_match_naive_oracle(self, arch):
         model = small_model(arch, input_units=3, classes=3, seed=7)
-        frames = random_frames(seeded_rng(21), 6, 3)
-        tape = stack_forward(model, frames)
-        ref = ref_stack_logits(model, frames)
-        assert np.max(np.abs(tape.logits - np.array(ref))) < 1e-12
+        # lengths 1 and 2 are shorter than the lag window of order-2 cells
+        for length in (1, 2, 6):
+            frames = random_frames(seeded_rng(21), length, 3)
+            tape = stack_forward(model, frames)
+            ref = ref_stack_logits(model, frames)
+            assert np.max(np.abs(tape.logits - np.array(ref))) < 1e-12, length
 
     def test_tied_gate_weights_match_oracle(self):
         model = small_model([(CellKind("dos", 1), 4)], seed=3, tie=True)

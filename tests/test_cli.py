@@ -148,6 +148,16 @@ class TestTrain:
         assert rc == 2
         assert "line 1" in capsys.readouterr().err
 
+    def test_out_of_range_frame_label_is_data_error(self, tmp_path, capsys):
+        bad = tmp_path / "frame.jsonl"
+        bad.write_text('{"classes": ["a", "b"]}\n'
+                       '{"id": "x", "label": 0, "frames": [[1.0], [2.0]], '
+                       '"frame_labels": [0, 5]}\n')
+        rc = main(["train", "--data", str(bad), *FAST, "--mode", "frame",
+                   "--out", str(tmp_path / "run")])
+        assert rc == 2
+        assert "line 2: frame label 5" in capsys.readouterr().err
+
 
 class TestEval:
     def test_eval_trained_checkpoint(self, tmp_path, capsys):

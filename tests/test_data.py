@@ -182,6 +182,18 @@ class TestJsonl:
         with pytest.raises(DataFormatError, match="line 2: label .* is not an integer"):
             load_jsonl(path)
 
+    @pytest.mark.parametrize("frame_labels", ["[1.7, 0.2]", "[0, 5]", "[0, -1]", "[0, true]"],
+                             ids=["fractional", "too_large", "negative", "bool"])
+    def test_bad_frame_label_rejected_with_line(self, tmp_path, frame_labels):
+        path = tmp_path / "frame.jsonl"
+        path.write_text("\n".join([
+            '{"classes": ["a", "b"]}',
+            '{"id": "x", "label": 0, "frames": [[1.0], [2.0]], "frame_labels": %s}'
+            % frame_labels,
+        ]) + "\n")
+        with pytest.raises(DataFormatError, match=r"line 2: frame label .* \[0, 2\)"):
+            load_jsonl(path)
+
     def test_unparseable_line(self, tmp_path):
         path = tmp_path / "syn.jsonl"
         path.write_text('{"classes": ["a", "b"]}\nnot json\n')

@@ -206,6 +206,10 @@ class TestEvaluate:
         assert m.accuracy == 0.5
         assert np.array_equal(m.confusion[:, 1], [0, 0])
 
+    def test_empty_dataset_rejected(self):
+        with pytest.raises(ValueError, match="empty dataset"):
+            evaluate(tiny_model(), Dataset([], ["a", "b"]))
+
     def test_perfect_model_identity_confusion(self):
         ds = tiny_dataset(count=6)
         model = tiny_model(seed=8)
