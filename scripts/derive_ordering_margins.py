@@ -19,7 +19,8 @@ import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from diffrnn.cells import build_model, d2rnn_config, stacked_lstm_config
+from diffrnn.cells import build_model
+from diffrnn.cli import build_config
 from diffrnn.data import KFold, gen_synthetic, make_splits
 from diffrnn.train import TrainConfig, evaluate, train
 
@@ -31,14 +32,8 @@ EXPERIMENT = dict(
 )
 
 
-def arch_config(name, dim, units, classes):
-    if name == "d2rnn3":
-        return d2rnn_config(3, dim, units, classes)
-    if name == "stacked3":
-        return stacked_lstm_config(3, dim, units, classes)
-    if name == "lstm":
-        return stacked_lstm_config(1, dim, units, classes)
-    raise ValueError(name)
+# recorded name -> architecture string of ``diffrnn train --arch``
+ARCHS = {"d2rnn3": "d2rnn:3", "stacked3": "stacked:3", "lstm": "lstm"}
 
 
 def run_arch(name, dataset, seed, exp):
@@ -48,7 +43,8 @@ def run_arch(name, dataset, seed, exp):
     accs = []
     for si, (train_idx, test_idx) in enumerate(
             make_splits(dataset, KFold(exp["folds"], seed=seed))):
-        cfg = arch_config(name, exp["dim"], exp["state_units"], exp["classes"])
+        cfg = build_config(ARCHS[name], exp["dim"], exp["state_units"],
+                           exp["classes"])
         model = build_model(cfg, seed=seed * 10 + si)
         train(model, dataset.subset(train_idx), tc)
         accs.append(evaluate(model, dataset.subset(test_idx)).accuracy)
@@ -59,7 +55,7 @@ def derive(exp):
     dataset = gen_synthetic(exp["task"], exp["classes"], exp["count"],
                             exp["length"], exp["dim"], exp["noise_sigma"],
                             exp["data_seed"])
-    per_seed = {name: [] for name in ("d2rnn3", "stacked3", "lstm")}
+    per_seed = {name: [] for name in ARCHS}
     for seed in exp["seeds"]:
         for name in per_seed:
             acc = run_arch(name, dataset, seed, exp)

@@ -15,19 +15,14 @@ import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from diffrnn.cells import CellKind, StackConfig, build_model, d2rnn_config, \
-    stacked_lstm_config
+from diffrnn.cells import build_model
+from diffrnn.cli import build_config
 from diffrnn.data import gen_synthetic
 from diffrnn.train import TrainConfig, train
 
-ARCHS = {
-    "rnn": lambda dim, u, k: StackConfig(((CellKind("rnn"), u),), dim, k),
-    "lstm": lambda dim, u, k: stacked_lstm_config(1, dim, u, k),
-    "stacked3": lambda dim, u, k: stacked_lstm_config(3, dim, u, k),
-    "dos1": lambda dim, u, k: StackConfig(((CellKind("dos", 1), u),), dim, k),
-    "drnn2": lambda dim, u, k: StackConfig(((CellKind("drnn", 2), u),), dim, k),
-    "d2rnn3": lambda dim, u, k: d2rnn_config(3, dim, u, k),
-}
+# CSV name -> architecture string of ``diffrnn train --arch``
+ARCHS = {"rnn": "rnn", "lstm": "lstm", "stacked3": "stacked:3", "dos1": "dos:1",
+         "drnn2": "drnn:2", "d2rnn3": "d2rnn:3"}
 
 
 def main():
@@ -47,8 +42,8 @@ def main():
     tc = TrainConfig(epochs=args.epochs, learning_rate=args.lr, mode="frame",
                      seed=args.seed)
     rows = []
-    for name, cfg_fn in ARCHS.items():
-        model = build_model(cfg_fn(args.dim, args.state_units, 2),
+    for name, arch in ARCHS.items():
+        model = build_model(build_config(arch, args.dim, args.state_units, 2),
                             seed=args.seed)
         t0 = time.time()
         history = train(model, dataset, tc)

@@ -26,10 +26,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .cells import (
-    _CELL_BIASES,
-    _CELL_DICTS,
-    _CELL_MATS,
-    _RNN_NAMES,
     CellParams,
     Model,
     OutputParams,
@@ -38,6 +34,7 @@ from .cells import (
     dos,
     gate_weight_stacks,
     lag_weights,
+    param_fields,
     stack_forward,
 )
 
@@ -51,38 +48,24 @@ class Gradients:
 
 
 def param_items(p, prefix=""):
-    """Yield (name, array) for every parameter array, in a fixed order."""
-    if isinstance(p, CellParams):
-        for name in _CELL_MATS:
-            yield prefix + name, getattr(p, name)
-        for dname in _CELL_DICTS:
-            d = getattr(p, dname)
-            for n in sorted(d):
-                yield f"{prefix}{dname}[{n}]", d[n]
-        for name in _CELL_BIASES:
-            yield prefix + name, getattr(p, name)
-    elif isinstance(p, RnnParams):
-        for name in _RNN_NAMES:
-            yield prefix + name, getattr(p, name)
-    elif isinstance(p, OutputParams):
-        for name in ("w_yh", "b_y"):
-            yield prefix + name, getattr(p, name)
-    else:
-        raise TypeError(f"unknown parameter container {type(p)}")
+    """Yield (name, array) for every array of a parameter container, in field
+    order; a per-order dict field yields ``name[n]`` per order n, ascending."""
+    for name, per_order in param_fields(type(p)):
+        value = getattr(p, name)
+        if per_order:
+            for n in sorted(value):
+                yield f"{prefix}{name}[{n}]", value[n]
+        else:
+            yield prefix + name, value
 
 
 def map_params(fn, p):
     """A container of ``p``'s type holding ``fn(array)`` for each array."""
-    if isinstance(p, CellParams):
-        kw = {name: fn(getattr(p, name)) for name in _CELL_MATS + _CELL_BIASES}
-        for dname in _CELL_DICTS:
-            kw[dname] = {n: fn(m) for n, m in getattr(p, dname).items()}
-        return CellParams(**kw)
-    if isinstance(p, RnnParams):
-        return RnnParams(**{name: fn(getattr(p, name)) for name in _RNN_NAMES})
-    if isinstance(p, OutputParams):
-        return OutputParams(w_yh=fn(p.w_yh), b_y=fn(p.b_y))
-    raise TypeError(f"unknown parameter container {type(p)}")
+    kw = {}
+    for name, per_order in param_fields(type(p)):
+        value = getattr(p, name)
+        kw[name] = {n: fn(m) for n, m in value.items()} if per_order else fn(value)
+    return type(p)(**kw)
 
 
 def model_param_items(obj):

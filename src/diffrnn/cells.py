@@ -20,7 +20,9 @@ output gate reads the derivative of the CURRENT state.
 """
 from __future__ import annotations
 
+import functools
 import math
+import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,17 +107,18 @@ class RnnParams:
         return self.w_hx.shape[1]
 
 
-# parameter names in the fixed order of gradients, checkpoints and grad checks
-_CELL_MATS = ("w_ix", "w_fx", "w_ox", "w_sx", "w_ih", "w_fh", "w_oh", "w_sh")
-_CELL_DICTS = ("w_id", "w_fd", "w_od")
-_CELL_BIASES = ("b_i", "b_f", "b_o", "b_s")
-_RNN_NAMES = ("w_hh", "w_hx", "b_h")
-
-
 @dataclass
 class OutputParams:
     w_yh: np.ndarray
     b_y: np.ndarray
+
+
+@functools.cache
+def param_fields(cls) -> tuple[tuple[str, bool], ...]:
+    """(name, declared a per-order dict?) for each field of a parameter
+    dataclass, in declaration order: the order of gradients and checkpoints."""
+    hints = typing.get_type_hints(cls)
+    return tuple((name, typing.get_origin(hint) is dict) for name, hint in hints.items())
 
 
 @dataclass(frozen=True)
@@ -130,6 +133,8 @@ class StackConfig:
             raise ValueError("a stack needs at least one layer")
         if self.output_classes < 2:
             raise ValueError("need at least 2 output classes")
+        if self.input_units < 1 or any(units < 1 for _, units in self.layers):
+            raise ValueError("input and layer units must be >= 1")
 
 
 @dataclass
@@ -252,7 +257,6 @@ class LayerTape:
 class Tape:
     """Everything a backward pass needs from one forward run."""
 
-    config: StackConfig
     layers: list[LayerTape]
     logits: np.ndarray        # (T, classes), post-tanh confidence scores
     hidden_top: np.ndarray    # (T, units) h_t of the final layer
@@ -370,8 +374,7 @@ def stack_forward(model: Model, frames: np.ndarray) -> Tape:
         layer_tapes.append(tape)
         x_all = tape.h
     logits = np.tanh(x_all @ model.output.w_yh.T + model.output.b_y)
-    return Tape(config=model.config, layers=layer_tapes, logits=logits,
-                hidden_top=x_all)
+    return Tape(layers=layer_tapes, logits=logits, hidden_top=x_all)
 
 
 def predict_sequence(model: Model, frames: np.ndarray) -> tuple[int, np.ndarray]:

@@ -16,7 +16,7 @@ import csv
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -59,6 +59,7 @@ class RunSpec:
     config_path: str | None
     overrides: dict
     out: str | None
+    flag_types: dict    # option name -> the type its flag parses
 
     def effective(self, defaults: dict) -> dict:
         cfg = dict(defaults)
@@ -68,9 +69,19 @@ class RunSpec:
                     file_cfg = json.load(fh)
             except (OSError, json.JSONDecodeError) as exc:
                 raise DataFormatError(f"cannot read config {self.config_path}: {exc}")
+            if not isinstance(file_cfg, dict):
+                raise UsageError(f"config {self.config_path} is not a JSON object")
             unknown = set(file_cfg) - set(defaults)
             if unknown:
                 raise UsageError(f"unknown config keys: {sorted(unknown)}")
+            for key, value in file_cfg.items():
+                # an int also fits a float flag; a bool fits only a bool
+                parse = self.flag_types.get(key, type(defaults[key]))
+                fits = (int, float) if parse is float else (parse,)
+                unset = value is None and defaults[key] is None
+                if type(value) not in fits and not unset:
+                    raise UsageError(f"config key {key!r} must be "
+                                     f"{parse.__name__}, got {value!r}")
             cfg.update(file_cfg)
         unknown = set(self.overrides) - set(defaults)
         if unknown:
@@ -191,6 +202,10 @@ def _splits_of(ds, split_spec, seed):
     return data_mod.make_splits(ds, plan)
 
 
+def _train_config(cfg) -> TrainConfig:
+    return TrainConfig(**{f.name: cfg[f.name] for f in fields(TrainConfig)})
+
+
 def _prepared(ds, train_idx, test_idx, pca_energy):
     train_set = ds.subset(train_idx)
     test_set = ds.subset(test_idx)
@@ -208,10 +223,7 @@ def cmd_train(spec: RunSpec, data_path: str) -> int:
     ds = data_mod.load_jsonl(data_path)
     _echo_config(spec.out, spec, cfg)
     splits = _splits_of(ds, cfg["split"], cfg["seed"])
-    tc = TrainConfig(learning_rate=cfg["learning_rate"], epochs=cfg["epochs"],
-                     mode=cfg["mode"], truncation=cfg["truncation"],
-                     seed=cfg["seed"], clip_norm=cfg["clip_norm"],
-                     shuffle=cfg["shuffle"])
+    tc = _train_config(cfg)
     loss_rows, metric_rows, accs = [], [], []
     for si, (train_idx, test_idx) in enumerate(splits):
         train_set, test_set = _prepared(ds, train_idx, test_idx, cfg["pca_energy"])
@@ -296,7 +308,7 @@ def cmd_dos_energy(spec: RunSpec, checkpoint: str, data_path: str,
 ENSEMBLE_DEFAULTS = dict(max_order=2, state_units=16, split="none",
                          learning_rate=0.0001, epochs=50, mode="sequence",
                          truncation="full", seed=0, clip_norm=None,
-                         shuffle=True, boost_variant="samme", pca_energy=None)
+                         shuffle=True, pca_energy=None)
 
 
 def cmd_ensemble(spec: RunSpec, data_path: str) -> int:
@@ -306,17 +318,13 @@ def cmd_ensemble(spec: RunSpec, data_path: str) -> int:
     ds = data_mod.load_jsonl(data_path)
     _echo_config(spec.out, spec, cfg)
     splits = _splits_of(ds, cfg["split"], cfg["seed"])
-    tc = TrainConfig(learning_rate=cfg["learning_rate"], epochs=cfg["epochs"],
-                     mode=cfg["mode"], truncation=cfg["truncation"],
-                     seed=cfg["seed"], clip_norm=cfg["clip_norm"],
-                     shuffle=cfg["shuffle"])
+    tc = _train_config(cfg)
     n_members = cfg["max_order"] + 1
     member_accs = [[] for _ in range(n_members)]
     ens_accs = []
     for si, (train_idx, test_idx) in enumerate(splits):
         train_set, test_set = _prepared(ds, train_idx, test_idx, cfg["pca_energy"])
-        ens = fit_ernn(train_set, cfg["max_order"], tc, cfg["state_units"],
-                       boost_variant=cfg["boost_variant"])
+        ens = fit_ernn(train_set, cfg["max_order"], tc, cfg["state_units"])
         hits = [0] * n_members
         ens_hits = 0
         for seq in test_set.sequences:
@@ -391,8 +399,6 @@ def main(argv=None) -> int:
             p.add_argument("--arch")
         else:
             p.add_argument("--max-order", dest="max_order", type=int)
-            p.add_argument("--boost-variant", dest="boost_variant",
-                           choices=("samme", "m1"))
 
     p = sub.add_parser("eval", help="evaluate a checkpoint")
     _add_common(p)
@@ -421,7 +427,9 @@ def main(argv=None) -> int:
         "eval": {}, "dos-energy": {},
     }[args.command]
     spec = RunSpec(command=args.command, config_path=args.config,
-                   overrides=_overrides(args, keys), out=args.out)
+                   overrides=_overrides(args, keys), out=args.out,
+                   flag_types={a.dest: a.type or str
+                               for a in sub.choices[args.command]._actions})
     try:
         if args.command == "synth":
             return cmd_synth(spec)

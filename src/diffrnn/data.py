@@ -44,6 +44,18 @@ class Sequence:
             raise ValueError("frame_labels length must match frame count")
 
 
+def _check_labels(seq: Sequence, k: int) -> None:
+    """Raise ValueError unless the label and each frame label of ``seq`` is a
+    Python or numpy integer, not a bool, in [0, k)."""
+    for what, labels in (("label", [seq.label]),
+                         ("frame label", seq.frame_labels or [])):
+        if set(map(type, labels)) <= {int} and set(labels) <= set(range(k)):
+            continue    # plain ints in range: checked without a Python-level loop
+        for c in labels:
+            if type(c) is bool or not isinstance(c, (int, np.integer)) or not 0 <= c < k:
+                raise ValueError(f"{what} {c!r} is not an integer in [0, {k})")
+
+
 @dataclass
 class Dataset:
     sequences: list[Sequence]
@@ -52,8 +64,7 @@ class Dataset:
     def __post_init__(self):
         k = len(self.class_names)
         for seq in self.sequences:
-            if not 0 <= seq.label < k:
-                raise ValueError(f"label {seq.label} out of range for {k} classes")
+            _check_labels(seq, k)
             if seq.frames.shape[1] != self.feature_dim:
                 raise ValueError("all sequences must share one feature dimension")
 
@@ -161,18 +172,11 @@ def load_jsonl(path) -> Dataset:
                 raise ValueError("frames of differing dimensions")
             if not np.all(np.isfinite(frames)):
                 raise ValueError("frames hold a non-finite value")
-            label = rec["label"]
-            if type(label) is not int:
-                raise ValueError(f"label {label!r} is not an integer")
-            frame_labels = rec.get("frame_labels")
-            for c in frame_labels or ():
-                if type(c) is not int or not 0 <= c < len(class_names):
-                    raise ValueError(f"frame label {c!r} is not a class index "
-                                     f"in [0, {len(class_names)})")
-            seq = Sequence(frames=frames, label=label,
+            seq = Sequence(frames=frames, label=rec["label"],
                            id=str(rec.get("id", f"seq-{lineno}")),
-                           frame_labels=frame_labels,
+                           frame_labels=rec.get("frame_labels"),
                            group=rec.get("group"))
+            _check_labels(seq, len(class_names))
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise DataFormatError(f"line {lineno}: {exc}")
         if dim is None:
@@ -180,8 +184,6 @@ def load_jsonl(path) -> Dataset:
         elif seq.frames.shape[1] != dim:
             raise DataFormatError(
                 f"line {lineno}: frame dimension {seq.frames.shape[1]} != {dim}")
-        if not 0 <= seq.label < len(class_names):
-            raise DataFormatError(f"line {lineno}: label {seq.label} out of range")
         sequences.append(seq)
     if not sequences:
         raise DataFormatError("line 1: no sequences")
@@ -230,6 +232,8 @@ def make_splits(dataset: Dataset, plan) -> list[tuple[list[int], list[int]]]:
     if isinstance(plan, MonteCarlo):
         if not 0 < plan.train_fraction < 1:
             raise ValueError("train_fraction must lie in (0, 1)")
+        if plan.trials < 1:
+            raise ValueError(f"trials must be >= 1, got {plan.trials}")
         rng = seeded_rng(plan.seed)
         by_class: dict[int, list[int]] = {}
         for i, seq in enumerate(dataset.sequences):

@@ -38,18 +38,12 @@ class EnsembleModel:
             raise ValueError("ensemble needs at least one positively weighted member")
 
 
-def samme_round(is_wrong: np.ndarray, weights: np.ndarray, k: int,
-                variant: str = "samme"):
+def samme_round(is_wrong: np.ndarray, weights: np.ndarray, k: int):
     """One boosting round.  Returns (alpha, updated weights).
 
     ``is_wrong`` flags the examples the member misclassifies; ``weights`` is
-    the current example distribution (sums to 1).  ``variant`` "m1" drops the
-    ln(k-1) multiclass correction (valid for k == 2, where it is zero anyway).
+    the current example distribution (sums to 1).
     """
-    if variant not in ("samme", "m1"):
-        raise ValueError(f"unknown boosting variant {variant!r}")
-    if variant == "m1" and k != 2:
-        raise ValueError("AdaBoost.M1 applies to 2-class problems only")
     is_wrong = np.asarray(is_wrong, dtype=bool)
     weights = np.asarray(weights, dtype=np.float64)
     err = float(np.sum(weights[is_wrong]))
@@ -60,10 +54,7 @@ def samme_round(is_wrong: np.ndarray, weights: np.ndarray, k: int,
     if err <= 0.0:
         alpha = ALPHA_CAP
     else:
-        alpha = math.log((1.0 - err) / err)
-        if variant == "samme":
-            alpha += math.log(k - 1)
-        alpha = min(alpha, ALPHA_CAP)
+        alpha = min(math.log((1.0 - err) / err) + math.log(k - 1), ALPHA_CAP)
     new_w = weights * np.exp(alpha * is_wrong)
     new_w /= np.sum(new_w)
     return alpha, new_w
@@ -77,12 +68,11 @@ def _weighted_resample(dataset: Dataset, weights: np.ndarray,
 
 
 def fit_ernn(dataset: Dataset, max_order: int, config: TrainConfig,
-             state_units: int, boost_variant: str = "samme",
-             resample: bool = True) -> EnsembleModel:
+             state_units: int) -> EnsembleModel:
     """Train members of orders 0..max_order in sequence, boosting between.
 
-    With ``max_order == 0`` (and resampling off or a uniform first draw) the
-    single member is exactly the model ordinary training would produce.
+    The first member trains on the whole set, so with ``max_order == 0`` it
+    is exactly the model ordinary training would produce.
     """
     if max_order < 0:
         raise ValueError("max_order must be >= 0")
@@ -97,14 +87,13 @@ def fit_ernn(dataset: Dataset, max_order: int, config: TrainConfig,
         cfg = StackConfig(layers=((CellKind("dos", order), state_units),),
                           input_units=dataset.feature_dim, output_classes=k)
         model = build_model(cfg, seed=config.seed + order)
-        uniform = np.allclose(weights, 1.0 / n)
-        train_set = dataset if (not resample or uniform) \
+        train_set = dataset if np.allclose(weights, 1.0 / n) \
             else _weighted_resample(dataset, weights, rng)
         train(model, train_set, config)
         is_wrong = np.array([
             predict_sequence(model, seq.frames)[0] != seq.label
             for seq in dataset.sequences])
-        alpha, weights = samme_round(is_wrong, weights, k, boost_variant)
+        alpha, weights = samme_round(is_wrong, weights, k)
         members.append((model, alpha))
     if not any(a > 0 for _, a in members):
         # keep the ensemble usable: fall back to the first member
@@ -140,14 +129,23 @@ def ensemble_save(e: EnsembleModel, path) -> None:
         fh.write("\n")
 
 
+def _alpha(value) -> float:
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise TypeError(f"member weight {value!r} is not a finite number")
+    return float(value)
+
+
 def ensemble_load(path) -> EnsembleModel:
-    with open(path) as fh:
-        doc = json.load(fh)
     try:
-        members = [(model_from_doc(m["checkpoint"]), float(m["alpha"]))
-                   for m in doc["members"]]
+        with open(path) as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise CheckpointError(f"cannot read ensemble {path}: {exc}") from exc
+    try:
+        members = [(m["checkpoint"], _alpha(m["alpha"])) for m in doc["members"]]
         n_classes = int(doc["n_classes"])
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{path} is not an ensemble file "
                               f"({type(exc).__name__}: {exc})") from exc
-    return EnsembleModel(members=members, n_classes=n_classes)
+    return EnsembleModel(members=[(model_from_doc(c), a) for c, a in members],
+                         n_classes=n_classes)

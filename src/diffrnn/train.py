@@ -21,16 +21,13 @@ from .backprop import (
     param_items,
 )
 from .cells import (
-    _CELL_BIASES,
-    _CELL_DICTS,
-    _CELL_MATS,
-    _RNN_NAMES,
     CellKind,
     CellParams,
     Model,
     OutputParams,
     RnnParams,
     StackConfig,
+    param_fields,
     stack_forward,
 )
 from .numerics import seeded_rng, softmax
@@ -65,6 +62,8 @@ class TrainConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.truncation not in ("full", "truncated"):
             raise ValueError(f"unknown truncation {self.truncation!r}")
+        if self.clip_norm is not None and not 0 <= self.clip_norm < math.inf:
+            raise ValueError("clip_norm must be a finite number >= 0")
 
 
 @dataclass
@@ -202,35 +201,40 @@ def evaluate(model: Model, dataset) -> Metrics:
 CHECKPOINT_VERSION = 1
 
 
-def _arr(a: np.ndarray):
-    return a.tolist()
+# layer "type" tag in a checkpoint -> parameter class
+_LAYER_TYPES = {"cell": CellParams, "rnn": RnnParams}
+_LAYER_TAGS = {cls: tag for tag, cls in _LAYER_TYPES.items()}
 
 
-def _params_to_json(p):
-    if isinstance(p, CellParams):
-        out = {"type": "cell"}
-        for name in _CELL_MATS + _CELL_BIASES:
-            out[name] = _arr(getattr(p, name))
-        for dname in _CELL_DICTS:
-            out[dname] = {str(n): _arr(m) for n, m in getattr(p, dname).items()}
-        return out
-    if isinstance(p, RnnParams):
-        return {"type": "rnn", **{name: _arr(getattr(p, name)) for name in _RNN_NAMES}}
-    raise TypeError(type(p))
+def _params_to_json(p) -> dict:
+    """Plain arrays first, then the per-order dicts keyed by str(order)."""
+    doc = {}
+    for name, per_order in sorted(param_fields(type(p)), key=lambda f: f[1]):
+        value = getattr(p, name)
+        doc[name] = ({str(n): m.tolist() for n, m in value.items()} if per_order
+                     else value.tolist())
+    return doc
 
 
-def _params_from_json(d):
-    if d["type"] == "cell":
-        kw = {name: np.asarray(d[name], dtype=np.float64)
-              for name in _CELL_MATS + _CELL_BIASES}
-        for dname in _CELL_DICTS:
-            kw[dname] = {int(n): np.asarray(m, dtype=np.float64)
-                         for n, m in d[dname].items()}
-        return CellParams(**kw)
-    if d["type"] == "rnn":
-        return RnnParams(**{name: np.asarray(d[name], dtype=np.float64)
-                            for name in _RNN_NAMES})
-    raise CheckpointError(f"unknown layer type {d['type']!r}")
+def _params_from_json(cls, doc: dict):
+    """A ``cls`` container read from its JSON form; which fields are
+    per-order dicts comes from the declaration of ``cls``, not the JSON."""
+    kw = {}
+    for name, per_order in param_fields(cls):
+        value = doc[name]
+        if isinstance(value, dict) != per_order:
+            raise CheckpointError(f"{name} must be " + (
+                "a dict of per-order matrices" if per_order else "an array"))
+        kw[name] = ({int(n): np.asarray(m, dtype=np.float64)
+                     for n, m in value.items()} if per_order
+                    else np.asarray(value, dtype=np.float64))
+    return cls(**kw)
+
+
+def _layer_from_json(doc: dict):
+    if doc["type"] not in _LAYER_TYPES:
+        raise CheckpointError(f"unknown layer type {doc['type']!r}")
+    return _params_from_json(_LAYER_TYPES[doc["type"]], doc)
 
 
 def _check_against_config(model: Model) -> None:
@@ -244,10 +248,10 @@ def _check_against_config(model: Model) -> None:
     arrays = []   # (name, array, expected shape)
     in_units = config.input_units
     for li, ((kind, units), p) in enumerate(zip(config.layers, model.layers)):
-        if isinstance(p, RnnParams) != (kind.kind == "rnn"):
+        if type(p) is not (RnnParams if kind.kind == "rnn" else CellParams):
             raise CheckpointError(f"layer {li}: a {kind.kind} layer cannot hold "
                                   f"{type(p).__name__} weights")
-        for dname in _CELL_DICTS if isinstance(p, CellParams) else ():
+        for dname in [name for name, per_order in param_fields(type(p)) if per_order]:
             orders = sorted(getattr(p, dname))
             if orders != list(kind.dos_orders):
                 raise CheckpointError(
@@ -279,8 +283,9 @@ def model_to_doc(model: Model) -> dict:
             "output_classes": model.config.output_classes,
             "tie_gate_hidden_weights": model.config.tie_gate_hidden_weights,
         },
-        "layers": [_params_to_json(p) for p in model.layers],
-        "output": {"w_yh": _arr(model.output.w_yh), "b_y": _arr(model.output.b_y)},
+        "layers": [{"type": _LAYER_TAGS[type(p)], **_params_to_json(p)}
+                   for p in model.layers],
+        "output": _params_to_json(model.output),
     }
 
 
@@ -299,10 +304,8 @@ def model_from_doc(doc: dict) -> Model:
             output_classes=cfg["output_classes"],
             tie_gate_hidden_weights=cfg.get("tie_gate_hidden_weights", False),
         )
-        layers = [_params_from_json(d) for d in doc["layers"]]
-        output = OutputParams(
-            w_yh=np.asarray(doc["output"]["w_yh"], dtype=np.float64),
-            b_y=np.asarray(doc["output"]["b_y"], dtype=np.float64))
+        layers = [_layer_from_json(d) for d in doc["layers"]]
+        output = _params_from_json(OutputParams, doc["output"])
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise CheckpointError(f"malformed checkpoint: {exc}") from exc
     model = Model(config=config, layers=layers, output=output,
@@ -323,6 +326,6 @@ def checkpoint_load(path) -> Model:
     try:
         with open(path) as fh:
             doc = json.load(fh)
-    except (json.JSONDecodeError, OSError) as exc:
+    except (OSError, ValueError) as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
     return model_from_doc(doc)

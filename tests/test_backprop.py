@@ -60,6 +60,19 @@ class TestContainers:
         assert names[-1] == "output.b_y"
         assert "layer1.w_id[1]" in names
 
+    def test_param_names_pinned(self):
+        cfg = StackConfig(((CellKind("rnn"), 3), (CellKind("drnn", 2), 3),
+                           (CellKind("lstm"), 3)), 3, 2)
+        names = [n for n, _ in model_param_items(build_model(cfg, seed=0))]
+        mats = ["w_ix", "w_fx", "w_ox", "w_sx", "w_ih", "w_fh", "w_oh", "w_sh"]
+        biases = ["b_i", "b_f", "b_o", "b_s"]
+        drnn = [f"{d}[{n}]" for d in ("w_id", "w_fd", "w_od") for n in range(3)]
+        assert names == (
+            ["layer0.w_hh", "layer0.w_hx", "layer0.b_h"]
+            + [f"layer1.{n}" for n in mats + drnn + biases]
+            + [f"layer2.{n}" for n in mats + biases]
+            + ["output.w_yh", "output.b_y"])
+
     def test_dlogits_shape_checked(self):
         model = build_model(d2rnn_config(1, 3, 4, 2), seed=0)
         tape = stack_forward(model, np.zeros((4, 3)))

@@ -228,6 +228,13 @@ class TestBuildersAndShapes:
         assert model.layers[1].w_id[1].shape == (4, 4)
         assert model.output.w_yh.shape == (3, 4)
 
+    @pytest.mark.parametrize("input_units, units", [(0, 4), (3, 0), (3, -1)])
+    def test_units_must_be_positive(self, input_units, units):
+        # zero units used to reach _uniform_matrix and divide by zero
+        with pytest.raises(ValueError, match="units must be >= 1"):
+            StackConfig(((CellKind("lstm"), 4), (CellKind("lstm"), units)),
+                        input_units, 2)
+
     def test_forget_bias_init(self):
         model = build_model(d2rnn_config(1, 3, 4, 2), seed=1)
         assert np.array_equal(model.layers[0].b_f, np.ones(4))

@@ -5,10 +5,11 @@ import pytest
 
 import diffrnn.cli as cli
 from diffrnn.backprop import GradCheckReport
-from diffrnn.cells import dos_energy
+from diffrnn.cells import build_model, dos_energy
 from diffrnn.cli import build_config, main, parse_arch, parse_split
 from diffrnn.data import KFold, MonteCarlo, load_jsonl
-from diffrnn.train import checkpoint_load
+from diffrnn.ensemble import ensemble_load
+from diffrnn.train import CheckpointError, checkpoint_load, model_to_doc
 
 
 def make_data(tmp_path, name="data.jsonl", count=12, length=6, dim=4, seed=0):
@@ -270,3 +271,74 @@ class TestEnsembleCommand:
         single_acc = (trn_out / "metrics.csv").read_text().splitlines()[1].split(",")[2]
         assert ens_rows[0].split(",")[1] == single_acc       # dos:0 member
         assert ens_rows[1].split(",")[1] == single_acc       # ensemble == member
+
+
+def _ensemble_text(alpha) -> str:
+    model = build_model(build_config("dos:0", 4, 2, 2), seed=0)
+    return json.dumps({"format_version": 1, "n_classes": 2, "members": [
+        {"alpha": alpha, "checkpoint": model_to_doc(model)}]})
+
+
+class TestBadValues:
+    """Bad values fail where they enter, with a one-line error, never with a
+    traceback."""
+
+    @pytest.mark.parametrize("reader, body", [
+        ("train", "5"),
+        ("train", "[1, 2]"),
+        ("train", '{"epochs": "x"}'),
+        ("train", '{"arch": 5}'),
+        ("train", '{"epochs": 2.5}'),
+        ("train", '{"epochs": true}'),
+        ("train", '{"learning_rate": "0.1"}'),
+        ("train", '{"clip_norm": false}'),
+        ("train", '{"shuffle": 1}'),
+        ("ensemble", '{"boost_variant": "m1"}'),
+        ("ensemble", '{"max_order": 1.0}'),
+        ("ensemble_load", None),
+        ("ensemble_load", "not json"),
+        ("ensemble_load", "\udcff"),
+        ("ensemble_load", _ensemble_text("x")),
+        ("ensemble_load", _ensemble_text(True)),
+        ("ensemble_load", _ensemble_text(float("nan"))),
+    ], ids=["not_object", "list", "str_for_int", "int_for_str", "float_for_int",
+            "bool_for_int", "str_for_float", "bool_for_float", "int_for_bool",
+            "removed_key", "float_for_int_ensemble", "ensemble_missing",
+            "ensemble_not_json", "ensemble_not_utf8", "alpha_str", "alpha_bool",
+            "alpha_nan"])
+    def test_bad_config_or_ensemble_file(self, tmp_path, capsys, reader, body):
+        path = tmp_path / "file.json"
+        if body is not None:
+            path.write_bytes(body.encode("utf-8", "surrogateescape"))
+        if reader == "ensemble_load":
+            with pytest.raises(CheckpointError):
+                ensemble_load(path)
+            return
+        data = make_data(tmp_path)
+        rc = main([reader, "--data", str(data), "--config", str(path), *FAST,
+                   "--out", str(tmp_path / "run")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_config_accepts_int_for_float_and_null_for_unset(self, tmp_path):
+        data = make_data(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"learning_rate": 1, "clip_norm": None,
+                                   "shuffle": False}))
+        assert main(["train", "--data", str(data), "--config", str(cfg), *FAST,
+                     "--out", str(tmp_path / "run")]) == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--state-units", "0"],
+        ["train", "--clip-norm", "-1"],
+        ["train", "--split", "mc:0.5:0"],
+        ["gradcheck", "--input-dim", "0"],
+    ], ids=["zero_units", "negative_clip", "zero_trials", "zero_input_dim"])
+    def test_out_of_range_value_fails_with_one_line(self, tmp_path, capsys, argv):
+        if argv[0] == "train":
+            argv = argv + ["--data", str(make_data(tmp_path)), "--epochs", "1",
+                           "--out", str(tmp_path / "run")]
+        assert main(argv) in (1, 2)
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1

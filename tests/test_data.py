@@ -36,6 +36,23 @@ class TestContainers:
         with pytest.raises(ValueError):
             Dataset([seq], ["a", "b"])
 
+    @pytest.mark.parametrize("label, frame_labels", [
+        (0, [1.7, 0]), (0, [1.0, 0]), (0, [True, 0]), (0, [0, 2]), (0, [-1, 0]),
+        (1.0, None), (True, None), (0, [np.int64(0), np.int64(2)]),
+        (0, [np.float64(1.0), 0]), (0, [np.bool_(True), 0]),
+    ], ids=["fractional", "integral_float", "bool", "too_large", "negative",
+            "float_label", "bool_label", "numpy_too_large", "numpy_float", "numpy_bool"])
+    def test_dataset_rejects_non_class_labels(self, label, frame_labels):
+        # frame mode used to train on these, truncating through int()
+        seq = Sequence(frames=np.ones((2, 3)), label=label, frame_labels=frame_labels)
+        with pytest.raises(ValueError, match=r"label .* is not an integer in \[0, 2\)"):
+            Dataset([seq], ["a", "b"])
+
+    def test_dataset_accepts_numpy_integer_labels(self):
+        seq = Sequence(frames=np.ones((2, 3)), label=np.int64(1),
+                       frame_labels=[np.int32(0), np.uint8(1)])
+        assert Dataset([seq], ["a", "b"]).sequences[0] is seq
+
     def test_dataset_uniform_dims(self):
         seqs = [Sequence(frames=np.zeros((2, 2)), label=0),
                 Sequence(frames=np.zeros((2, 3)), label=1)]
@@ -258,6 +275,12 @@ class TestSplits:
         ds = gen_synthetic("velocity", 2, 4, 5, 2, 0.0, seed=0)
         with pytest.raises(ValueError):
             make_splits(ds, MonteCarlo(1.0))
+
+    def test_monte_carlo_trials_validated(self):
+        # zero trials used to yield no splits and a mean accuracy of nan
+        ds = gen_synthetic("velocity", 2, 4, 5, 2, 0.0, seed=0)
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            make_splits(ds, MonteCarlo(0.5, trials=0))
 
     def test_unknown_plan(self):
         ds = gen_synthetic("velocity", 2, 4, 5, 2, 0.0, seed=0)

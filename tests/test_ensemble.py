@@ -70,21 +70,6 @@ class TestSammeRound:
         assert alpha == 0.0
         assert np.array_equal(w2, np.full(4, 0.25))
 
-    def test_m1_equals_samme_for_two_classes(self):
-        w = np.full(4, 0.25)
-        a_m1, w_m1 = samme_round([True, False, False, False], w, k=2, variant="m1")
-        a_s, w_s = samme_round([True, False, False, False], w, k=2, variant="samme")
-        assert a_m1 == a_s
-        assert np.array_equal(w_m1, w_s)
-
-    def test_m1_rejects_multiclass(self):
-        with pytest.raises(ValueError):
-            samme_round([True], np.ones(1), k=3, variant="m1")
-
-    def test_unknown_variant(self):
-        with pytest.raises(ValueError):
-            samme_round([True], np.ones(1), k=2, variant="logit")
-
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.booleans(), min_size=2, max_size=20), st.integers(2, 6),
            st.integers(0, 10_000))

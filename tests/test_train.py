@@ -57,6 +57,9 @@ class TestTrainConfig:
         dict(epochs=0),
         dict(mode="batch"),
         dict(truncation="none"),
+        dict(clip_norm=-1.0),     # used to turn every step into gradient ascent
+        dict(clip_norm=math.inf),
+        dict(clip_norm=math.nan),
     ])
     def test_invalid_rejected(self, kw):
         with pytest.raises(ValueError):
@@ -333,3 +336,41 @@ class TestCheckpointSchema:
         save_jsonl(tiny_dataset(), data)
         assert main(["eval", "--checkpoint", str(ckpt), "--data", str(data)]) == 2
         assert "w_id holds orders []" in capsys.readouterr().err
+
+    def test_key_order(self):
+        # rnn, drnn:2 and lstm layers: type tag, then matrices, biases and
+        # per-order dicts in field order; output w_yh then b_y
+        cfg = StackConfig(((CellKind("rnn"), 3), (CellKind("drnn", 2), 3),
+                           (CellKind("lstm"), 3)), 3, 2)
+        doc = model_to_doc(build_model(cfg, seed=0))
+        cell = ["type", "w_ix", "w_fx", "w_ox", "w_sx", "w_ih", "w_fh", "w_oh",
+                "w_sh", "b_i", "b_f", "b_o", "b_s", "w_id", "w_fd", "w_od"]
+        assert list(doc) == ["format_version", "seed", "config", "layers", "output"]
+        assert [list(layer) for layer in doc["layers"]] == [
+            ["type", "w_hh", "w_hx", "b_h"], cell, cell]
+        assert [layer["type"] for layer in doc["layers"]] == ["rnn", "cell", "cell"]
+        assert list(doc["layers"][1]["w_fd"]) == ["0", "1", "2"]
+        assert doc["layers"][2]["w_od"] == {}
+        assert list(doc["output"]) == ["w_yh", "b_y"]
+
+    @pytest.mark.parametrize("layer", [0, 1], ids=["dos", "lstm"])
+    @pytest.mark.parametrize("field, swap", [
+        ("w_ix", lambda doc: {"1": doc["w_ix"]}),
+        ("w_id", lambda doc: doc["w_ih"]),
+    ], ids=["dict_for_array", "array_for_dict"])
+    def test_type_confusion_rejected(self, tmp_path, capsys, layer, field, swap):
+        from diffrnn.cli import main
+        from diffrnn.data import save_jsonl
+
+        cfg = StackConfig(((CellKind("dos", 1), 3), (CellKind("lstm"), 3)), 3, 2)
+        doc = model_to_doc(build_model(cfg, seed=0))
+        doc["layers"][layer][field] = swap(doc["layers"][layer])
+        with pytest.raises(CheckpointError, match=f"{field} must be"):
+            model_from_doc(doc)
+        ckpt = tmp_path / "confused.json"
+        ckpt.write_text(json.dumps(doc))
+        data = tmp_path / "data.jsonl"
+        save_jsonl(tiny_dataset(), data)
+        assert main(["eval", "--checkpoint", str(ckpt), "--data", str(data)]) == 2
+        err = capsys.readouterr().err
+        assert f"{field} must be" in err and err.count("\n") == 1
