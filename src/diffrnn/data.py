@@ -157,7 +157,10 @@ def load_jsonl(path) -> Dataset:
         raise DataFormatError("line 1: no sequences (empty file)")
     try:
         header = json.loads(lines[0])
-        class_names = list(header["classes"])
+        class_names = header["classes"]
+        if not (isinstance(class_names, list)
+                and all(isinstance(c, str) for c in class_names)):
+            raise TypeError(f"classes must be a list of strings, got {class_names!r}")
     except (json.JSONDecodeError, KeyError, TypeError) as exc:
         raise DataFormatError(f"line 1: bad header, expected {{\"classes\": [...]}}: {exc}")
     sequences = []

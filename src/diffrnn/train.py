@@ -137,19 +137,28 @@ def apply_sgd_step(model: Model, grads: Gradients, lr: float,
         p -= lr * g
 
 
+def _zero_confusion(model: Model, dataset, verb: str) -> np.ndarray:
+    """The (k, k) confusion matrix to fill, once ``dataset`` is known to be
+    non-empty and to have the model's k classes."""
+    if not dataset.sequences:
+        raise ValueError(f"cannot {verb} on an empty dataset")
+    k = len(dataset.class_names)
+    if k != model.config.output_classes:
+        raise ValueError(f"dataset has {k} classes but the model has "
+                         f"{model.config.output_classes}")
+    return np.zeros((k, k), dtype=np.int64)
+
+
 def sgd_epoch(model: Model, dataset, config: TrainConfig,
               rng: np.random.Generator | None = None) -> Metrics:
     """One pass over the dataset, updating the model in place."""
     seqs = dataset.sequences
-    if not seqs:
-        raise ValueError("cannot train on an empty dataset")
+    confusion = _zero_confusion(model, dataset, "train")
     order = np.arange(len(seqs))
     if config.shuffle:
         if rng is None:
             rng = seeded_rng(config.seed)
         rng.shuffle(order)
-    k = len(dataset.class_names)
-    confusion = np.zeros((k, k), dtype=np.int64)
     total_loss = 0.0
     truncated = config.truncation == "truncated"
     for idx in order:
@@ -178,10 +187,7 @@ def train(model: Model, dataset, config: TrainConfig) -> list[Metrics]:
 def evaluate(model: Model, dataset) -> Metrics:
     """Accuracy and confusion matrix; prediction is the argmax of the
     final frame's class probabilities."""
-    if not dataset.sequences:
-        raise ValueError("cannot evaluate on an empty dataset")
-    k = len(dataset.class_names)
-    confusion = np.zeros((k, k), dtype=np.int64)
+    confusion = _zero_confusion(model, dataset, "evaluate")
     total_loss = 0.0
     for seq in dataset.sequences:
         tape = stack_forward(model, seq.frames)

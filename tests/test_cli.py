@@ -6,7 +6,7 @@ import pytest
 import diffrnn.cli as cli
 from diffrnn.backprop import GradCheckReport
 from diffrnn.cells import build_model, dos_energy
-from diffrnn.cli import build_config, main, parse_arch, parse_split
+from diffrnn.cli import build_config, main, parse_split
 from diffrnn.data import KFold, MonteCarlo, load_jsonl
 from diffrnn.ensemble import ensemble_load
 from diffrnn.train import CheckpointError, checkpoint_load, model_to_doc
@@ -26,17 +26,20 @@ FAST = ["--epochs", "2", "--lr", "0.01", "--state-units", "4"]
 
 class TestParsers:
     def test_arch_strings(self):
-        assert parse_arch("lstm") == ("lstm", None)
-        assert parse_arch("rnn") == ("rnn", None)
-        assert parse_arch("stacked:3") == ("stacked", 3)
-        assert parse_arch("d2rnn:2") == ("d2rnn", 2)
-        assert parse_arch("drnn:1") == ("drnn", 1)
-        assert parse_arch("dos:0") == ("dos", 0)
+        def layers(arch):
+            return [(k.kind, k.order) for k, _ in build_config(arch, 3, 2, 2).layers]
+
+        assert layers("lstm") == [("lstm", 0)]
+        assert layers("rnn") == [("rnn", 0)]
+        assert layers("stacked:3") == [("lstm", 0)] * 3
+        assert layers("d2rnn:2") == [("dos", 0), ("dos", 1)]
+        assert layers("drnn:1") == [("drnn", 1)]
+        assert layers("dos:0") == [("dos", 0)]
 
     @pytest.mark.parametrize("bad", ["gru", "stacked", "d2rnn:x", "lstm:2", ""])
     def test_arch_rejects(self, bad):
         with pytest.raises(cli.UsageError):
-            parse_arch(bad)
+            build_config(bad, 3, 2, 2)
 
     def test_d2rnn_builds_increasing_orders(self):
         cfg = build_config("d2rnn:3", 5, 4, 2)
@@ -342,3 +345,93 @@ class TestBadValues:
         assert main(argv) in (1, 2)
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+class TestFileSystemErrors:
+    @pytest.mark.parametrize("argv", [
+        lambda tmp, data: ["train", "--data", str(tmp), *FAST,
+                           "--out", str(tmp / "run")],
+        lambda tmp, data: ["train", "--data", str(data), *FAST, "--out", str(data)],
+        lambda tmp, data: ["synth", "--count", "2", "--out", str(tmp)],
+    ], ids=["train_data_is_dir", "train_out_is_file", "synth_out_is_dir"])
+    def test_exits_2_with_one_line(self, tmp_path, capsys, argv):
+        data = make_data(tmp_path)
+        capsys.readouterr()
+        assert main(argv(tmp_path, data)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_eval_rejects_other_class_count(tmp_path, capsys):
+    three = make_data(tmp_path, "three.jsonl")
+    assert main(["synth", "--classes", "3", "--count", "9", "--len", "6",
+                 "--dim", "4", "--out", str(three)]) == 0
+    out = tmp_path / "run"
+    assert main(["train", "--data", str(three), "--arch", "dos:0", *FAST,
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    rc = main(["eval", "--checkpoint", str(out / "checkpoint_split0.json"),
+               "--data", str(make_data(tmp_path))])
+    assert rc == 2
+    assert "dataset has 2 classes but the model has 3" in capsys.readouterr().err
+
+
+class TestParserStatesTheOptions:
+    """The argparse flags are the one list of options and their defaults."""
+
+    TRAINING = {"clip_norm": None, "epochs": 50, "learning_rate": 0.0001,
+                "mode": "sequence", "pca_energy": None, "seed": 0,
+                "shuffle": True, "split": "none", "state_units": 16,
+                "truncation": "full"}
+
+    @pytest.mark.parametrize("command, own", [
+        ("train", {"arch": "d2rnn:3"}),
+        ("ensemble", {"max_order": 2}),
+    ])
+    def test_default_effective_config(self, tmp_path, command, own):
+        data = make_data(tmp_path, count=6, length=4, dim=2)
+        out = tmp_path / "run"
+        assert main([command, "--data", str(data), "--out", str(out)]) == 0
+        doc = json.loads((out / "effective_config.json").read_text())
+        assert doc == {"command": command, "config": {**self.TRAINING, **own}}
+
+    def test_no_shuffle_flag_equals_config_key(self, tmp_path):
+        data = make_data(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"shuffle": False}))
+        runs = {"flag": ["--no-shuffle"], "file": ["--config", str(cfg)]}
+        for name, extra in runs.items():
+            assert main(["train", "--data", str(data), "--arch", "dos:1", *FAST,
+                         *extra, "--out", str(tmp_path / name)]) == 0
+        doc = json.loads((tmp_path / "flag" / "effective_config.json").read_text())
+        assert doc["config"]["shuffle"] is False
+        for name in ("effective_config.json", "loss_epochs.csv", "metrics.csv",
+                     "checkpoint_split0.json"):
+            assert (tmp_path / "flag" / name).read_bytes() == \
+                   (tmp_path / "file" / name).read_bytes()
+
+    @pytest.mark.parametrize("command, key", [
+        ("synth", "task"), ("train", "mode"), ("train", "truncation"),
+    ])
+    def test_config_value_outside_choices(self, tmp_path, capsys, command, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: "bogus"}))
+        argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out")]
+        if command == "train":
+            argv += ["--data", str(make_data(tmp_path)), *FAST]
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config key '{key}' must be one of")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--checkpoint", "ck.json", "--data", "d.jsonl",
+         "--config", "x.json"],
+        ["dos-energy", "--checkpoint", "ck.json", "--data", "d.jsonl",
+         "--seed", "1"],
+    ], ids=["eval_config", "dos_energy_seed"])
+    def test_commands_without_options_take_no_config_or_seed(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1

@@ -159,6 +159,15 @@ class TestJsonl:
         with pytest.raises(DataFormatError, match="line 1"):
             load_jsonl(path)
 
+    @pytest.mark.parametrize("classes", ['"ab"', '{"a": 0, "b": 1}', '["a", 1]'],
+                             ids=["string", "dict", "non_string_item"])
+    def test_classes_must_be_list_of_strings(self, tmp_path, classes):
+        path = tmp_path / "c.jsonl"
+        path.write_text(f'{{"classes": {classes}}}\n'
+                        '{"id": "x", "label": 0, "frames": [[1.0]]}\n')
+        with pytest.raises(DataFormatError, match="line 1: .*list of strings"):
+            load_jsonl(path)
+
     def test_mixed_dims_rejected_with_line(self, tmp_path):
         path = tmp_path / "mix.jsonl"
         path.write_text("\n".join([

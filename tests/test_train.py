@@ -199,6 +199,16 @@ class TestSgd:
             sgd_epoch(tiny_model(), Dataset([], ["a", "b"]), TrainConfig())
 
 
+class TestClassCount:
+    @pytest.mark.parametrize("run", [
+        lambda model, ds: evaluate(model, ds),
+        lambda model, ds: sgd_epoch(model, ds, TrainConfig()),
+    ], ids=["evaluate", "sgd_epoch"])
+    def test_dataset_and_model_class_counts_must_match(self, run):
+        with pytest.raises(ValueError, match="dataset has 2 classes but the model has 3"):
+            run(tiny_model(classes=3), tiny_dataset(count=4))
+
+
 class TestEvaluate:
     def test_constant_predictor_on_balanced_set(self):
         model = tiny_model()
