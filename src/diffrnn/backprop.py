@@ -37,6 +37,7 @@ from .cells import (
     param_fields,
     stack_forward,
 )
+from .numerics import softmax
 
 
 @dataclass
@@ -127,24 +128,19 @@ def _cell_backward(params: CellParams, kind, ltape, dh_in, truncated, tie):
         if t >= 1:
             dh[t - 1] += wh.T @ dz
 
-    g = map_params(np.zeros_like, params)
     h_prev_all = np.vstack([np.zeros(u), ltape.h[:-1]])
-    gwx = dz_all.T @ ltape.x        # (4u, in), row blocks i, f, o, s
-    gwh = dz_all.T @ h_prev_all
-    g.w_ix, g.w_fx, g.w_ox, g.w_sx = gwx.reshape(4, u, -1)
+    gwx = (dz_all.T @ ltape.x).reshape(4, u, -1)
+    gwh = (dz_all.T @ h_prev_all).reshape(4, u, u)
     if tie:
-        g.w_ih += gwh[:u] + gwh[u:2 * u] + gwh[2 * u:3 * u]
-        g.w_sh += gwh[3 * u:]
-    else:
-        g.w_ih, g.w_fh, g.w_oh, g.w_sh = gwh.reshape(4, u, u)
-    g.b_i, g.b_f, g.b_o, g.b_s = dz_all.sum(axis=0).reshape(4, u)
+        gwh = (gwh[0] + gwh[1] + gwh[2], *np.zeros((2, u, u)), gwh[3])
+    w_id, w_fd, w_od = {}, {}, {}
     for n in kind.dos_orders:
         d = dos(n, s_a)             # row t-1 is what the i/f gates see at t
-        gif = dz_all[1:, :2 * u].T @ d[:-1]
-        g.w_id[n], g.w_fd[n] = gif[:u], gif[u:]
-        g.w_od[n] = dz_all[:, 2 * u:3 * u].T @ d
-    dx = dz_all @ wx
-    return g, dx
+        w_id[n], w_fd[n] = (dz_all[1:, :2 * u].T @ d[:-1]).reshape(2, u, u)
+        w_od[n] = dz_all[:, 2 * u:3 * u].T @ d
+    # the fused row blocks i, f, o, s are the fields' declaration order
+    return (CellParams(*gwx, *gwh, w_id, w_fd, w_od, *dz_all.sum(axis=0).reshape(4, u)),
+            dz_all @ wx)
 
 
 def _rnn_backward(params: RnnParams, ltape, dh_in):
@@ -158,31 +154,25 @@ def _rnn_backward(params: RnnParams, ltape, dh_in):
         dz_all[t] = dz
         if t >= 1:
             dh[t - 1] += params.w_hh.T @ dz
-    g = map_params(np.zeros_like, params)
     h_prev_all = np.vstack([np.zeros(u), ltape.h[:-1]])
-    g.w_hh = dz_all.T @ h_prev_all
-    g.w_hx = dz_all.T @ ltape.x
-    g.b_h = dz_all.sum(axis=0)
-    dx = dz_all @ params.w_hx
-    return g, dx
+    return (RnnParams(w_hh=dz_all.T @ h_prev_all, w_hx=dz_all.T @ ltape.x,
+                      b_h=dz_all.sum(axis=0)),
+            dz_all @ params.w_hx)
 
 
 def backward(model: Model, tape: Tape, dlogits: np.ndarray, truncated: bool) -> Gradients:
     """Gradient of the loss given its gradient at the post-tanh logits,
     one row per frame (rows may be zero for frames that carry no loss)."""
     dlogits = np.asarray(dlogits, dtype=np.float64)
-    T = tape.logits.shape[0]
     if dlogits.shape != tape.logits.shape:
         raise ValueError(
             f"logit gradient shape {dlogits.shape} does not match tape "
             f"logits {tape.logits.shape}"
         )
-    grads = Gradients(layers=[], output=map_params(np.zeros_like, model.output))
     tie = model.config.tie_gate_hidden_weights
-
     du_all = dlogits * (1.0 - tape.logits ** 2)
-    grads.output.w_yh = du_all.T @ tape.hidden_top
-    grads.output.b_y = du_all.sum(axis=0)
+    grads = Gradients(layers=[], output=OutputParams(
+        w_yh=du_all.T @ tape.layers[-1].h, b_y=du_all.sum(axis=0)))
     dh = du_all @ model.output.w_yh
 
     for li in range(len(model.layers) - 1, -1, -1):
@@ -248,10 +238,10 @@ def grad_check(model: Model, frames: np.ndarray, label: int,
     a stack.  Relative error is |g_a - g_n| / max(|g_a|, |g_n|, 1e-8); the
     check passes iff the maximum over all parameters is below ``tol``.
     """
-    from .train import loss_sequence   # train imports this module
+    from .train import loss_frame   # train imports this module
 
     tape = stack_forward(model, frames)
-    _, dlogits = loss_sequence(tape.logits, label)
+    _, dlogits = loss_frame(tape.logits, [label])
     grads = backward_full(model, tape, dlogits)
     analytic = dict(model_param_items(grads))
 
@@ -265,9 +255,7 @@ def grad_check(model: Model, frames: np.ndarray, label: int,
     hl = np.longdouble(h)
 
     def loss_now():
-        y = stack_forward(ld_model, ld_frames).logits[-1]
-        z = np.exp(y - np.max(y))
-        return -np.log(z[label] / np.sum(z))
+        return -np.log(softmax(stack_forward(ld_model, ld_frames).logits[-1])[label])
 
     entries = []
     for name, arr in model_param_items(model):

@@ -241,16 +241,16 @@ def stacked_lstm_config(depth: int, input_units: int, units: int, classes: int) 
 @dataclass
 class LayerTape:
     """Per-timestep intermediates of one layer; arrays are (T, units),
-    row index = t-1."""
+    row index = t-1.  A classical RNN layer records only ``x`` and ``h``."""
 
     x: np.ndarray
-    i: np.ndarray
-    f: np.ndarray
-    o: np.ndarray
-    g: np.ndarray     # candidate tanh activation
-    s: np.ndarray
     h: np.ndarray
-    tanh_s: np.ndarray
+    i: np.ndarray | None = None
+    f: np.ndarray | None = None
+    o: np.ndarray | None = None
+    g: np.ndarray | None = None     # candidate tanh activation
+    s: np.ndarray | None = None
+    tanh_s: np.ndarray | None = None
 
 
 @dataclass
@@ -259,7 +259,6 @@ class Tape:
 
     layers: list[LayerTape]
     logits: np.ndarray        # (T, classes), post-tanh confidence scores
-    hidden_top: np.ndarray    # (T, units) h_t of the final layer
 
 
 def gate_weight_stacks(params: CellParams, tie: bool):
@@ -341,9 +340,7 @@ def _rnn_layer_forward(params: RnnParams, x_all: np.ndarray) -> LayerTape:
     for t in range(T):
         h = np.tanh(params.w_hh @ h + zx[t])
         h_a[t] = h
-    empty = np.zeros((T, 0))
-    return LayerTape(x=x_all, i=empty, f=empty, o=empty, g=empty,
-                     s=empty, h=h_a, tanh_s=empty)
+    return LayerTape(x=x_all, h=h_a)
 
 
 def stack_forward(model: Model, frames: np.ndarray) -> Tape:
@@ -374,7 +371,7 @@ def stack_forward(model: Model, frames: np.ndarray) -> Tape:
         layer_tapes.append(tape)
         x_all = tape.h
     logits = np.tanh(x_all @ model.output.w_yh.T + model.output.b_y)
-    return Tape(layers=layer_tapes, logits=logits, hidden_top=x_all)
+    return Tape(layers=layer_tapes, logits=logits)
 
 
 def predict_sequence(model: Model, frames: np.ndarray) -> tuple[int, np.ndarray]:

@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import os
@@ -33,7 +34,8 @@ from .cells import (
     stacked_lstm_config,
 )
 from .data import DataFormatError, KFold, MonteCarlo
-from .ensemble import ensemble_save, fit_ernn, predict_ensemble
+from .ensemble import ensemble_save, fit_ernn, vote
+from .numerics import pca_fit, seeded_rng
 from .train import (
     CheckpointError,
     TrainConfig,
@@ -52,6 +54,16 @@ EXIT_NUMERICAL = 3
 
 class UsageError(ValueError):
     pass
+
+
+@contextlib.contextmanager
+def _usage_errors():
+    """A ValueError inside comes from option values alone, bad whatever the
+    data: a usage error (exit 1), not a data error (exit 2)."""
+    try:
+        yield
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 # Flags that name files: not config keys, and not echoed in the config.
@@ -122,8 +134,8 @@ def parse_split(spec: str, seed: int):
             frac, _, trials = rest.partition(":")
             return MonteCarlo(train_fraction=float(frac),
                               trials=int(trials) if trials else 5, seed=seed)
-    except ValueError:
-        pass
+    except ValueError as exc:
+        raise UsageError(f"bad split {spec!r}: {exc}") from exc
     raise UsageError(f"cannot parse split {spec!r} (use kfold:K, mc:FRAC:TRIALS, none)")
 
 
@@ -159,8 +171,9 @@ def cmd_synth(args) -> int:
     if args.length < 4:
         print("warning: sequences shorter than 4 frames cannot fill the "
               "order-2 derivative window", file=sys.stderr)
-    ds = data_mod.gen_synthetic(args.task, args.classes, args.count,
-                                args.length, args.dim, args.noise, args.seed)
+    with _usage_errors():
+        ds = data_mod.gen_synthetic(args.task, args.classes, args.count,
+                                    args.length, args.dim, args.noise, args.seed)
     data_mod.save_jsonl(ds, args.out)
     counts = {}
     for seq in ds.sequences:
@@ -171,16 +184,25 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def _splits_of(ds, split_spec, seed):
-    plan = parse_split(split_spec, seed)
+def _splits_of(ds, plan):
     if plan is None:
         idx = list(range(len(ds.sequences)))
         return [(idx, idx)]
     return data_mod.make_splits(ds, plan)
 
 
-def _train_config(args) -> TrainConfig:
-    return TrainConfig(**{f.name: getattr(args, f.name) for f in fields(TrainConfig)})
+def _run_settings(args):
+    """The train config and split plan of a train or ensemble run, built
+    before any data is read; the model and PCA options are checked on the
+    smallest valid data (one input unit, two classes, two samples)."""
+    arch = args.arch if args.command == "train" else f"dos:{args.max_order}"
+    with _usage_errors():
+        build_config(arch, 1, args.state_units, 2)
+        seeded_rng(args.seed)
+        if args.pca_energy is not None:
+            pca_fit([[0.0], [1.0]], args.pca_energy)
+        tc = TrainConfig(**{f.name: getattr(args, f.name) for f in fields(TrainConfig)})
+        return tc, parse_split(args.split, args.seed)
 
 
 def _prepared(ds, train_idx, test_idx, pca_energy):
@@ -196,10 +218,10 @@ def _prepared(ds, train_idx, test_idx, pca_energy):
 def cmd_train(args) -> int:
     if args.out is None:
         raise UsageError("train requires --out DIR")
+    tc, plan = _run_settings(args)
     ds = data_mod.load_jsonl(args.data)
     _echo_config(args)
-    splits = _splits_of(ds, args.split, args.seed)
-    tc = _train_config(args)
+    splits = _splits_of(ds, plan)
     loss_rows, metric_rows, accs = [], [], []
     for si, (train_idx, test_idx) in enumerate(splits):
         train_set, test_set = _prepared(ds, train_idx, test_idx, args.pca_energy)
@@ -246,12 +268,13 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    model_cfg = build_config(args.arch, args.input_dim, args.state_units,
-                             args.classes)
-    model = build_model(model_cfg, seed=args.seed)
-    rng = np.random.Generator(np.random.PCG64(args.seed + 1))
-    frames = rng.normal(size=(args.length, args.input_dim))
-    report = grad_check(model, frames, label=0)
+    with _usage_errors():   # every input is an option
+        model_cfg = build_config(args.arch, args.input_dim, args.state_units,
+                                 args.classes)
+        model = build_model(model_cfg, seed=args.seed)
+        rng = np.random.Generator(np.random.PCG64(args.seed + 1))
+        frames = rng.normal(size=(args.length, args.input_dim))
+        report = grad_check(model, frames, label=0)
     print(report.format())
     return EXIT_OK if report.passed else EXIT_NUMERICAL
 
@@ -278,28 +301,23 @@ def cmd_dos_energy(args) -> int:
 def cmd_ensemble(args) -> int:
     if args.out is None:
         raise UsageError("ensemble requires --out DIR")
+    tc, plan = _run_settings(args)
     ds = data_mod.load_jsonl(args.data)
     _echo_config(args)
-    splits = _splits_of(ds, args.split, args.seed)
-    tc = _train_config(args)
+    splits = _splits_of(ds, plan)
     n_members = args.max_order + 1
     member_accs = [[] for _ in range(n_members)]
     ens_accs = []
     for si, (train_idx, test_idx) in enumerate(splits):
         train_set, test_set = _prepared(ds, train_idx, test_idx, args.pca_energy)
         ens = fit_ernn(train_set, args.max_order, tc, args.state_units)
-        hits = [0] * n_members
-        ens_hits = 0
-        for seq in test_set.sequences:
-            for mi, (model, _alpha) in enumerate(ens.members):
-                if predict_sequence(model, seq.frames)[0] == seq.label:
-                    hits[mi] += 1
-            if predict_ensemble(ens, seq.frames)[0] == seq.label:
-                ens_hits += 1
-        n = len(test_set.sequences)
+        # each member runs once per sequence; the ensemble votes on its decisions
+        decided = [([predict_sequence(m, seq.frames)[0] for m, _ in ens.members],
+                    seq.label) for seq in test_set.sequences]
+        n = len(decided)
         for mi in range(n_members):
-            member_accs[mi].append(hits[mi] / n)
-        ens_accs.append(ens_hits / n)
+            member_accs[mi].append(sum(preds[mi] == y for preds, y in decided) / n)
+        ens_accs.append(sum(vote(ens, preds)[0] == y for preds, y in decided) / n)
         ensemble_save(ens, os.path.join(args.out, f"ensemble_split{si}.json"))
     rows = [[f"dos:{mi}", _fmt(float(np.mean(member_accs[mi])))]
             for mi in range(n_members)]

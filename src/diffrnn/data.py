@@ -97,23 +97,17 @@ def _task_params(task: str, classes: int):
 
 
 def gen_synthetic(task: str, classes: int, count: int, length: int, dim: int,
-                  noise_sigma: float, seed: int,
-                  class_params=None) -> Dataset:
-    """``count`` sequences total, labels cycling through the classes.
-
-    ``class_params`` optionally overrides the per-class (drift, curvature)
-    pairs, e.g. to build a deliberately label-uninformative control set.
-    """
+                  noise_sigma: float, seed: int) -> Dataset:
+    """``count`` sequences total, labels cycling through the classes."""
     if task not in _TASKS:
         raise ValueError(f"unknown task {task!r}, expected one of {_TASKS}")
-    if length < 2 or dim < 1 or classes < 2 or count < 1:
-        raise ValueError("need length >= 2, dim >= 1, classes >= 2, count >= 1")
+    if length < 2 or dim < 1 or classes < 2 or count < 1 or not 0 <= noise_sigma < np.inf:
+        raise ValueError("need length >= 2, dim >= 1, classes >= 2, count >= 1 "
+                         "and a finite noise >= 0")
     rng = seeded_rng(seed)
     direction = rng.normal(size=dim)
     direction /= np.linalg.norm(direction)
-    params = class_params if class_params is not None else _task_params(task, classes)
-    if len(params) != classes:
-        raise ValueError("class_params must supply one (drift, curvature) per class")
+    params = _task_params(task, classes)
     sequences = []
     for i in range(count):
         label = i % classes
@@ -202,12 +196,22 @@ class KFold:
     k: int
     seed: int = 0
 
+    def __post_init__(self):
+        if self.k < 2:
+            raise ValueError(f"k must be >= 2, got {self.k}")
+
 
 @dataclass(frozen=True)
 class MonteCarlo:
     train_fraction: float = 0.8
     trials: int = 5
     seed: int = 0
+
+    def __post_init__(self):
+        if not 0 < self.train_fraction < 1:
+            raise ValueError("train_fraction must lie in (0, 1)")
+        if self.trials < 1:
+            raise ValueError(f"trials must be >= 1, got {self.trials}")
 
 
 def make_splits(dataset: Dataset, plan) -> list[tuple[list[int], list[int]]]:
@@ -220,7 +224,7 @@ def make_splits(dataset: Dataset, plan) -> list[tuple[list[int], list[int]]]:
     """
     n = len(dataset.sequences)
     if isinstance(plan, KFold):
-        if plan.k < 2 or plan.k > n:
+        if plan.k > n:
             raise ValueError(f"k must be in [2, {n}], got {plan.k}")
         rng = seeded_rng(plan.seed)
         order = np.arange(n)
@@ -233,10 +237,6 @@ def make_splits(dataset: Dataset, plan) -> list[tuple[list[int], list[int]]]:
             out.append((train, test))
         return out
     if isinstance(plan, MonteCarlo):
-        if not 0 < plan.train_fraction < 1:
-            raise ValueError("train_fraction must lie in (0, 1)")
-        if plan.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {plan.trials}")
         rng = seeded_rng(plan.seed)
         by_class: dict[int, list[int]] = {}
         for i, seq in enumerate(dataset.sequences):

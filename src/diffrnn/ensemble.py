@@ -101,16 +101,21 @@ def fit_ernn(dataset: Dataset, max_order: int, config: TrainConfig,
     return EnsembleModel(members=members, n_classes=k)
 
 
-def predict_ensemble(e: EnsembleModel, frames) -> tuple[int, np.ndarray]:
-    """Weighted vote over member argmax decisions; ties break toward the
+def vote(e: EnsembleModel, decisions) -> tuple[int, np.ndarray]:
+    """Weighted vote over the members' class decisions, one per member in
+    member order (``None`` for a member of weight 0); ties break toward the
     lowest class index."""
     scores = np.zeros(e.n_classes)
-    for model, alpha in e.members:
-        if alpha <= 0:
-            continue
-        pred, _ = predict_sequence(model, frames)
-        scores[pred] += alpha
+    for (_model, alpha), pred in zip(e.members, decisions):
+        if alpha > 0:
+            scores[pred] += alpha
     return int(np.argmax(scores)), scores
+
+
+def predict_ensemble(e: EnsembleModel, frames) -> tuple[int, np.ndarray]:
+    """The vote over member decisions; a member of weight 0 is not run."""
+    return vote(e, [predict_sequence(model, frames)[0] if alpha > 0 else None
+                    for model, alpha in e.members])
 
 
 # ---------------------------------------------------------------------------

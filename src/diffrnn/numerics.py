@@ -3,8 +3,9 @@
 Everything downstream (cells, training, data generation) goes through this
 module so that numeric conventions live in one place:
 
-* arrays are numpy float64, except that ``sigmoid`` keeps its input's
-  dtype so the forward pass can also run in longdouble for gradient checks,
+* arrays are numpy float64, except that ``sigmoid`` and ``softmax`` keep
+  their input's dtype so the forward pass and its read-out can also run in
+  longdouble for gradient checks,
 * randomness flows through numpy's PCG64 generator (O'Neill's permuted
   congruential generator, the documented default of ``numpy.random``),
   seeded explicitly, so a fixed seed reproduces every draw bit-for-bit.
@@ -39,12 +40,14 @@ def sigmoid(v: np.ndarray) -> np.ndarray:
 
 
 def softmax(y: np.ndarray) -> np.ndarray:
-    """Probabilities from confidence scores, with max-subtraction for stability."""
-    y = as_vector(y)
-    if y.shape[0] == 0:
-        raise ShapeMismatchError("softmax of an empty vector")
-    z = np.exp(y - np.max(y))
-    return z / np.sum(z)
+    """Probabilities from confidence scores along the last axis, so one call
+    reads out a (k,) score vector or a (T, k) sequence of them, in the dtype
+    of ``y``; max-subtraction keeps exp from overflowing."""
+    y = np.asarray(y)
+    if y.ndim == 0 or y.shape[-1] == 0:
+        raise ShapeMismatchError(f"softmax needs a nonempty last axis, got {y.shape}")
+    z = np.exp(y - y.max(axis=-1, keepdims=True))
+    return z / z.sum(axis=-1, keepdims=True)
 
 
 # ---------------------------------------------------------------------------

@@ -54,8 +54,8 @@ class TrainConfig:
     def __post_init__(self):
         # lr = 0 is allowed: a zero-rate epoch is a pure evaluation pass and
         # must leave the parameters untouched
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be >= 0")
+        if not 0 <= self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be a finite number >= 0")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.mode not in ("sequence", "frame"):
@@ -77,44 +77,25 @@ class Metrics:
 # Losses
 
 
-def loss_from_logits(y: np.ndarray, c: int):
-    """Cross-entropy -log p_c of softmax(y); returns (loss, dloss/dy)."""
-    k = y.shape[0]
-    if not 0 <= c < k:
-        raise IndexError(f"class index {c} out of range for {k} classes")
-    p = softmax(y)
-    loss = -math.log(max(float(p[c]), 1e-300))
-    grad = p.copy()
-    grad[c] -= 1.0
-    return loss, grad
-
-
-def loss_sequence(logits: np.ndarray, c: int):
-    """Sequence-level loss at the final frame; gradient over all frames."""
-    loss, g_last = loss_from_logits(logits[-1], c)
-    grad = np.zeros_like(logits)
-    grad[-1] = g_last
-    return loss, grad
-
-
-def loss_frame(logits: np.ndarray, frame_labels) -> tuple[float, np.ndarray]:
-    """Cumulative per-frame loss over the sequence."""
-    if len(frame_labels) != logits.shape[0]:
-        raise ValueError("one label per frame required in frame mode")
-    grad = np.zeros_like(logits)
+def loss_frame(logits: np.ndarray, labels) -> tuple[float, np.ndarray]:
+    """Cross-entropy of the softmax read-out summed, in frame order, over the
+    last ``len(labels)`` frames, and its gradient at the (T, k) ``logits``:
+    softmax minus one-hot on those frames, zero before them.  Frame mode
+    passes a label per frame; sequence mode ``[label]``, the final frame."""
+    T, k = logits.shape
+    n = len(labels)
+    if n > T:
+        raise ValueError(f"{n} labels for {T} frames")
+    p = softmax(logits[T - n:])
     total = 0.0
-    for t, c_t in enumerate(frame_labels):
-        loss_t, grad[t] = loss_from_logits(logits[t], int(c_t))
-        total += loss_t
+    for j, c in enumerate(labels):
+        if not 0 <= c < k:
+            raise IndexError(f"class index {c} out of range for {k} classes")
+        total -= math.log(max(float(p[j, c]), 1e-300))
+        p[j, c] -= 1.0
+    grad = np.zeros_like(logits)
+    grad[T - n:] = p
     return total, grad
-
-
-def _sequence_loss_grad(tape_logits, seq, mode):
-    if mode == "frame":
-        labels = seq.frame_labels if seq.frame_labels is not None \
-            else [seq.label] * tape_logits.shape[0]
-        return loss_frame(tape_logits, labels)
-    return loss_sequence(tape_logits, seq.label)
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +145,9 @@ def sgd_epoch(model: Model, dataset, config: TrainConfig,
     for idx in order:
         seq = seqs[idx]
         tape = stack_forward(model, seq.frames)
-        loss, dlogits = _sequence_loss_grad(tape.logits, seq, config.mode)
+        labels = [seq.label] if config.mode == "sequence" \
+            else seq.frame_labels or [seq.label] * len(seq.frames)
+        loss, dlogits = loss_frame(tape.logits, labels)
         if not math.isfinite(loss):
             raise TrainingDivergedError(
                 f"non-finite loss on sequence {seq.id!r}: {loss}")
@@ -191,7 +174,7 @@ def evaluate(model: Model, dataset) -> Metrics:
     total_loss = 0.0
     for seq in dataset.sequences:
         tape = stack_forward(model, seq.frames)
-        loss, _ = loss_sequence(tape.logits, seq.label)
+        loss, _ = loss_frame(tape.logits, [seq.label])
         total_loss += loss
         pred = int(np.argmax(tape.logits[-1]))
         confusion[seq.label, pred] += 1

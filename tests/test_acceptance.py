@@ -37,7 +37,7 @@ from diffrnn.train import (
     checkpoint_load,
     checkpoint_save,
     evaluate,
-    loss_sequence,
+    loss_frame,
     train,
 )
 from test_backprop import _fd_frozen_surrogate
@@ -139,7 +139,7 @@ def test_criterion_3_truncation_contract():
                 d[n][:] = 0.0
     frames = seeded_rng(9).normal(size=(5, 3))
     tape = stack_forward(model, frames)
-    _, dlogits = loss_sequence(tape.logits, 0)
+    _, dlogits = loss_frame(tape.logits, [0])
     full = dict(model_param_items(backward_full(model, tape, dlogits)))
     trunc = dict(model_param_items(backward_truncated(model, tape, dlogits)))
     assert all(np.array_equal(full[k], trunc[k]) for k in full), \
@@ -149,7 +149,7 @@ def test_criterion_3_truncation_contract():
     model = build_model(StackConfig(((CellKind("dos", 1), 4),), 3, 2), seed=8)
     frames = seeded_rng(9).normal(size=(4, 3))
     tape = stack_forward(model, frames)
-    _, dlogits = loss_sequence(tape.logits, 0)
+    _, dlogits = loss_frame(tape.logits, [0])
     g_full = backward_full(model, tape, dlogits)
     g_trunc = backward_truncated(model, tape, dlogits)
     diff = float(np.max(np.abs(g_full.layers[0].w_ix - g_trunc.layers[0].w_ix)))
@@ -161,7 +161,7 @@ def test_criterion_3_truncation_contract():
     model = build_model(StackConfig(((kind, 3),), 3, 2), seed=14)
     frames = seeded_rng(15).normal(size=(5, 3))
     tape = stack_forward(model, frames)
-    _, dlogits = loss_sequence(tape.logits, 1)
+    _, dlogits = loss_frame(tape.logits, [1])
     trunc = dict(model_param_items(backward_truncated(model, tape, dlogits)))
     frozen = {1: dos(1, tape.layers[0].s).astype(np.longdouble)}
     numeric = _fd_frozen_surrogate(model, kind, frames, 1, frozen)

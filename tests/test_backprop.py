@@ -21,7 +21,7 @@ from diffrnn.cells import (
     stacked_lstm_config,
 )
 from diffrnn.numerics import seeded_rng, sigmoid, softmax
-from diffrnn.train import loss_sequence
+from diffrnn.train import loss_frame
 
 
 def small_model(layers, input_units=3, classes=2, seed=0, tie=False):
@@ -84,12 +84,12 @@ class TestSequenceLoss:
     def test_loss_value(self):
         logits = np.array([[0.0, 0.0], [2.0, -1.0]])
         p = softmax(logits[-1])
-        loss, d = loss_sequence(logits, 1)
+        loss, d = loss_frame(logits, [1])
         assert abs(loss + np.log(p[1])) < 1e-12
 
     def test_grad_only_on_last_frame(self):
         logits = np.array([[0.5, -0.5], [0.1, 0.2], [1.0, 0.0]])
-        _, d = loss_sequence(logits, 0)
+        _, d = loss_frame(logits, [0])
         assert not np.any(d[:-1])
         # softmax-minus-onehot rows sum to zero
         assert abs(d[-1].sum()) < 1e-12
@@ -101,14 +101,14 @@ class TestOutputLayerClosedForm:
         model = build_model(d2rnn_config(1, 3, 4, 3), seed=2)
         frames = seeded_rng(3).normal(size=(5, 3))
         tape = stack_forward(model, frames)
-        _, dlogits = loss_sequence(tape.logits, 1)
+        _, dlogits = loss_frame(tape.logits, [1])
         grads = backward_full(model, tape, dlogits)
         # y_t = tanh(W h_t + b): dW = sum_t (dy_t * (1 - y_t^2)) h_t^T
         expected_w = np.zeros_like(model.output.w_yh)
         expected_b = np.zeros_like(model.output.b_y)
         for t in range(5):
             du = dlogits[t] * (1.0 - tape.logits[t] ** 2)
-            expected_w += np.outer(du, tape.hidden_top[t])
+            expected_w += np.outer(du, tape.layers[-1].h[t])
             expected_b += du
         assert np.max(np.abs(grads.output.w_yh - expected_w)) < 1e-12
         assert np.max(np.abs(grads.output.b_y - expected_b)) < 1e-12
@@ -150,7 +150,7 @@ class TestHandOneStepLstm:
         exp_w_fx = 0.0
 
         tape = stack_forward(model, frames)
-        _, dlogits = loss_sequence(tape.logits, 0)
+        _, dlogits = loss_frame(tape.logits, [0])
         grads = backward_full(model, tape, dlogits)
         gl = grads.layers[0]
         assert abs(gl.w_ox[0, 0] - exp_w_ox) < 1e-14
@@ -245,7 +245,7 @@ class TestTruncationContract:
         self._zero_dos_weights(model)
         frames = seeded_rng(9).normal(size=(5, 3))
         tape = stack_forward(model, frames)
-        _, dlogits = loss_sequence(tape.logits, 0)
+        _, dlogits = loss_frame(tape.logits, [0])
         assert grads_bitwise_equal(backward_full(model, tape, dlogits),
                                    backward_truncated(model, tape, dlogits))
 
@@ -253,7 +253,7 @@ class TestTruncationContract:
         model = small_model([(CellKind("dos", 0), 4)], seed=8)
         frames = seeded_rng(9).normal(size=(5, 3))
         tape = stack_forward(model, frames)
-        _, dlogits = loss_sequence(tape.logits, 0)
+        _, dlogits = loss_frame(tape.logits, [0])
         assert grads_bitwise_equal(backward_full(model, tape, dlogits),
                                    backward_truncated(model, tape, dlogits))
 
@@ -261,7 +261,7 @@ class TestTruncationContract:
         model = small_model([(CellKind("dos", 1), 4)], seed=8)
         frames = seeded_rng(9).normal(size=(4, 3))
         tape = stack_forward(model, frames)
-        _, dlogits = loss_sequence(tape.logits, 0)
+        _, dlogits = loss_frame(tape.logits, [0])
         full = backward_full(model, tape, dlogits)
         trunc = backward_truncated(model, tape, dlogits)
         assert np.max(np.abs(full.layers[0].w_ix - trunc.layers[0].w_ix)) > 1e-10
@@ -276,7 +276,7 @@ class TestTruncationContract:
         frames = seeded_rng(15).normal(size=(5, 3))
         label = 1
         tape = stack_forward(model, frames)
-        _, dlogits = loss_sequence(tape.logits, label)
+        _, dlogits = loss_frame(tape.logits, [label])
         trunc = dict(model_param_items(backward_truncated(model, tape, dlogits)))
 
         frozen = {n: dos(n, tape.layers[0].s).astype(np.longdouble)

@@ -337,14 +337,36 @@ class TestBadValues:
         ["train", "--clip-norm", "-1"],
         ["train", "--split", "mc:0.5:0"],
         ["gradcheck", "--input-dim", "0"],
-    ], ids=["zero_units", "negative_clip", "zero_trials", "zero_input_dim"])
+        ["train", "--epochs", "0"],
+    ], ids=["zero_units", "negative_clip", "zero_trials", "zero_input_dim",
+            "zero_epochs"])
     def test_out_of_range_value_fails_with_one_line(self, tmp_path, capsys, argv):
+        # a value bad for any data is a usage error, not a data error
         if argv[0] == "train":
-            argv = argv + ["--data", str(make_data(tmp_path)), "--epochs", "1",
-                           "--out", str(tmp_path / "run")]
-        assert main(argv) in (1, 2)
+            argv = ["train", "--data", str(make_data(tmp_path)), "--epochs", "1",
+                    "--out", str(tmp_path / "run"), *argv[1:]]
+        assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("body", ['{"epochs": 0}', '{"split": "kfold:1"}'],
+                             ids=["zero_epochs", "one_fold"])
+    def test_out_of_range_config_value_is_usage_error(self, tmp_path, capsys, body):
+        data = make_data(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(body)
+        capsys.readouterr()
+        assert main(["train", "--data", str(data), "--config", str(cfg),
+                     "--out", str(tmp_path / "run")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_value_bad_only_for_this_data_is_data_error(self, tmp_path, capsys):
+        data = make_data(tmp_path, count=12)
+        capsys.readouterr()
+        assert main(["train", "--data", str(data), *FAST, "--split", "kfold:13",
+                     "--out", str(tmp_path / "run")]) == 2
+        assert "k must be in [2, 12]" in capsys.readouterr().err
 
 
 class TestFileSystemErrors:

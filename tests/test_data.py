@@ -84,7 +84,8 @@ class TestGenSynthetic:
         assert ds.sequences[0].frame_labels == [0] * 5
 
     def test_invalid_sizes(self):
-        for kw in (dict(length=1), dict(dim=0), dict(classes=1), dict(count=0)):
+        for kw in (dict(length=1), dict(dim=0), dict(classes=1), dict(count=0),
+                   dict(noise_sigma=-0.1), dict(noise_sigma=np.nan)):
             args = dict(task="velocity", classes=2, count=4, length=6, dim=2,
                         noise_sigma=0.0, seed=0)
             args.update(kw)
@@ -119,9 +120,11 @@ class TestGenSynthetic:
         assert np.linalg.norm(s0[-1] - s1[-1]) > np.linalg.norm(s0[0] - s1[0])
 
     def test_zero_curvature_control_is_chance(self):
-        # both classes share identical dynamics: nothing to learn
-        ds = gen_synthetic("acceleration", 2, 20, 8, 4, 0.1, seed=3,
-                           class_params=[(0.2, 0.0), (0.2, 0.0)])
+        # both classes share identical dynamics (class 0's drift, zero
+        # curvature): nothing to learn
+        same = gen_synthetic("velocity", 2, 40, 8, 4, 0.1, seed=3).sequences[::2]
+        ds = Dataset([Sequence(frames=s.frames, label=i % 2)
+                      for i, s in enumerate(same)], ["class0", "class1"])
         model = build_model(stacked_lstm_config(1, 4, 4, 2), seed=0)
         train(model, ds, TrainConfig(epochs=5, learning_rate=0.01, seed=1))
         acc = evaluate(model, ds).accuracy

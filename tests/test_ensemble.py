@@ -18,6 +18,7 @@ from diffrnn.ensemble import (
     fit_ernn,
     predict_ensemble,
     samme_round,
+    vote,
 )
 from diffrnn.train import CheckpointError, TrainConfig, checkpoint_save, train
 
@@ -114,6 +115,18 @@ class TestPredictEnsemble:
                                    (constant_predictor(0), 1.0)], n_classes=2)
         pred, scores = predict_ensemble(e, np.zeros((3, 2)))
         assert pred == 0 and scores[1] == 0.0
+
+    def test_vote_on_member_decisions_is_predict_ensemble(self):
+        # the CLI votes on the member decisions it already has
+        e = EnsembleModel(members=[(constant_predictor(1), 0.0),
+                                   (constant_predictor(0), 0.5),
+                                   (constant_predictor(1), 0.7)], n_classes=2)
+        frames = np.zeros((3, 2))
+        decisions = [predict_sequence(m, frames)[0] for m, _ in e.members]
+        pred, scores = vote(e, decisions)
+        want_pred, want_scores = predict_ensemble(e, frames)
+        assert pred == want_pred == 1
+        assert np.array_equal(scores, want_scores)
 
     def test_all_zero_weights_rejected(self):
         with pytest.raises(ValueError):

@@ -36,6 +36,20 @@ class TestSoftmax:
     def test_empty_rejected(self):
         with pytest.raises(ShapeMismatchError):
             softmax(np.array([]))
+        with pytest.raises(ShapeMismatchError):
+            softmax(np.zeros((3, 0)))
+
+    def test_rows_read_out_one_by_one(self):
+        # a (T, k) call is T one-frame calls, bitwise
+        y = seeded_rng(5).normal(scale=3.0, size=(20, 7))
+        p = softmax(y)
+        for t in range(20):
+            assert np.array_equal(p[t], softmax(y[t]))
+
+    def test_keeps_longdouble(self):
+        y = np.array([[0.5, -1.0, 2.0]], dtype=np.longdouble)
+        p = softmax(y)
+        assert p.dtype == np.longdouble and abs(p.sum() - 1) < 1e-18
 
     @given(finite_vec)
     def test_sums_to_one(self, v):

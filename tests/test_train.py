@@ -18,8 +18,6 @@ from diffrnn.train import (
     checkpoint_save,
     evaluate,
     loss_frame,
-    loss_from_logits,
-    loss_sequence,
     model_from_doc,
     model_to_doc,
     sgd_epoch,
@@ -54,6 +52,8 @@ class TestTrainConfig:
 
     @pytest.mark.parametrize("kw", [
         dict(learning_rate=-0.1),
+        dict(learning_rate=math.nan),   # used to train to a non-finite loss
+        dict(learning_rate=math.inf),
         dict(epochs=0),
         dict(mode="batch"),
         dict(truncation="none"),
@@ -67,51 +67,73 @@ class TestTrainConfig:
 
 
 class TestLosses:
+    """``loss_frame`` is the one loss: a label per frame in frame mode,
+    ``[label]`` (the final frame) in sequence mode."""
+
     def test_certain_correct_class_near_zero(self):
-        loss, _ = loss_from_logits(np.array([50.0, 0.0]), 0)
+        loss, _ = loss_frame(np.array([[50.0, 0.0]]), [0])
         assert 0 <= loss < 1e-15
 
     def test_uniform_six_classes_is_ln6(self):
-        loss, _ = loss_from_logits(np.zeros(6), 3)
+        loss, _ = loss_frame(np.zeros((1, 6)), [3])
         assert abs(loss - math.log(6)) < 1e-12
 
     def test_random_logits_vs_high_precision(self):
         logits = np.array([0.3, -1.2, 0.7])
         p = ref_softmax_mp(logits)
         for c in range(3):
-            loss, grad = loss_from_logits(logits, c)
+            loss, grad = loss_frame(logits[None, :], [c])
             assert abs(loss + math.log(p[c])) < 1e-14
             expect = np.array(p)
             expect[c] -= 1.0
-            assert np.max(np.abs(grad - expect)) < 1e-14
+            assert np.max(np.abs(grad[0] - expect)) < 1e-14
 
     def test_loss_nonnegative(self):
         rng = seeded_rng(1)
         for _ in range(50):
-            loss, _ = loss_from_logits(rng.normal(size=4), int(rng.integers(4)))
+            loss, _ = loss_frame(rng.normal(size=(3, 4)), [int(rng.integers(4))])
             assert loss >= 0.0
 
     def test_bad_class_index(self):
-        with pytest.raises(IndexError):
-            loss_from_logits(np.zeros(3), 3)
+        for bad in (3, -1):
+            with pytest.raises(IndexError):
+                loss_frame(np.zeros((2, 3)), [0, bad])
 
     def test_sequence_loss_is_final_frame(self):
         logits = np.array([[5.0, -5.0], [0.0, 0.0]])
-        loss, grad = loss_sequence(logits, 1)
+        loss, grad = loss_frame(logits, [1])
         assert abs(loss - math.log(2)) < 1e-12
         assert not np.any(grad[0])
+
+    def test_sequence_mode_grad_zero_before_last_frame(self):
+        logits = seeded_rng(3).normal(size=(5, 3))
+        loss, grad = loss_frame(logits, [2])
+        assert not np.any(grad[:-1])
+        one_loss, one_grad = loss_frame(logits[-1:], [2])
+        assert loss == one_loss and np.array_equal(grad[-1], one_grad[0])
 
     def test_frame_loss_is_cumulative(self):
         logits = seeded_rng(2).normal(size=(4, 3))
         labels = [0, 1, 2, 1]
         total, grad = loss_frame(logits, labels)
-        expect = sum(loss_from_logits(logits[t], labels[t])[0] for t in range(4))
-        assert abs(total - expect) < 1e-12
+        expect = 0.0
+        for t in range(4):
+            loss_t, grad_t = loss_frame(logits[t:t + 1], labels[t:t + 1])
+            expect += loss_t
+            assert np.array_equal(grad[t], grad_t[0])
+        assert total == expect      # summed in frame order, bitwise
         assert np.any(grad[0]) and np.any(grad[3])
+
+    def test_labels_cover_the_last_frames(self):
+        logits = seeded_rng(4).normal(size=(4, 3))
+        total, grad = loss_frame(logits, [1, 0])
+        tail_total, tail_grad = loss_frame(logits[2:], [1, 0])
+        assert total == tail_total
+        assert not np.any(grad[:2]) and np.array_equal(grad[2:], tail_grad)
 
     def test_frame_labels_length_checked(self):
         with pytest.raises(ValueError):
-            loss_frame(np.zeros((3, 2)), [0, 1])
+            loss_frame(np.zeros((2, 2)), [0, 1, 0])
 
 
 class TestSgd:
@@ -128,7 +150,7 @@ class TestSgd:
         seq = ds.sequences[0]
         tape = stack_forward(model, seq.frames)
         expected = copy.deepcopy(model)
-        loss, dlogits = loss_sequence(tape.logits, seq.label)
+        loss, dlogits = loss_frame(tape.logits, [seq.label])
         grads = backward_full(expected, stack_forward(expected, seq.frames), dlogits)
         lr = 0.01
         apply_sgd_step(expected, grads, lr)
