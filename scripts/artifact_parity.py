@@ -3,15 +3,18 @@
 
 Runs one fixed set of seeded ``diffrnn`` commands (synth; train in sequence
 and frame mode, with full and truncated backprop, gradient clipping, PCA and
-k-fold and Monte Carlo splits; ensemble; gradcheck; eval; dos-energy) once
-under each tree, each run in its own empty directory, and compares every
-exit code, stdout and stderr and every file the commands write:
+k-fold and Monte Carlo splits; ensemble; gradcheck; eval; dos-energy; and
+runs that must fail: a bad option value, a missing data file, a split too
+large for the data and an unknown config key) once under each tree, each
+run in its own empty directory, and compares every exit code, stdout and
+stderr and every file and directory the commands leave:
 
     python3 scripts/artifact_parity.py PARENT_SRC CHANGE_SRC
 
 PARENT_SRC and CHANGE_SRC are directories holding the ``diffrnn`` package
 (a checkout's ``src``).  Exits 0 if everything is byte-identical, 1 at the
-first difference (naming it), and 2 if a command fails under either tree.
+first difference (naming it), and 2 if a command's exit code is not the one
+it expects under either tree.
 Uses the standard library only and runs in well under a minute.
 """
 import argparse
@@ -23,9 +26,12 @@ import tempfile
 DATA = ["--data", "data.jsonl"]
 SMALL = ["--state-units", "6", "--lr", "0.05", "--epochs", "3", "--seed", "1"]
 CHECKPOINT = ["--checkpoint", "seq_full/checkpoint_split0.json"]
+# written into each run's directory before its first command
+FILES = {"unknown_key.json": '{"epochs": 2, "no_such_option": 1}\n'}
 
-# each command runs in the directory of the one before it
-COMMANDS = [
+# (expected exit code, command); each command runs in the directory of the
+# one before it
+COMMANDS = [(0, cmd) for cmd in [
     ["synth", "--task", "mixed", "--classes", "3", "--count", "18", "--len", "8",
      "--dim", "5", "--noise", "0.05", "--seed", "3", "--out", "data.jsonl"],
     ["train", *DATA, *SMALL, "--arch", "d2rnn:3", "--split", "kfold:3",
@@ -44,6 +50,13 @@ COMMANDS = [
     ["eval", *CHECKPOINT, *DATA, "--out", "eval"],
     ["dos-energy", *CHECKPOINT, *DATA, "--layer", "2", "--index", "1"],
     ["dos-energy", *CHECKPOINT, *DATA, "--layer", "1", "--out", "energy.csv"],
+]] + [
+    # fail before the output directory is made
+    (1, ["train", *DATA, *SMALL, "--epochs", "0", "--out", "bad_epochs"]),
+    (2, ["train", "--data", "missing.jsonl", *SMALL, "--out", "missing"]),
+    # 99 folds of 18 sequences: found after the config is echoed
+    (2, ["ensemble", *DATA, *SMALL, "--split", "kfold:99", "--out", "k99"]),
+    (1, ["train", *DATA, "--config", "unknown_key.json", "--out", "unknown"]),
 ]
 
 
@@ -52,17 +65,26 @@ def run_tree(src: str, work: str) -> list:
     with the ``diffrnn`` package of ``src``."""
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src),
                OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    for name, text in FILES.items():
+        with open(os.path.join(work, name), "w") as fh:
+            fh.write(text)
     results = []
-    for cmd in COMMANDS:
+    for _, cmd in COMMANDS:
         proc = subprocess.run([sys.executable, "-m", "diffrnn.cli", *cmd],
                               cwd=work, env=env, capture_output=True)
         results.append((" ".join(cmd), proc.returncode, proc.stdout, proc.stderr))
     return results
 
 
+DIRECTORY = "directory"   # never equal to a file's bytes
+
+
 def tree_files(root: str) -> dict:
+    """Each file's bytes, and DIRECTORY for each directory, by relative path."""
     files = {}
-    for dirpath, _dirs, names in os.walk(root):
+    for dirpath, dirs, names in os.walk(root):
+        for name in dirs:
+            files[os.path.relpath(os.path.join(dirpath, name), root)] = DIRECTORY
         for name in names:
             path = os.path.join(dirpath, name)
             with open(path, "rb") as fh:
@@ -81,10 +103,12 @@ def main() -> int:
         for src, work in zip((args.parent_src, args.change_src), works):
             os.mkdir(work)
             runs.append(run_tree(src, work))
-        for (cmd, rc_a, out_a, err_a), (_, rc_b, out_b, err_b) in zip(*runs):
-            if rc_a != 0 or rc_b != 0:
+        for (expected, _), (cmd, rc_a, out_a, err_a), (_, rc_b, out_b, err_b) \
+                in zip(COMMANDS, *runs):
+            if rc_a != expected or rc_b != expected:
                 print(f"FAILED: `diffrnn {cmd}` exited {rc_a} (parent), "
-                      f"{rc_b} (change)\n{err_a.decode()}{err_b.decode()}")
+                      f"{rc_b} (change), expected {expected}\n"
+                      f"{err_a.decode()}{err_b.decode()}")
                 return 2
             for what, a, b in (("stdout", out_a, out_b), ("stderr", err_a, err_b)):
                 if a != b:
@@ -95,7 +119,8 @@ def main() -> int:
             if files_a.get(name) != files_b.get(name):
                 print(f"DIFFERS: {name}")
                 return 1
-    print(f"IDENTICAL: {len(COMMANDS)} commands, {len(files_a)} files")
+    n_files = sum(v is not DIRECTORY for v in files_a.values())
+    print(f"IDENTICAL: {len(COMMANDS)} commands, {n_files} files")
     return 0
 
 

@@ -19,6 +19,6 @@ from .cells import (
 from .backprop import backward_full, backward_truncated, grad_check
 from .data import Dataset, KFold, MonteCarlo, Sequence, gen_synthetic, load_jsonl, save_jsonl
 from .ensemble import EnsembleModel, fit_ernn, predict_ensemble
-from .train import Metrics, TrainConfig, checkpoint_load, checkpoint_save, evaluate, train
+from .train import Metrics, TrainConfig, checkpoint_load, checkpoint_save, evaluate
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -184,47 +184,41 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def _splits_of(ds, plan):
-    if plan is None:
-        idx = list(range(len(ds.sequences)))
-        return [(idx, idx)]
-    return data_mod.make_splits(ds, plan)
-
-
-def _run_settings(args):
-    """The train config and split plan of a train or ensemble run, built
-    before any data is read; the model and PCA options are checked on the
-    smallest valid data (one input unit, two classes, two samples)."""
-    arch = args.arch if args.command == "train" else f"dos:{args.max_order}"
+def _run_settings(args, arch: str):
+    """The set-up of a train or ensemble run of ``arch``: check ``--out`` and
+    every option before any data is read (the model and PCA options on the
+    smallest valid data: one input unit, two classes, two samples), read the
+    data and echo the effective config.  Returns the train config, the
+    dataset and each split's (train, test) sets, produced in split order,
+    with PCA fitted on each training set as its split comes up."""
+    if args.out is None:
+        raise UsageError(f"{args.command} requires --out DIR")
     with _usage_errors():
         build_config(arch, 1, args.state_units, 2)
         seeded_rng(args.seed)
         if args.pca_energy is not None:
             pca_fit([[0.0], [1.0]], args.pca_energy)
         tc = TrainConfig(**{f.name: getattr(args, f.name) for f in fields(TrainConfig)})
-        return tc, parse_split(args.split, args.seed)
+        plan = parse_split(args.split, args.seed)
+    ds = data_mod.load_jsonl(args.data)
+    _echo_config(args)
+    idx = list(range(len(ds.sequences)))
+    splits = [(idx, idx)] if plan is None else data_mod.make_splits(ds, plan)
 
-
-def _prepared(ds, train_idx, test_idx, pca_energy):
-    train_set = ds.subset(train_idx)
-    test_set = ds.subset(test_idx)
-    if pca_energy is not None:
-        t = data_mod.fit_preprocess(train_set, float(pca_energy))
-        train_set = data_mod.apply_preprocess(t, train_set)
-        test_set = data_mod.apply_preprocess(t, test_set)
-    return train_set, test_set
+    def prepared():
+        for train_idx, test_idx in splits:
+            sets = ds.subset(train_idx), ds.subset(test_idx)
+            if args.pca_energy is not None:
+                t = data_mod.fit_preprocess(sets[0], float(args.pca_energy))
+                sets = tuple(data_mod.apply_preprocess(t, s) for s in sets)
+            yield sets
+    return tc, ds, prepared()
 
 
 def cmd_train(args) -> int:
-    if args.out is None:
-        raise UsageError("train requires --out DIR")
-    tc, plan = _run_settings(args)
-    ds = data_mod.load_jsonl(args.data)
-    _echo_config(args)
-    splits = _splits_of(ds, plan)
+    tc, ds, splits = _run_settings(args, args.arch)
     loss_rows, metric_rows, accs = [], [], []
-    for si, (train_idx, test_idx) in enumerate(splits):
-        train_set, test_set = _prepared(ds, train_idx, test_idx, args.pca_energy)
+    for si, (train_set, test_set) in enumerate(splits):
         model_cfg = build_config(args.arch, train_set.feature_dim,
                                  args.state_units, len(ds.class_names))
         model = build_model(model_cfg, seed=args.seed + si)
@@ -242,7 +236,7 @@ def cmd_train(args) -> int:
                ["split", "epoch", "mean_loss", "train_accuracy"], loss_rows)
     _write_csv(os.path.join(args.out, "metrics.csv"),
                ["split", "n_test", "accuracy", "mean_loss"], metric_rows)
-    print(f"mean accuracy over {len(splits)} split(s): {float(np.mean(accs)):.4f}")
+    print(f"mean accuracy over {len(accs)} split(s): {float(np.mean(accs)):.4f}")
     return EXIT_OK
 
 
@@ -272,7 +266,7 @@ def cmd_gradcheck(args) -> int:
         model_cfg = build_config(args.arch, args.input_dim, args.state_units,
                                  args.classes)
         model = build_model(model_cfg, seed=args.seed)
-        rng = np.random.Generator(np.random.PCG64(args.seed + 1))
+        rng = seeded_rng(args.seed + 1)
         frames = rng.normal(size=(args.length, args.input_dim))
         report = grad_check(model, frames, label=0)
     print(report.format())
@@ -299,17 +293,11 @@ def cmd_dos_energy(args) -> int:
 
 
 def cmd_ensemble(args) -> int:
-    if args.out is None:
-        raise UsageError("ensemble requires --out DIR")
-    tc, plan = _run_settings(args)
-    ds = data_mod.load_jsonl(args.data)
-    _echo_config(args)
-    splits = _splits_of(ds, plan)
+    tc, _ds, splits = _run_settings(args, f"dos:{args.max_order}")
     n_members = args.max_order + 1
     member_accs = [[] for _ in range(n_members)]
     ens_accs = []
-    for si, (train_idx, test_idx) in enumerate(splits):
-        train_set, test_set = _prepared(ds, train_idx, test_idx, args.pca_energy)
+    for si, (train_set, test_set) in enumerate(splits):
         ens = fit_ernn(train_set, args.max_order, tc, args.state_units)
         # each member runs once per sequence; the ensemble votes on its decisions
         decided = [([predict_sequence(m, seq.frames)[0] for m, _ in ens.members],
@@ -340,13 +328,14 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(EXIT_USAGE)
 
 
-def _command(sub, name, run, help, config=True):
+def _command(sub, name, run, help, config=True, out=True):
     p = sub.add_parser(name, help=help)
     p.set_defaults(run=run)
     if config:
         p.add_argument("--config", help="JSON file of option defaults")
         p.add_argument("--seed", type=int, default=0, help="PRNG seed")
-    p.add_argument("--out", help="output file or directory")
+    if out:
+        p.add_argument("--out", help="output file or directory")
     return p
 
 
@@ -387,7 +376,7 @@ def main(argv=None) -> int:
     p.add_argument("--data", required=True)
 
     p = _command(sub, "gradcheck", cmd_gradcheck,
-                 "finite-difference gradient check")
+                 "finite-difference gradient check", out=False)
     p.add_argument("--arch", default="dos:1")
     p.add_argument("--state-units", dest="state_units", type=int, default=5)
     p.add_argument("--input-dim", dest="input_dim", type=int, default=4)

@@ -47,8 +47,8 @@ class Sequence:
 def _check_labels(seq: Sequence, k: int) -> None:
     """Raise ValueError unless the label and each frame label of ``seq`` is a
     Python or numpy integer, not a bool, in [0, k)."""
-    for what, labels in (("label", [seq.label]),
-                         ("frame label", seq.frame_labels or [])):
+    frame_labels = [] if seq.frame_labels is None else seq.frame_labels
+    for what, labels in (("label", [seq.label]), ("frame label", frame_labels)):
         if set(map(type, labels)) <= {int} and set(labels) <= set(range(k)):
             continue    # plain ints in range: checked without a Python-level loop
         for c in labels:
@@ -135,10 +135,10 @@ def save_jsonl(dataset: Dataset, path) -> None:
     with open(path, "w") as fh:
         fh.write(json.dumps({"classes": dataset.class_names}) + "\n")
         for seq in dataset.sequences:
-            rec = {"id": seq.id, "label": seq.label,
+            rec = {"id": seq.id, "label": int(seq.label),
                    "frames": seq.frames.tolist()}
             if seq.frame_labels is not None:
-                rec["frame_labels"] = list(seq.frame_labels)
+                rec["frame_labels"] = [int(c) for c in seq.frame_labels]
             if seq.group is not None:
                 rec["group"] = seq.group
             fh.write(json.dumps(rec) + "\n")

@@ -145,8 +145,9 @@ def sgd_epoch(model: Model, dataset, config: TrainConfig,
     for idx in order:
         seq = seqs[idx]
         tape = stack_forward(model, seq.frames)
-        labels = [seq.label] if config.mode == "sequence" \
-            else seq.frame_labels or [seq.label] * len(seq.frames)
+        labels = [seq.label] if config.mode == "sequence" else seq.frame_labels
+        if labels is None:
+            labels = [seq.label] * len(seq.frames)
         loss, dlogits = loss_frame(tape.logits, labels)
         if not math.isfinite(loss):
             raise TrainingDivergedError(

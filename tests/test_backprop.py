@@ -73,6 +73,15 @@ class TestContainers:
             + [f"layer2.{n}" for n in mats + biases]
             + ["output.w_yh", "output.b_y"])
 
+    def test_non_finite_gradient_raises(self):
+        model = build_model(d2rnn_config(1, 3, 4, 2), seed=0)
+        tape = stack_forward(model, np.ones((4, 3)))
+        dlogits = np.zeros((4, 2))
+        dlogits[-1] = np.inf
+        names_one = r"non-finite gradient in (layer0|output)\.\w+"
+        with np.errstate(all="ignore"), pytest.raises(FloatingPointError, match=names_one):
+            backward_full(model, tape, dlogits)
+
     def test_dlogits_shape_checked(self):
         model = build_model(d2rnn_config(1, 3, 4, 2), seed=0)
         tape = stack_forward(model, np.zeros((4, 3)))

@@ -452,7 +452,8 @@ class TestParserStatesTheOptions:
          "--config", "x.json"],
         ["dos-energy", "--checkpoint", "ck.json", "--data", "d.jsonl",
          "--seed", "1"],
-    ], ids=["eval_config", "dos_energy_seed"])
+        ["gradcheck", "--out", "r.txt"],
+    ], ids=["eval_config", "dos_energy_seed", "gradcheck_out"])
     def test_commands_without_options_take_no_config_or_seed(self, argv):
         with pytest.raises(SystemExit) as exc:
             main(argv)

@@ -53,6 +53,11 @@ class TestContainers:
                        frame_labels=[np.int32(0), np.uint8(1)])
         assert Dataset([seq], ["a", "b"]).sequences[0] is seq
 
+    def test_dataset_accepts_numpy_frame_label_array(self):
+        seq = Sequence(frames=np.ones((2, 3)), label=np.int64(1),
+                       frame_labels=np.array([0, 1]))
+        assert Dataset([seq], ["a", "b"]).sequences[0] is seq
+
     def test_dataset_uniform_dims(self):
         seqs = [Sequence(frames=np.zeros((2, 2)), label=0),
                 Sequence(frames=np.zeros((2, 3)), label=1)]
@@ -143,6 +148,16 @@ class TestJsonl:
             assert np.array_equal(a.frames, b.frames)  # repr round trip
             assert (a.label, a.id, a.frame_labels, a.group) == \
                    (b.label, b.id, b.frame_labels, b.group)
+
+    def test_numpy_labels_round_trip(self, tmp_path):
+        seq = Sequence(frames=np.ones((3, 2)), label=np.int64(1),
+                       frame_labels=np.array([0, 1, 1], dtype=np.int32))
+        path = tmp_path / "np.jsonl"
+        save_jsonl(Dataset([seq], ["a", "b"]), path)
+        back = load_jsonl(path).sequences[0]
+        assert (type(back.label), back.label) == (int, 1)
+        assert back.frame_labels == [0, 1, 1]
+        assert all(type(c) is int for c in back.frame_labels)
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.jsonl"

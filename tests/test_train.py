@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import types
 
 import numpy as np
 import pytest
@@ -219,6 +220,28 @@ class TestSgd:
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
             sgd_epoch(tiny_model(), Dataset([], ["a", "b"]), TrainConfig())
+
+    def test_frame_labels_as_array_train_as_list(self):
+        cfg = TrainConfig(learning_rate=0.05, epochs=1, mode="frame", seed=2)
+        rng = seeded_rng(3)
+        labels = [rng.integers(0, 2, size=6).tolist() for _ in range(4)]
+        runs = []
+        for as_given in (list, np.array):
+            ds = tiny_dataset(count=4)
+            for seq, lab in zip(ds.sequences, labels):
+                seq.frame_labels = as_given(lab)
+            model = tiny_model()
+            loss = sgd_epoch(model, ds, cfg).mean_loss
+            runs.append((loss, params_snapshot(model)))
+        assert runs[0][0] == runs[1][0]
+        for name in runs[0][1]:
+            assert np.array_equal(runs[0][1][name], runs[1][1][name]), name
+
+
+def test_import_binds_the_module():
+    import diffrnn.train as train_mod
+    assert isinstance(train_mod, types.ModuleType)
+    assert train_mod.TrainConfig is TrainConfig
 
 
 class TestClassCount:
