@@ -1,0 +1,153 @@
+#!/usr/bin/env python3
+"""Bitwise check of the library's float results between two source trees.
+
+The CLI cannot build tied or mixed stacks or call ``backward`` on its own,
+so this dumps, under each tree, the library's results for a fixed set of
+tiny seeded models and compares them bit for bit:
+
+* 3-epoch training histories (loss, accuracy, confusion) and the trained
+  parameters, for rnn, lstm, stacked:3, dos:0-2, drnn:2, d2rnn:3 and a mixed
+  rnn/drnn:1/lstm stack, each with and without tied gate hidden weights, in
+  full and truncated backprop, sequence and frame mode, with no clipping
+  and with clip norm 0.5;
+* per trained model, the logits, the gradients ``backward`` gives on a
+  held-out sequence, ``evaluate`` on the held-out set and ``dos_energy`` of
+  every gated layer;
+* one ``grad_check`` report per architecture.
+
+    python3 scripts/tensor_parity.py PARENT_SRC CHANGE_SRC
+
+PARENT_SRC and CHANGE_SRC are directories holding the ``diffrnn`` package
+(a checkout's ``src``).  Prints the maximum absolute deviation of every key
+that differs and exits 1 if any does, 0 if every key is bitwise equal.
+Uses numpy and the standard library only and runs in well under a minute.
+"""
+import argparse
+import os
+import subprocess
+import sys
+import tempfile
+
+import numpy as np
+
+ARCHS = {
+    "rnn": [("rnn", 0)],
+    "lstm": [("lstm", 0)],
+    "stacked:3": [("lstm", 0)] * 3,
+    "dos:0": [("dos", 0)],
+    "dos:1": [("dos", 1)],
+    "dos:2": [("dos", 2)],
+    "drnn:2": [("drnn", 2)],
+    "d2rnn:3": [("dos", 0), ("dos", 1), ("dos", 2)],
+    "mixed": [("rnn", 0), ("drnn", 1), ("lstm", 0)],
+}
+DIM, UNITS, CLASSES, LENGTH, COUNT = 3, 3, 3, 6, 9
+
+
+def dump(path: str) -> None:
+    """Write every result of the tree on ``sys.path`` to ``path`` (.npz)."""
+    from diffrnn.backprop import backward, grad_check, model_param_items
+    from diffrnn.cells import CellKind, StackConfig, build_model, dos_energy, stack_forward
+    from diffrnn.data import Dataset, gen_synthetic
+    from diffrnn.train import TrainConfig, evaluate, loss_frame, train
+
+    data = gen_synthetic("mixed", CLASSES, COUNT + CLASSES, LENGTH, DIM, 0.3, seed=7)
+    train_set = Dataset(data.sequences[:COUNT], data.class_names)
+    holdout = Dataset(data.sequences[COUNT:], data.class_names)
+    probe = holdout.sequences[0]
+    out = {}
+
+    def flat(items):
+        return np.concatenate([np.ravel(a) for _, a in items])
+
+    for ai, (arch, layers) in enumerate(ARCHS.items()):
+        for tie in (False, True):
+            config = StackConfig(tuple((CellKind(k, n), UNITS) for k, n in layers),
+                                 DIM, CLASSES, tie_gate_hidden_weights=tie)
+            for truncation in ("full", "truncated"):
+                for mode in ("sequence", "frame"):
+                    for clip in (None, 0.5):
+                        key = f"{arch}/tie={tie}/{truncation}/{mode}/clip={clip}"
+                        model = build_model(config, seed=ai)
+                        history = train(model, train_set, TrainConfig(
+                            learning_rate=0.1, epochs=3, mode=mode, truncation=truncation,
+                            seed=3, clip_norm=clip))
+                        out[key + "/history"] = np.array(
+                            [[m.mean_loss, m.accuracy] for m in history])
+                        out[key + "/confusion"] = np.array([m.confusion for m in history])
+                        out[key + "/params"] = flat(model_param_items(model))
+                        tape = stack_forward(model, probe.frames)
+                        out[key + "/logits"] = tape.logits
+                        _, dlogits = loss_frame(tape.logits, probe.frame_labels)
+                        grads = backward(model, tape, dlogits, truncation == "truncated")
+                        out[key + "/grads"] = flat(model_param_items(grads))
+                        m = evaluate(model, holdout)
+                        out[key + "/evaluate"] = np.array([m.mean_loss, m.accuracy])
+                        out[key + "/evaluate_confusion"] = m.confusion
+                        for li, (kind, _units) in enumerate(config.layers):
+                            if kind.kind != "rnn":
+                                out[f"{key}/dos_energy{li}"] = dos_energy(model, probe.frames, li)
+        model = build_model(StackConfig(tuple((CellKind(k, n), UNITS) for k, n in layers),
+                                        DIM, CLASSES), seed=ai)
+        report = grad_check(model, probe.frames[:4], probe.label)
+        out[f"{arch}/grad_check"] = np.array(
+            [[e.analytic, e.numeric, e.rel_error] for e in report.entries])
+        out[f"{arch}/grad_check_summary"] = np.array([report.max_rel_error, report.passed])
+        out[f"{arch}/grad_check_names"] = np.array([e.name for e in report.entries])
+    np.savez(path, **out)
+
+
+def run_dump(src: str, path: str) -> None:
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    subprocess.run([sys.executable, os.path.abspath(__file__), "--dump", path],
+                   env=env, check=True)
+
+
+def max_deviation(a: np.ndarray, b: np.ndarray) -> str:
+    if a.shape != b.shape or a.dtype != b.dtype:
+        return f"{a.dtype}{a.shape} vs {b.dtype}{b.shape}"
+    if a.dtype.kind not in "fiub":
+        return f"{int(np.sum(a != b))} entries differ"
+    diff = np.abs(a.astype(np.float64) - b.astype(np.float64))
+    return f"max |difference| {np.nanmax(diff, initial=0.0):.3e}"
+
+
+def compare(parent_path: str, change_path: str) -> int:
+    with np.load(parent_path) as p, np.load(change_path) as c:
+        parent, change = dict(p), dict(c)
+    differ = 0
+    for key in sorted(set(parent) | set(change)):
+        if key not in parent or key not in change:
+            print(f"DIFFERS {key}: only under the {'parent' if key in parent else 'change'}")
+            differ += 1
+        elif (parent[key].shape != change[key].shape or parent[key].dtype != change[key].dtype
+              or parent[key].tobytes() != change[key].tobytes()):
+            print(f"DIFFERS {key}: {max_deviation(parent[key], change[key])}")
+            differ += 1
+    if differ:
+        print(f"{differ} of {len(set(parent) | set(change))} keys differ")
+        return 1
+    print(f"IDENTICAL: {len(parent)} keys")
+    return 0
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("parent_src", nargs="?")
+    ap.add_argument("change_src", nargs="?")
+    ap.add_argument("--dump", help=argparse.SUPPRESS)
+    args = ap.parse_args(argv)
+    if args.dump:
+        dump(args.dump)
+        return 0
+    if not (args.parent_src and args.change_src):
+        ap.error("need PARENT_SRC and CHANGE_SRC")
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [os.path.join(tmp, f"{side}.npz") for side in ("parent", "change")]
+        for src, path in zip((args.parent_src, args.change_src), paths):
+            run_dump(src, path)
+        return compare(*paths)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

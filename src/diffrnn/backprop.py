@@ -21,7 +21,7 @@ oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -32,9 +32,11 @@ from .cells import (
     RnnParams,
     Tape,
     dos,
-    gate_weight_stacks,
+    gate_blocks,
     lag_weights,
-    param_fields,
+    map_params,
+    model_param_items,
+    param_views,
     stack_forward,
 )
 from .numerics import softmax
@@ -42,152 +44,145 @@ from .numerics import softmax
 
 @dataclass
 class Gradients:
-    """Shape-congruent mirror of a model's parameters."""
+    """Shape-congruent mirror of a model's parameters.
+
+    ``backward`` fills one vector laid out like the model's ``theta`` and
+    hands out views into it as ``vector``; a hand-built instance has none,
+    and ``flat`` lays its arrays end to end when it is asked for them."""
 
     layers: list
     output: OutputParams
+    vector: np.ndarray | None = field(default=None, repr=False, compare=False)
+
+    def flat(self) -> np.ndarray:
+        if self.vector is not None:
+            return self.vector
+        return np.concatenate([np.ravel(a) for _, a in model_param_items(self)])
 
 
-def param_items(p, prefix=""):
-    """Yield (name, array) for every array of a parameter container, in field
-    order; a per-order dict field yields ``name[n]`` per order n, ascending."""
-    for name, per_order in param_fields(type(p)):
-        value = getattr(p, name)
-        if per_order:
-            for n in sorted(value):
-                yield f"{prefix}{name}[{n}]", value[n]
-        else:
-            yield prefix + name, value
+def _shifted(rows: np.ndarray) -> np.ndarray:
+    """Row t holds row t-1 of ``rows``; row 0 is zero."""
+    out = np.zeros_like(rows)
+    out[1:] = rows[:-1]
+    return out
 
 
-def map_params(fn, p):
-    """A container of ``p``'s type holding ``fn(array)`` for each array."""
-    kw = {}
-    for name, per_order in param_fields(type(p)):
-        value = getattr(p, name)
-        kw[name] = {n: fn(m) for n, m in value.items()} if per_order else fn(value)
-    return type(p)(**kw)
-
-
-def model_param_items(obj):
-    """Works for both Model and Gradients."""
-    for li, p in enumerate(obj.layers):
-        yield from param_items(p, f"layer{li}.")
-    yield from param_items(obj.output, "output.")
-
-
-def _cell_backward(params: CellParams, kind, ltape, dh_in, truncated, tie):
+def _cell_backward(params: CellParams, kind, ltape, dh_in, truncated, tie, grads, gblocks):
     """Backward through one gated layer.  ``dh_in`` is (T, units) gradient at
-    the layer's hidden outputs; returns (grads, dx) with dx (T, input_units).
+    the layer's hidden outputs; writes the weight gradients into ``grads``,
+    whose arrays and fused blocks ``gblocks`` are views into one gradient
+    vector, and returns dx (T, input_units).
 
     The time loop only carries the recurrences (state and hidden gradients);
-    all weight gradients are formed afterwards as single time-batched
-    matmuls against the tape.  Truncation keeps only the order-0 DoS paths
-    in the lag weights the state gradient flows through.
+    the gate derivative factors are formed for all T before it, and the
+    weight gradients as single time-batched matmuls against the tape after
+    it.  Truncation keeps only the order-0 DoS paths in the lag weights the
+    state gradient flows through; otherwise the forward's lag weights serve.
     """
     T = ltape.s.shape[0]
     u = params.units
     flow = tuple(n for n in kind.dos_orders if not truncated or n == 0)
-    wx, wh, _bias = gate_weight_stacks(params, tie)
-    lags, cur = lag_weights(params, flow)
-    lags_t = lags.transpose(0, 2, 1)
+    lags, cur = ((ltape.lags, ltape.cur) if flow == kind.dos_orders
+                 else lag_weights(params, flow))
+    lags_t, cur_t, wh_t = lags.transpose(0, 2, 1), cur.T, ltape.wh.T
 
+    i_a, f_a, o_a, g_a, th_a = ltape.i, ltape.f, ltape.o, ltape.g, ltape.tanh_s
+    d_th, d_o, d_i, d_f = 1.0 - th_a * th_a, 1.0 - o_a, 1.0 - i_a, 1.0 - f_a
+    d_g = 1.0 - g_a * g_a
+    s_prev = _shifted(ltape.s)
     dz_all = np.empty((T, 4 * u))
+    dzi_a, dzf_a, dzo_a, dzg_a = (dz_all[:, k * u:(k + 1) * u] for k in range(4))
     dh = dh_in.copy()
     # newest-first like the forward's states: row T-1-t is time t, and lags
     # reaching before the sequence land in the padding rows from T on
     ds = np.zeros((T + len(lags), u))
-    i_a, f_a, o_a, g_a = ltape.i, ltape.f, ltape.o, ltape.g
-    th_a, s_a = ltape.tanh_s, ltape.s
 
     for t in range(T - 1, -1, -1):
         r = T - 1 - t
-        i_t, f_t, o_t, g_t, th = i_a[t], f_a[t], o_a[t], g_a[t], th_a[t]
-        s_prev = s_a[t - 1] if t >= 1 else 0.0
-
-        dht = dh[t]
-        do = dht * th
-        ds[r] += dht * o_t * (1.0 - th * th)
-        dzo = do * o_t * (1.0 - o_t)
+        dht, o_t, dst, dzo = dh[t], o_a[t], ds[r], dzo_a[t]
+        dst += dht * o_t * d_th[t]
+        np.multiply(dht, th_a[t], out=dzo)
+        dzo *= o_t
+        dzo *= d_o[t]
         if flow:
-            ds[r] += cur.T @ dzo
-
-        dst = ds[r]
-        di = dst * g_t
-        df = dst * s_prev
-        dg = dst * i_t
-        ds[r + 1] += dst * f_t
-
-        dzg = dg * (1.0 - g_t * g_t)
-        dzi = di * i_t * (1.0 - i_t)
-        dzf = df * f_t * (1.0 - f_t)
-        dz = np.concatenate([dzi, dzf, dzo, dzg])
+            dst += cur_t @ dzo
+        dzi = np.multiply(dst, g_a[t], out=dzi_a[t])
+        dzi *= i_a[t]
+        dzi *= d_i[t]
+        dzf = np.multiply(dst, s_prev[t], out=dzf_a[t])
+        dzf *= f_a[t]
+        dzf *= d_f[t]
+        dzg = np.multiply(dst, i_a[t], out=dzg_a[t])
+        dzg *= d_g[t]
+        ds[r + 1] += dst * f_a[t]
         if flow:
-            ds[r + 1:r + 1 + len(lags)] += (lags_t @ dz[:, None])[:, :, 0]
-        dz_all[t] = dz
+            ds[r + 1:r + 1 + len(lags)] += (lags_t @ dz_all[t, :, None])[:, :, 0]
         if t >= 1:
-            dh[t - 1] += wh.T @ dz
+            dh[t - 1] += wh_t @ dz_all[t]
 
-    h_prev_all = np.vstack([np.zeros(u), ltape.h[:-1]])
-    gwx = (dz_all.T @ ltape.x).reshape(4, u, -1)
-    gwh = (dz_all.T @ h_prev_all).reshape(4, u, u)
+    gwx, gwh, gb = gblocks
+    np.matmul(dz_all.T, ltape.x, out=gwx)
+    np.matmul(dz_all.T, _shifted(ltape.h), out=gwh)
     if tie:
-        gwh = (gwh[0] + gwh[1] + gwh[2], *np.zeros((2, u, u)), gwh[3])
-    w_id, w_fd, w_od = {}, {}, {}
+        # w_ih serves the i, f and o rows, so it takes their summed gradient;
+        # w_fh and w_oh are unused
+        gwh[:u] += gwh[u:2 * u]
+        gwh[:u] += gwh[2 * u:3 * u]
+        gwh[u:3 * u] = 0.0
     for n in kind.dos_orders:
-        d = dos(n, s_a)             # row t-1 is what the i/f gates see at t
-        w_id[n], w_fd[n] = (dz_all[1:, :2 * u].T @ d[:-1]).reshape(2, u, u)
-        w_od[n] = dz_all[:, 2 * u:3 * u].T @ d
-    # the fused row blocks i, f, o, s are the fields' declaration order
-    return (CellParams(*gwx, *gwh, w_id, w_fd, w_od, *dz_all.sum(axis=0).reshape(4, u)),
-            dz_all @ wx)
+        d = dos(n, ltape.s)         # row t-1 is what the i/f gates see at t
+        grads.w_id[n][...], grads.w_fd[n][...] = (dz_all[1:, :2 * u].T @ d[:-1]).reshape(2, u, u)
+        np.matmul(dzo_a.T, d, out=grads.w_od[n])
+    np.sum(dz_all, axis=0, out=gb)
+    return dz_all @ ltape.wx
 
 
-def _rnn_backward(params: RnnParams, ltape, dh_in):
+def _rnn_backward(params: RnnParams, ltape, dh_in, grads):
     T = ltape.h.shape[0]
-    u = params.units
+    d_h = 1.0 - ltape.h * ltape.h
+    w_hh_t = params.w_hh.T
     dh = dh_in.copy()
-    dz_all = np.empty((T, u))
+    dz_all = np.empty((T, params.units))
     for t in range(T - 1, -1, -1):
-        h_t = ltape.h[t]
-        dz = dh[t] * (1.0 - h_t * h_t)
-        dz_all[t] = dz
+        dz = np.multiply(dh[t], d_h[t], out=dz_all[t])
         if t >= 1:
-            dh[t - 1] += params.w_hh.T @ dz
-    h_prev_all = np.vstack([np.zeros(u), ltape.h[:-1]])
-    return (RnnParams(w_hh=dz_all.T @ h_prev_all, w_hx=dz_all.T @ ltape.x,
-                      b_h=dz_all.sum(axis=0)),
-            dz_all @ params.w_hx)
+            dh[t - 1] += w_hh_t @ dz
+    np.matmul(dz_all.T, _shifted(ltape.h), out=grads.w_hh)
+    np.matmul(dz_all.T, ltape.x, out=grads.w_hx)
+    np.sum(dz_all, axis=0, out=grads.b_h)
+    return dz_all @ params.w_hx
 
 
 def backward(model: Model, tape: Tape, dlogits: np.ndarray, truncated: bool) -> Gradients:
     """Gradient of the loss given its gradient at the post-tanh logits,
-    one row per frame (rows may be zero for frames that carry no loss)."""
+    one row per frame (rows may be zero for frames that carry no loss).
+    The gradients are views into one vector laid out like ``model.theta``."""
     dlogits = np.asarray(dlogits, dtype=np.float64)
     if dlogits.shape != tape.logits.shape:
         raise ValueError(
             f"logit gradient shape {dlogits.shape} does not match tape "
             f"logits {tape.logits.shape}"
         )
-    tie = model.config.tie_gate_hidden_weights
+    vector = np.empty(model.theta.size)
+    *layers, output = param_views(model.layout, vector)
     du_all = dlogits * (1.0 - tape.logits ** 2)
-    grads = Gradients(layers=[], output=OutputParams(
-        w_yh=du_all.T @ tape.layers[-1].h, b_y=du_all.sum(axis=0)))
+    np.matmul(du_all.T, tape.layers[-1].h, out=output.w_yh)
+    np.sum(du_all, axis=0, out=output.b_y)
     dh = du_all @ model.output.w_yh
 
+    tie = model.config.tie_gate_hidden_weights
     for li in range(len(model.layers) - 1, -1, -1):
         kind, _units = model.config.layers[li]
-        params = model.layers[li]
-        ltape = tape.layers[li]
         if kind.kind == "rnn":
-            g, dx = _rnn_backward(params, ltape, dh)
+            dh = _rnn_backward(model.layers[li], tape.layers[li], dh, layers[li])
         else:
-            g, dx = _cell_backward(params, kind, ltape, dh, truncated, tie)
-        grads.layers.insert(0, g)
-        dh = dx
-    for name, arr in model_param_items(grads):
-        if not np.all(np.isfinite(arr)):
-            raise FloatingPointError(f"non-finite gradient in {name}")
+            dh = _cell_backward(model.layers[li], kind, tape.layers[li], dh, truncated, tie,
+                                layers[li], gate_blocks(model.layout[li][1], vector))
+    grads = Gradients(layers=layers, output=output, vector=vector)
+    if not np.isfinite(vector).all():
+        for name, arr in model_param_items(grads):
+            if not np.all(np.isfinite(arr)):
+                raise FloatingPointError(f"non-finite gradient in {name}")
     return grads
 
 

@@ -21,9 +21,10 @@ output gate reads the derivative of the CURRENT state.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import typing
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -59,12 +60,19 @@ class CellKind:
         return max(self.dos_orders, default=0)
 
 
-@dataclass
+# The parameter containers are frozen: a model's arrays are views into its
+# parameter vector, so they are written in place and never rebound.  They
+# compare by identity, as arrays have no single truth value.
+
+
+@dataclass(frozen=True, eq=False)
 class CellParams:
     """All weights of one gated recurrent layer.
 
     The ``w_*d`` dicts map a derivative order to its gate modulation matrix;
-    they are empty for a plain LSTM.
+    they are empty for a plain LSTM.  The fields of each gate group are
+    declared in the fused i, f, o, s order, so in a parameter vector the
+    (4u, in), (4u, u) and (4u,) blocks of the fused gate matmuls are slices.
     """
 
     w_ix: np.ndarray
@@ -92,7 +100,7 @@ class CellParams:
         return self.w_ix.shape[1]
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class RnnParams:
     w_hh: np.ndarray
     w_hx: np.ndarray
@@ -107,7 +115,7 @@ class RnnParams:
         return self.w_hx.shape[1]
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class OutputParams:
     w_yh: np.ndarray
     b_y: np.ndarray
@@ -119,6 +127,106 @@ def param_fields(cls) -> tuple[tuple[str, bool], ...]:
     dataclass, in declaration order: the order of gradients and checkpoints."""
     hints = typing.get_type_hints(cls)
     return tuple((name, typing.get_origin(hint) is dict) for name, hint in hints.items())
+
+
+def param_items(p, prefix=""):
+    """Yield (name, array) for every array of a parameter container, in field
+    order; a per-order dict field yields ``name[n]`` per order n, ascending."""
+    for name, per_order in param_fields(type(p)):
+        value = getattr(p, name)
+        if per_order:
+            for n in sorted(value):
+                yield f"{prefix}{name}[{n}]", value[n]
+        else:
+            yield prefix + name, value
+
+
+def map_params(fn, p):
+    """A container of ``p``'s type holding ``fn(array)`` for each array."""
+    kw = {}
+    for name, per_order in param_fields(type(p)):
+        value = getattr(p, name)
+        kw[name] = {n: fn(m) for n, m in value.items()} if per_order else fn(value)
+    return type(p)(**kw)
+
+
+def model_param_items(obj):
+    """Works for both Model and Gradients."""
+    for li, p in enumerate(obj.layers):
+        yield from param_items(p, f"layer{li}.")
+    yield from param_items(obj.output, "output.")
+
+
+class _Orders(dict):
+    """The per-order matrices of a container whose arrays are views into one
+    vector: an entry can be written in place but not rebound or removed.
+    Copies and pickles are plain dicts, which the next packing wraps again."""
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("per-order matrices are views into a parameter vector; "
+                        "write them in place")
+
+    __setitem__ = __delitem__ = __ior__ = _refuse
+    clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce__(self):
+        return dict, (dict(self),)
+
+
+def pack(containers) -> tuple[np.ndarray, tuple]:
+    """A copy of the arrays of ``containers`` laid end to end in one vector,
+    in ``param_items`` order, and the layout that says where each sits: per
+    container (class, fields); per field (name, per_order, entries); per
+    array an entry (order, start, stop, shape), order None for a plain
+    field."""
+    layout, arrays, at = [], [], 0
+    for p in containers:
+        fields = []
+        for name, per_order in param_fields(type(p)):
+            value = getattr(p, name)
+            entries = []
+            for n, a in sorted(value.items()) if per_order else [(None, value)]:
+                a = np.asarray(a)
+                arrays.append(a.ravel())
+                entries.append((n, at, at + a.size, a.shape))
+                at += a.size
+            fields.append((name, per_order, tuple(entries)))
+        layout.append((type(p), tuple(fields)))
+    return np.concatenate(arrays), tuple(layout)
+
+
+def param_views(layout, vec: np.ndarray) -> list:
+    """Containers as ``layout`` describes them, holding views into ``vec``."""
+    containers = []
+    for cls, fields in layout:
+        kw = {}
+        for name, per_order, entries in fields:
+            if per_order:
+                kw[name] = _Orders({n: vec[a:b].reshape(shape) for n, a, b, shape in entries})
+            else:
+                (_, a, b, shape), = entries
+                kw[name] = vec[a:b].reshape(shape)
+        containers.append(cls(**kw))
+    return containers
+
+
+_FUSED = (("w_ix", "w_fx", "w_ox", "w_sx"), ("w_ih", "w_fh", "w_oh", "w_sh"),
+          ("b_i", "b_f", "b_o", "b_s"))
+
+
+def gate_blocks(fields, vec: np.ndarray) -> tuple:
+    """The fused input-side (4u, in), hidden-side (4u, u) and bias (4u,)
+    blocks of a gated layer whose ``fields`` (from ``pack``'s layout) sit in
+    ``vec``: views, since each block's i, f, o, s parts are laid out in turn."""
+    at = {name: entries[0] for name, per_order, entries in fields if not per_order}
+    blocks = []
+    for names in _FUSED:
+        _, start, _, shape = at[names[0]]
+        _, _, stop, _ = at[names[-1]]
+        if any(at[name][3] != shape for name in names):
+            raise ShapeMismatchError(f"{', '.join(names)} differ in shape")
+        blocks.append(vec[start:stop].reshape(4 * shape[0], *shape[1:]))
+    return tuple(blocks)
 
 
 @dataclass(frozen=True)
@@ -137,12 +245,45 @@ class StackConfig:
             raise ValueError("input and layer units must be >= 1")
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Model:
+    """A stack's weights, all views into one parameter vector ``theta``.
+
+    ``theta`` lays out the arrays of ``layers`` and then ``output`` in
+    ``param_items`` order, so an SGD step is one vector update and each gated
+    layer's fused gate blocks (``gates``, from ``gate_blocks``) are views
+    too.  Construction copies the arrays of the given containers into a new
+    vector and new containers and leaves the given ones untouched; so a copy
+    made by ``copy.deepcopy``, ``dataclasses.replace`` or ``pickle`` owns a
+    vector of its own (in the dtype of its arrays: longdouble for gradient
+    checks).
+    """
+
     config: StackConfig
-    layers: list  # CellParams | RnnParams, parallel to config.layers
+    layers: tuple  # CellParams | RnnParams, parallel to config.layers
     output: OutputParams
     seed: int = 0
+    theta: np.ndarray = field(init=False, repr=False, compare=False)
+    layout: tuple = field(init=False, repr=False, compare=False)
+    gates: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        theta, layout = pack((*self.layers, self.output))
+        views = param_views(layout, theta)
+        init = functools.partial(object.__setattr__, self)
+        init("theta", theta)
+        init("layout", layout)
+        init("layers", tuple(views[:-1]))
+        init("output", views[-1])
+        init("gates", tuple(gate_blocks(fields, theta) if cls is CellParams else None
+                            for cls, fields in layout[:-1]))
+
+    def __getstate__(self):
+        return {"config": self.config, "layers": self.layers, "output": self.output,
+                "seed": self.seed}
+
+    def __setstate__(self, state):
+        self.__init__(**state)
 
 
 def _dos_weight(order: int, j: int) -> float:
@@ -241,7 +382,10 @@ def stacked_lstm_config(depth: int, input_units: int, units: int, classes: int) 
 @dataclass
 class LayerTape:
     """Per-timestep intermediates of one layer; arrays are (T, units),
-    row index = t-1.  A classical RNN layer records only ``x`` and ``h``."""
+    row index = t-1.  A classical RNN layer records only ``x`` and ``h``.
+    A gated layer also keeps the weights its forward ran with, for the
+    backward to reuse: the fused input and hidden gate blocks ``wx`` and
+    ``wh`` and ``lag_weights`` of its derivative orders (``lags``, ``cur``)."""
 
     x: np.ndarray
     h: np.ndarray
@@ -251,6 +395,10 @@ class LayerTape:
     g: np.ndarray | None = None     # candidate tanh activation
     s: np.ndarray | None = None
     tanh_s: np.ndarray | None = None
+    wx: np.ndarray | None = None
+    wh: np.ndarray | None = None
+    lags: np.ndarray | None = None
+    cur: np.ndarray | None = None
 
 
 @dataclass
@@ -259,17 +407,6 @@ class Tape:
 
     layers: list[LayerTape]
     logits: np.ndarray        # (T, classes), post-tanh confidence scores
-
-
-def gate_weight_stacks(params: CellParams, tie: bool):
-    """Per-gate matrices fused for batched evaluation: input-side (4u x in)
-    and hidden-side (4u x u).  Row blocks are ordered i, f, o, s."""
-    w_fh = params.w_ih if tie else params.w_fh
-    w_oh = params.w_ih if tie else params.w_oh
-    wx = np.vstack([params.w_ix, params.w_fx, params.w_ox, params.w_sx])
-    wh = np.vstack([params.w_ih, w_fh, w_oh, params.w_sh])
-    bias = np.concatenate([params.b_i, params.b_f, params.b_o, params.b_s])
-    return wx, wh, bias
 
 
 def lag_weights(params: CellParams, orders):
@@ -294,65 +431,63 @@ def lag_weights(params: CellParams, orders):
     return lags, cur
 
 
-def _layer_forward(params: CellParams, kind: CellKind, tie: bool,
+def _layer_forward(params: CellParams, gates, kind: CellKind, tie: bool,
                    x_all: np.ndarray) -> LayerTape:
+    """One gated layer over the sequence; ``gates`` are the layer's fused
+    gate blocks (``Model.gates``).  Each step writes its activations straight
+    into the tape rows."""
     T = x_all.shape[0]
     u = params.units
     dt = x_all.dtype
     orders = kind.dos_orders
-    wx, wh, bias = gate_weight_stacks(params, tie)
+    wx, wh, bias = gates
+    if tie:
+        # the i, f and o gates all read the hidden state through w_ih
+        wh = np.vstack([params.w_ih, params.w_ih, params.w_ih, params.w_sh])
     lags, cur = lag_weights(params, orders)
     zx = x_all @ wx.T + bias                  # (T, 4u) input-side gate terms
 
     i_a, f_a, o_a, g_a, h_a, th_a = (np.empty((T, u), dt) for _ in range(6))
     # states newest-first: row T-1-t holds s_t and the zero rows from T on the
     # states before the sequence, so step t's lags are the rows T-t .. T-t+K
+    # and its previous state is row T-t
     past = np.zeros((T + len(lags), u), dt)
-    s = np.zeros(u, dt)
+    z = np.empty(4 * u, dt)
+    z_i, z_f, z_o, z_g = z[:u], z[u:2 * u], z[2 * u:3 * u], z[3 * u:]
     h = np.zeros(u, dt)
     for t in range(T):
         r = T - 1 - t
-        z = zx[t] + wh @ h
+        np.add(zx[t], wh @ h, out=z)
         if orders:
             z += (lags @ past[r + 1:r + 1 + len(lags), :, None]).sum(axis=0)[:, 0]
-        i_t = sigmoid(z[:u])
-        f_t = sigmoid(z[u:2 * u])
-        g_t = np.tanh(z[3 * u:])
-        s = f_t * s + i_t * g_t
-        zo = z[2 * u:3 * u]
+        i_t = sigmoid(z_i, out=i_a[t])
+        f_t = sigmoid(z_f, out=f_a[t])
+        g_t = np.tanh(z_g, out=g_a[t])
+        s = np.multiply(f_t, past[r + 1], out=past[r])
+        s += i_t * g_t
         if orders:
-            zo = zo + cur @ s
-        o_t = sigmoid(zo)
-        th = np.tanh(s)
-        h = o_t * th
-        i_a[t], f_a[t], o_a[t], g_a[t] = i_t, f_t, o_t, g_t
-        past[r], h_a[t], th_a[t] = s, h, th
+            z_o += cur @ s
+        h = np.multiply(sigmoid(z_o, out=o_a[t]), np.tanh(s, out=th_a[t]), out=h_a[t])
     return LayerTape(x=x_all, i=i_a, f=f_a, o=o_a, g=g_a, s=past[T - 1::-1],
-                     h=h_a, tanh_s=th_a)
+                     h=h_a, tanh_s=th_a, wx=wx, wh=wh, lags=lags, cur=cur)
 
 
 def _rnn_layer_forward(params: RnnParams, x_all: np.ndarray) -> LayerTape:
     T = x_all.shape[0]
-    u = params.units
     zx = x_all @ params.w_hx.T + params.b_h
-    h_a = np.empty((T, u), x_all.dtype)
-    h = np.zeros(u, x_all.dtype)
+    h_a = np.empty((T, params.units), x_all.dtype)
+    h = np.zeros(params.units, x_all.dtype)
     for t in range(T):
-        h = np.tanh(params.w_hh @ h + zx[t])
-        h_a[t] = h
+        h = np.tanh(np.add(params.w_hh @ h, zx[t], out=h_a[t]), out=h_a[t])
     return LayerTape(x=x_all, h=h_a)
 
 
-def stack_forward(model: Model, frames: np.ndarray) -> Tape:
-    """Run the whole stack over a sequence of frames (T x input_units).
-
-    Layer k consumes layer k-1's hidden states; the final layer's hidden
-    state maps through the tanh output projection to per-frame confidence
-    scores.  Sequence-level scores are those of the last frame.  Frames are
-    cast to the model's weight dtype, so a longdouble copy of a model runs
-    the same equations in extended precision.
-    """
-    frames = np.asarray(frames, dtype=model.output.w_yh.dtype)
+def _layer_tapes(model: Model, frames: np.ndarray):
+    """Run the stack over a sequence of frames (T x input_units), yielding
+    each layer's tape in turn: layer k consumes layer k-1's hidden states.
+    Frames are cast to the model's weight dtype, so a longdouble copy of a
+    model runs the same equations in extended precision."""
+    frames = np.asarray(frames, dtype=model.theta.dtype)
     if frames.ndim != 2 or frames.shape[0] == 0:
         raise ShapeMismatchError("forward pass needs a nonempty (T, dim) sequence")
     if frames.shape[1] != model.config.input_units:
@@ -362,15 +497,24 @@ def stack_forward(model: Model, frames: np.ndarray) -> Tape:
         )
     tie = model.config.tie_gate_hidden_weights
     x_all = frames
-    layer_tapes = []
-    for (kind, _units), params in zip(model.config.layers, model.layers):
+    for (kind, _units), params, gates in zip(model.config.layers, model.layers, model.gates):
         if kind.kind == "rnn":
             tape = _rnn_layer_forward(params, x_all)
         else:
-            tape = _layer_forward(params, kind, tie, x_all)
-        layer_tapes.append(tape)
+            tape = _layer_forward(params, gates, kind, tie, x_all)
+        yield tape
         x_all = tape.h
-    logits = np.tanh(x_all @ model.output.w_yh.T + model.output.b_y)
+
+
+def stack_forward(model: Model, frames: np.ndarray) -> Tape:
+    """Run the whole stack over a sequence of frames (T x input_units).
+
+    The final layer's hidden state maps through the tanh output projection
+    to per-frame confidence scores.  Sequence-level scores are those of the
+    last frame.
+    """
+    layer_tapes = list(_layer_tapes(model, frames))
+    logits = np.tanh(layer_tapes[-1].h @ model.output.w_yh.T + model.output.b_y)
     return Tape(layers=layer_tapes, logits=logits)
 
 
@@ -385,13 +529,14 @@ def dos_energy(model: Model, frames: np.ndarray, layer: int) -> np.ndarray:
     """Per-frame L2 norms of the state derivatives of one layer.
 
     Returns (T, max_order+1): column k is |d^(k) s_t| for orders 0..max_order
-    of the chosen layer (a plain LSTM layer reports order 0 only).
+    of the chosen layer (a plain LSTM layer reports order 0 only).  Only the
+    layers up to the chosen one run.
     """
     if not 0 <= layer < len(model.config.layers):
         raise IndexError(f"layer index {layer} out of range")
     kind, _units = model.config.layers[layer]
     if kind.kind == "rnn":
         raise ValueError("classical RNN layers have no internal state derivatives")
-    s = stack_forward(model, frames).layers[layer].s
+    s = next(itertools.islice(_layer_tapes(model, frames), layer, None)).s
     return np.stack([np.linalg.norm(dos(k, s), axis=1)
                      for k in range(kind.max_order + 1)], axis=1)

@@ -36,6 +36,13 @@ class EnsembleModel:
     def __post_init__(self):
         if not any(a > 0 for _, a in self.members):
             raise ValueError("ensemble needs at least one positively weighted member")
+        for i, (model, _alpha) in enumerate(self.members):
+            if model.config.output_classes != self.n_classes:
+                raise ValueError(f"member {i} has {model.config.output_classes} classes, "
+                                 f"the ensemble {self.n_classes}")
+            if model.config.input_units != self.members[0][0].config.input_units:
+                raise ValueError(f"member {i} takes {model.config.input_units} inputs, "
+                                 f"member 0 {self.members[0][0].config.input_units}")
 
 
 def samme_round(is_wrong: np.ndarray, weights: np.ndarray, k: int):
@@ -148,9 +155,14 @@ def ensemble_load(path) -> EnsembleModel:
         raise CheckpointError(f"cannot read ensemble {path}: {exc}") from exc
     try:
         members = [(m["checkpoint"], _alpha(m["alpha"])) for m in doc["members"]]
-        n_classes = int(doc["n_classes"])
+        n_classes = doc["n_classes"]
+        if type(n_classes) is not int or n_classes < 2:
+            raise TypeError(f"n_classes {n_classes!r} is not an integer >= 2")
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{path} is not an ensemble file "
                               f"({type(exc).__name__}: {exc})") from exc
-    return EnsembleModel(members=[(model_from_doc(c), a) for c, a in members],
-                         n_classes=n_classes)
+    members = [(model_from_doc(c), a) for c, a in members]
+    try:
+        return EnsembleModel(members=members, n_classes=n_classes)
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: {exc}") from exc

@@ -32,11 +32,12 @@ def as_vector(x) -> np.ndarray:
     return v
 
 
-def sigmoid(v: np.ndarray) -> np.ndarray:
+def sigmoid(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Numerically stable logistic function, elementwise, in the dtype of
-    ``v``.  exp only ever sees -|v|, so neither branch can overflow."""
+    ``v``, written into ``out`` if given.  exp only ever sees -|v|, so
+    neither branch can overflow: 1 / (1 + e) for v >= 0, e / (1 + e) below."""
     e = np.exp(-np.abs(v))
-    return np.where(v >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.divide(np.where(v >= 0, 1.0, e), 1.0 + e, out=out)
 
 
 def softmax(y: np.ndarray) -> np.ndarray:

@@ -14,12 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backprop import (
-    Gradients,
-    backward,
-    model_param_items,
-    param_items,
-)
+from .backprop import Gradients, backward
 from .cells import (
     CellKind,
     CellParams,
@@ -27,7 +22,9 @@ from .cells import (
     OutputParams,
     RnnParams,
     StackConfig,
+    model_param_items,
     param_fields,
+    param_items,
     stack_forward,
 )
 from .numerics import seeded_rng, softmax
@@ -103,19 +100,21 @@ def loss_frame(logits: np.ndarray, labels) -> tuple[float, np.ndarray]:
 
 
 def _grad_norm(grads: Gradients) -> float:
+    # a sum of per-array sums of squares, not one sum over the vector: the
+    # two round differently
     return math.sqrt(sum(float(np.sum(a * a)) for _, a in model_param_items(grads)))
 
 
 def apply_sgd_step(model: Model, grads: Gradients, lr: float,
                    clip_norm: float | None = None) -> None:
+    """One step on the model's parameter vector; ``grads`` is left as it is."""
+    g = grads.flat()
     if clip_norm is not None:
         norm = _grad_norm(grads)
         if norm > clip_norm:
-            scale = clip_norm / norm
-            for _, a in model_param_items(grads):
-                a *= scale
-    for (_, p), (_, g) in zip(model_param_items(model), model_param_items(grads)):
-        p -= lr * g
+            g = g * (clip_norm / norm)
+    theta = model.theta
+    theta -= lr * g
 
 
 def _zero_confusion(model: Model, dataset, verb: str) -> np.ndarray:
@@ -227,17 +226,16 @@ def _layer_from_json(doc: dict):
     return _params_from_json(_LAYER_TYPES[doc["type"]], doc)
 
 
-def _check_against_config(model: Model) -> None:
-    """Every stored weight must be the one ``model.config`` implies: layer
-    types match kinds, derivative-order keys match ``dos_orders``, shapes
-    chain from ``input_units`` and all values are finite."""
-    config = model.config
-    if len(model.layers) != len(config.layers):
+def _check_against_config(config: StackConfig, layers, output) -> None:
+    """Every stored weight must be the one ``config`` implies: layer types
+    match kinds, derivative-order keys match ``dos_orders``, shapes chain
+    from ``input_units`` and all values are finite."""
+    if len(layers) != len(config.layers):
         raise CheckpointError(f"config lists {len(config.layers)} layers, "
-                              f"checkpoint stores {len(model.layers)}")
+                              f"checkpoint stores {len(layers)}")
     arrays = []   # (name, array, expected shape)
     in_units = config.input_units
-    for li, ((kind, units), p) in enumerate(zip(config.layers, model.layers)):
+    for li, ((kind, units), p) in enumerate(zip(config.layers, layers)):
         if type(p) is not (RnnParams if kind.kind == "rnn" else CellParams):
             raise CheckpointError(f"layer {li}: a {kind.kind} layer cannot hold "
                                   f"{type(p).__name__} weights")
@@ -253,8 +251,8 @@ def _check_against_config(model: Model) -> None:
             arrays.append((name, arr, (units,) if base.startswith("b_") else (units, cols)))
         in_units = units
     k = config.output_classes
-    arrays += [("output.w_yh", model.output.w_yh, (k, in_units)),
-               ("output.b_y", model.output.b_y, (k,))]
+    arrays += [("output.w_yh", output.w_yh, (k, in_units)),
+               ("output.b_y", output.b_y, (k,))]
     for name, arr, want in arrays:
         if arr.shape != want:
             raise CheckpointError(f"{name} has shape {arr.shape}, expected {want}")
@@ -298,10 +296,8 @@ def model_from_doc(doc: dict) -> Model:
         output = _params_from_json(OutputParams, doc["output"])
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise CheckpointError(f"malformed checkpoint: {exc}") from exc
-    model = Model(config=config, layers=layers, output=output,
-                  seed=doc.get("seed", 0))
-    _check_against_config(model)
-    return model
+    _check_against_config(config, layers, output)
+    return Model(config=config, layers=layers, output=output, seed=doc.get("seed", 0))
 
 
 def checkpoint_save(model: Model, path) -> None:

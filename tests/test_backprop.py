@@ -214,7 +214,7 @@ class TestGradCheck:
 
         def corrupted(model, tape, dlogits):
             g = real(model, tape, dlogits)
-            g.layers[0].w_ix = g.layers[0].w_ix * 1.05 + 1e-6
+            g.layers[0].w_ix[...] = g.layers[0].w_ix * 1.05 + 1e-6
             return g
 
         monkeypatch.setattr(bp, "backward_full", corrupted)
@@ -228,7 +228,7 @@ class TestGradCheck:
         # both sides of the check run the production forward; a gate whose
         # forward no longer matches the derivative the backward pass assumes
         # must still fail it
-        monkeypatch.setattr(cells, "sigmoid", lambda v: sigmoid(1.01 * v))
+        monkeypatch.setattr(cells, "sigmoid", lambda v, out=None: sigmoid(1.01 * v, out=out))
         model = build_model(ARCHS["dos1"](), seed=11)
         frames = seeded_rng(12).normal(size=(5, 3))
         assert grad_check(model, frames, label=1).passed is False

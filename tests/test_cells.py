@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import diffrnn.cells as cells
 from diffrnn.backprop import map_params
 from diffrnn.cells import (
     CellKind,
@@ -192,7 +193,7 @@ class TestForwardAgainstReference:
         dos0 = small_model([(CellKind("dos", 0), 4)], seed=2)
         for name in ("w_ix", "w_fx", "w_ox", "w_sx", "w_ih", "w_fh", "w_oh",
                      "w_sh", "b_i", "b_f", "b_o", "b_s"):
-            setattr(dos0.layers[0], name, getattr(lstm.layers[0], name).copy())
+            getattr(dos0.layers[0], name)[...] = getattr(lstm.layers[0], name)
         frames = random_frames(seeded_rng(3), 6, 3)
         a = stack_forward(lstm, frames).logits
         b = stack_forward(dos0, frames).logits
@@ -281,6 +282,18 @@ class TestPredictAndEnergy:
         s = list(stack_forward(model, frames).layers[1].s)
         for t in range(5):
             assert abs(e[t, 1] - np.linalg.norm(ref_dos(1, s, t))) < 1e-12
+
+    @pytest.mark.parametrize("layer", [0, 1, 2])
+    def test_dos_energy_runs_only_the_layers_it_reports(self, monkeypatch, layer):
+        model = build_model(d2rnn_config(3, 3, 4, 2), seed=4)
+        frames = random_frames(seeded_rng(6), 5, 3)
+        s = stack_forward(model, frames).layers[layer].s
+        want = np.stack([np.linalg.norm(dos(k, s), axis=1) for k in range(layer + 1)], axis=1)
+        runs = []
+        real = cells._layer_forward
+        monkeypatch.setattr(cells, "_layer_forward", lambda *a: runs.append(1) or real(*a))
+        assert np.array_equal(dos_energy(model, frames, layer), want)
+        assert len(runs) == layer + 1
 
     def test_dos_energy_rejects_rnn_layer(self):
         model = small_model([(CellKind("rnn"), 4)])

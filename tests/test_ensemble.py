@@ -132,6 +132,16 @@ class TestPredictEnsemble:
         with pytest.raises(ValueError):
             EnsembleModel(members=[(constant_predictor(0), 0.0)], n_classes=2)
 
+    def test_members_share_the_class_count_and_input_width(self):
+        # a 3-class member of a 2-class ensemble would vote for a class the
+        # score vector does not have
+        with pytest.raises(ValueError, match="member 1 has 3 classes, the ensemble 2"):
+            EnsembleModel(members=[(constant_predictor(0), 1.0),
+                                   (constant_predictor(0, classes=3), 1.0)], n_classes=2)
+        with pytest.raises(ValueError, match="member 1 takes 3 inputs, member 0 2"):
+            EnsembleModel(members=[(constant_predictor(0), 1.0),
+                                   (constant_predictor(0, dim=3), 1.0)], n_classes=2)
+
 
 class TestFitErnn:
     CFG = TrainConfig(epochs=3, learning_rate=0.01, seed=5)
@@ -190,4 +200,25 @@ class TestFitErnn:
             del doc[drop]
             path.write_text(json.dumps(doc))
         with pytest.raises(CheckpointError, match="not an ensemble file"):
+            ensemble_load(path)
+
+    @staticmethod
+    def _saved_with_n_classes(path, model, n_classes):
+        ensemble_save(EnsembleModel(members=[(model, 1.0)],
+                                    n_classes=model.config.output_classes), path)
+        doc = json.loads(path.read_text())
+        doc["n_classes"] = n_classes
+        path.write_text(json.dumps(doc))
+
+    @pytest.mark.parametrize("n_classes", [2.7, "3", True, 1, None, [2]])
+    def test_class_count_must_be_an_integer_of_at_least_two(self, tmp_path, n_classes):
+        path = tmp_path / "ensemble.json"
+        self._saved_with_n_classes(path, constant_predictor(0), n_classes)
+        with pytest.raises(CheckpointError, match="not an ensemble file"):
+            ensemble_load(path)
+
+    def test_member_with_another_class_count_rejected(self, tmp_path):
+        path = tmp_path / "ensemble.json"
+        self._saved_with_n_classes(path, constant_predictor(2, classes=3), 2)
+        with pytest.raises(CheckpointError, match="member 0 has 3 classes, the ensemble 2"):
             ensemble_load(path)

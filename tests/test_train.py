@@ -1,13 +1,23 @@
 import copy
+import dataclasses
 import json
 import math
+import pickle
 import types
 
 import numpy as np
 import pytest
 
-from diffrnn.backprop import backward_full, model_param_items
-from diffrnn.cells import CellKind, StackConfig, build_model, d2rnn_config, stack_forward
+from diffrnn.backprop import Gradients, backward_full, map_params, model_param_items
+from diffrnn.cells import (
+    CellKind,
+    Model,
+    StackConfig,
+    build_model,
+    d2rnn_config,
+    param_items,
+    stack_forward,
+)
 from diffrnn.data import Dataset, gen_synthetic
 from diffrnn.numerics import seeded_rng
 from diffrnn.train import (
@@ -242,6 +252,119 @@ def test_import_binds_the_module():
     import diffrnn.train as train_mod
     assert isinstance(train_mod, types.ModuleType)
     assert train_mod.TrainConfig is TrainConfig
+
+
+def _pickled(model, tmp_path):
+    return pickle.loads(pickle.dumps(model))
+
+
+def _replaced(model, tmp_path):
+    return dataclasses.replace(model)
+
+
+def _checkpointed(model, tmp_path):
+    checkpoint_save(model, tmp_path / "m.json")
+    return checkpoint_load(tmp_path / "m.json")
+
+
+def _deepcopied(model, tmp_path):
+    return copy.deepcopy(model)
+
+
+class TestParameterVector:
+    """Every array of a model is a view into its one vector ``theta``."""
+
+    CONFIG = StackConfig(((CellKind("rnn"), 3), (CellKind("drnn", 2), 4),
+                          (CellKind("dos", 1), 3)), 3, 2, tie_gate_hidden_weights=True)
+
+    def assert_packed(self, model):
+        items = list(model_param_items(model))
+        assert all(np.shares_memory(a, model.theta) for _, a in items)
+        assert np.array_equal(np.concatenate([a.ravel() for _, a in items]), model.theta)
+        for p, gates in zip(model.layers, model.gates):
+            if gates is not None:
+                wx, wh, bias = gates
+                assert np.shares_memory(wx, model.theta)
+                assert np.array_equal(wx, np.vstack([p.w_ix, p.w_fx, p.w_ox, p.w_sx]))
+                assert np.array_equal(wh, np.vstack([p.w_ih, p.w_fh, p.w_oh, p.w_sh]))
+                assert np.array_equal(bias, np.concatenate([p.b_i, p.b_f, p.b_o, p.b_s]))
+
+    @pytest.mark.parametrize("make_copy", [_deepcopied, _replaced, _pickled, _checkpointed])
+    def test_copies_own_a_vector_and_train_like_the_original(self, make_copy, tmp_path):
+        model = build_model(self.CONFIG, seed=3)
+        ds = tiny_dataset()
+        cfg = TrainConfig(epochs=1, learning_rate=0.1, mode="frame", clip_norm=0.5)
+        clone = make_copy(model, tmp_path)
+        self.assert_packed(clone)
+        assert not np.shares_memory(clone.theta, model.theta)
+        before = params_snapshot(model)
+        m_clone = sgd_epoch(clone, ds, cfg)
+        for name, arr in model_param_items(model):
+            assert np.array_equal(arr, before[name]), name
+        m_model = sgd_epoch(model, ds, cfg)
+        assert m_clone.mean_loss == m_model.mean_loss
+        assert np.array_equal(clone.theta, model.theta)
+
+    def test_longdouble_copy_packs_in_longdouble(self):
+        model = build_model(self.CONFIG, seed=3)
+        ld = dataclasses.replace(model, layers=[map_params(lambda a: a.astype(np.longdouble), p)
+                                                for p in model.layers],
+                                 output=map_params(lambda a: a.astype(np.longdouble),
+                                                   model.output))
+        assert ld.theta.dtype == np.longdouble
+        self.assert_packed(ld)
+
+    def test_packing_leaves_the_given_containers_alone(self):
+        built = build_model(self.CONFIG, seed=3)
+        layers = [map_params(np.copy, p) for p in built.layers]
+        output = map_params(np.copy, built.output)
+        given = [a.copy() for p in (*layers, output) for _, a in param_items(p)]
+        model = Model(self.CONFIG, layers=layers, output=output, seed=3)
+        self.assert_packed(model)
+        sgd_epoch(model, tiny_dataset(), TrainConfig(epochs=1, learning_rate=0.5))
+        arrays = [a for p in (*layers, output) for _, a in param_items(p)]
+        assert not any(np.shares_memory(a, model.theta) for a in arrays)
+        assert all(np.array_equal(a, b) for a, b in zip(arrays, given))
+        assert all(type(p.w_id) is dict for p in layers[1:])
+
+    def test_rebinding_a_field_is_refused(self):
+        model = build_model(self.CONFIG, seed=3)
+        p = model.layers[1]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            p.w_ix = np.zeros_like(p.w_ix)
+        with pytest.raises(TypeError, match="write them in place"):
+            p.w_id[1] = np.zeros_like(p.w_id[1])
+        with pytest.raises(TypeError):
+            p.w_od.pop(0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            model.output = map_params(np.copy, model.output)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            model.theta = model.theta.copy()
+
+    def test_writes_in_place_reach_the_forward(self):
+        model = build_model(self.CONFIG, seed=3)
+        frames = tiny_dataset().sequences[0].frames
+        before = stack_forward(model, frames).logits
+        model.layers[1].w_ix[...] = 0.0
+        assert not np.array_equal(stack_forward(model, frames).logits, before)
+        assert not np.any(model.gates[1][0][:4])
+
+    @pytest.mark.parametrize("clip", [None, 0.5])
+    def test_hand_built_gradients_step_like_backward(self, clip):
+        model = build_model(self.CONFIG, seed=3)
+        seq = tiny_dataset().sequences[0]
+        tape = stack_forward(model, seq.frames)
+        _, dlogits = loss_frame(tape.logits, [seq.label])
+        grads = backward_full(model, tape, dlogits)
+        hand = Gradients(layers=[map_params(np.copy, p) for p in grads.layers],
+                         output=map_params(np.copy, grads.output))
+        kept = hand.flat().copy()
+        a, b = copy.deepcopy(model), copy.deepcopy(model)
+        apply_sgd_step(a, grads, 0.3, clip)
+        apply_sgd_step(b, hand, 0.3, clip)
+        assert np.array_equal(a.theta, b.theta)
+        assert not np.array_equal(a.theta, model.theta)
+        assert np.array_equal(hand.flat(), kept)
 
 
 class TestClassCount:
