@@ -13,7 +13,10 @@ tiny seeded models and compares them bit for bit:
 * per trained model, the logits, the gradients ``backward`` gives on a
   held-out sequence, ``evaluate`` on the held-out set and ``dos_energy`` of
   every gated layer;
-* one ``grad_check`` report per architecture.
+* one ``grad_check`` report per architecture;
+* the PCA projection ``apply_preprocess`` gives on noisy 16-dim data, fitted
+  at energies 0.9 and 1.0, so that every frame goes through a many-component
+  projection.
 
     python3 scripts/tensor_parity.py PARENT_SRC CHANGE_SRC
 
@@ -48,7 +51,7 @@ def dump(path: str) -> None:
     """Write every result of the tree on ``sys.path`` to ``path`` (.npz)."""
     from diffrnn.backprop import backward, grad_check, model_param_items
     from diffrnn.cells import CellKind, StackConfig, build_model, dos_energy, stack_forward
-    from diffrnn.data import Dataset, gen_synthetic
+    from diffrnn.data import Dataset, apply_preprocess, fit_preprocess, gen_synthetic
     from diffrnn.train import TrainConfig, evaluate, loss_frame, train
 
     data = gen_synthetic("mixed", CLASSES, COUNT + CLASSES, LENGTH, DIM, 0.3, seed=7)
@@ -94,6 +97,10 @@ def dump(path: str) -> None:
             [[e.analytic, e.numeric, e.rel_error] for e in report.entries])
         out[f"{arch}/grad_check_summary"] = np.array([report.max_rel_error, report.passed])
         out[f"{arch}/grad_check_names"] = np.array([e.name for e in report.entries])
+    noisy = gen_synthetic("mixed", CLASSES, 12, 20, 16, 1.0, seed=11)
+    for energy in (0.9, 1.0):
+        projected = apply_preprocess(fit_preprocess(noisy, energy), noisy)
+        out[f"pca/energy={energy}"] = np.stack([s.frames for s in projected.sequences])
     np.savez(path, **out)
 
 

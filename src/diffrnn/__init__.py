@@ -16,7 +16,7 @@ from .cells import (
     stack_forward,
     stacked_lstm_config,
 )
-from .backprop import backward_full, backward_truncated, grad_check
+from .backprop import backward, grad_check
 from .data import Dataset, KFold, MonteCarlo, Sequence, gen_synthetic, load_jsonl, save_jsonl
 from .ensemble import EnsembleModel, fit_ernn, predict_ensemble
 from .train import Metrics, TrainConfig, checkpoint_load, checkpoint_save, evaluate

@@ -21,7 +21,7 @@ oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -32,7 +32,6 @@ from .cells import (
     RnnParams,
     Tape,
     dos,
-    gate_blocks,
     lag_weights,
     map_params,
     model_param_items,
@@ -44,20 +43,12 @@ from .numerics import softmax
 
 @dataclass
 class Gradients:
-    """Shape-congruent mirror of a model's parameters.
-
-    ``backward`` fills one vector laid out like the model's ``theta`` and
-    hands out views into it as ``vector``; a hand-built instance has none,
-    and ``flat`` lays its arrays end to end when it is asked for them."""
+    """Shape-congruent mirror of a model's parameters: views into one
+    ``vector`` laid out like the model's ``theta``."""
 
     layers: list
     output: OutputParams
-    vector: np.ndarray | None = field(default=None, repr=False, compare=False)
-
-    def flat(self) -> np.ndarray:
-        if self.vector is not None:
-            return self.vector
-        return np.concatenate([np.ravel(a) for _, a in model_param_items(self)])
+    vector: np.ndarray
 
 
 def _shifted(rows: np.ndarray) -> np.ndarray:
@@ -164,7 +155,7 @@ def backward(model: Model, tape: Tape, dlogits: np.ndarray, truncated: bool) -> 
             f"logits {tape.logits.shape}"
         )
     vector = np.empty(model.theta.size)
-    *layers, output = param_views(model.layout, vector)
+    (*layers, output), gates = param_views(model.layout, vector)
     du_all = dlogits * (1.0 - tape.logits ** 2)
     np.matmul(du_all.T, tape.layers[-1].h, out=output.w_yh)
     np.sum(du_all, axis=0, out=output.b_y)
@@ -177,21 +168,13 @@ def backward(model: Model, tape: Tape, dlogits: np.ndarray, truncated: bool) -> 
             dh = _rnn_backward(model.layers[li], tape.layers[li], dh, layers[li])
         else:
             dh = _cell_backward(model.layers[li], kind, tape.layers[li], dh, truncated, tie,
-                                layers[li], gate_blocks(model.layout[li][1], vector))
+                                layers[li], gates[li])
     grads = Gradients(layers=layers, output=output, vector=vector)
     if not np.isfinite(vector).all():
         for name, arr in model_param_items(grads):
             if not np.all(np.isfinite(arr)):
                 raise FloatingPointError(f"non-finite gradient in {name}")
     return grads
-
-
-def backward_full(model: Model, tape: Tape, dlogits) -> Gradients:
-    return backward(model, tape, dlogits, truncated=False)
-
-
-def backward_truncated(model: Model, tape: Tape, dlogits) -> Gradients:
-    return backward(model, tape, dlogits, truncated=True)
 
 
 @dataclass
@@ -237,8 +220,7 @@ def grad_check(model: Model, frames: np.ndarray, label: int,
 
     tape = stack_forward(model, frames)
     _, dlogits = loss_frame(tape.logits, [label])
-    grads = backward_full(model, tape, dlogits)
-    analytic = dict(model_param_items(grads))
+    analytic = backward(model, tape, dlogits, truncated=False).vector
 
     def to_ld(a):
         return a.astype(np.longdouble)
@@ -246,32 +228,29 @@ def grad_check(model: Model, frames: np.ndarray, label: int,
     ld_model = replace(model, layers=[map_params(to_ld, p) for p in model.layers],
                        output=map_params(to_ld, model.output))
     ld_frames = np.asarray(frames, dtype=np.longdouble)
-    ld_shadow = dict(model_param_items(ld_model))
+    theta = ld_model.theta
     hl = np.longdouble(h)
 
     def loss_now():
         return -np.log(softmax(stack_forward(ld_model, ld_frames).logits[-1])[label])
 
+    # entry k of both vectors is the k-th entry in C order of the arrays in
+    # param_items order
+    names = (f"{name}{list(idx)}" for name, arr in model_param_items(model)
+             for idx in np.ndindex(arr.shape))
     entries = []
-    for name, arr in model_param_items(model):
-        ga = analytic[name]
-        ld_arr = ld_shadow[name]
-        it = np.nditer(arr, flags=["multi_index"])
-        for _ in it:
-            idx = it.multi_index
-            orig = ld_arr[idx]
-            ld_arr[idx] = orig + hl
-            lp = loss_now()
-            ld_arr[idx] = orig - hl
-            lm = loss_now()
-            ld_arr[idx] = orig
-            gn = float((lp - lm) / (2.0 * hl))
-            if not (math.isfinite(gn) and math.isfinite(float(ga[idx]))):
-                raise FloatingPointError(f"non-finite gradient at {name}{list(idx)}")
-            rel = abs(float(ga[idx]) - gn) / max(abs(float(ga[idx])), abs(gn), 1e-8)
-            entries.append(GradCheckEntry(
-                name=f"{name}{list(idx)}", analytic=float(ga[idx]),
-                numeric=gn, rel_error=rel))
+    for k, name in enumerate(names):
+        orig = theta[k]
+        theta[k] = orig + hl
+        lp = loss_now()
+        theta[k] = orig - hl
+        lm = loss_now()
+        theta[k] = orig
+        gn, ga = float((lp - lm) / (2.0 * hl)), float(analytic[k])
+        if not (math.isfinite(gn) and math.isfinite(ga)):
+            raise FloatingPointError(f"non-finite gradient at {name}")
+        rel = abs(ga - gn) / max(abs(ga), abs(gn), 1e-8)
+        entries.append(GradCheckEntry(name=name, analytic=ga, numeric=gn, rel_error=rel))
     worst = max(entries, key=lambda e: e.rel_error)
     return GradCheckReport(entries=entries, max_rel_error=worst.rel_error,
                            worst=worst.name, passed=worst.rel_error < tol)

@@ -173,12 +173,20 @@ class _Orders(dict):
         return dict, (dict(self),)
 
 
+# the i, f, o, s fields of each fused gate block of a gated layer
+_FUSED = (("w_ix", "w_fx", "w_ox", "w_sx"), ("w_ih", "w_fh", "w_oh", "w_sh"),
+          ("b_i", "b_f", "b_o", "b_s"))
+
+
 def pack(containers) -> tuple[np.ndarray, tuple]:
     """A copy of the arrays of ``containers`` laid end to end in one vector,
     in ``param_items`` order, and the layout that says where each sits: per
-    container (class, fields); per field (name, per_order, entries); per
-    array an entry (order, start, stop, shape), order None for a plain
-    field."""
+    container (class, fields, fused); per field (name, per_order, entries);
+    per array an entry (order, start, stop, shape), order None for a plain
+    field.  ``fused`` is None but for a gated layer, where it holds the
+    (start, stop, shape) of the fused input-side (4u, in), hidden-side
+    (4u, u) and bias (4u,) gate blocks: slices, since each block's i, f, o,
+    s parts are laid out in turn."""
     layout, arrays, at = [], [], 0
     for p in containers:
         fields = []
@@ -191,14 +199,26 @@ def pack(containers) -> tuple[np.ndarray, tuple]:
                 entries.append((n, at, at + a.size, a.shape))
                 at += a.size
             fields.append((name, per_order, tuple(entries)))
-        layout.append((type(p), tuple(fields)))
+        fused = None
+        if type(p) is CellParams:
+            plain = {name: entries[0] for name, per_order, entries in fields if not per_order}
+            fused = []
+            for names in _FUSED:
+                (_, start, _, shape), (_, _, stop, _) = plain[names[0]], plain[names[-1]]
+                if any(plain[name][3] != shape for name in names):
+                    raise ShapeMismatchError(f"{', '.join(names)} differ in shape")
+                fused.append((start, stop, (4 * shape[0], *shape[1:])))
+            fused = tuple(fused)
+        layout.append((type(p), tuple(fields), fused))
     return np.concatenate(arrays), tuple(layout)
 
 
-def param_views(layout, vec: np.ndarray) -> list:
-    """Containers as ``layout`` describes them, holding views into ``vec``."""
-    containers = []
-    for cls, fields in layout:
+def param_views(layout, vec: np.ndarray) -> tuple[list, list]:
+    """Containers as ``layout`` describes them, holding views into ``vec``,
+    and per container its fused gate blocks, views too (None but for a
+    gated layer)."""
+    containers, gates = [], []
+    for cls, fields, fused in layout:
         kw = {}
         for name, per_order, entries in fields:
             if per_order:
@@ -207,26 +227,8 @@ def param_views(layout, vec: np.ndarray) -> list:
                 (_, a, b, shape), = entries
                 kw[name] = vec[a:b].reshape(shape)
         containers.append(cls(**kw))
-    return containers
-
-
-_FUSED = (("w_ix", "w_fx", "w_ox", "w_sx"), ("w_ih", "w_fh", "w_oh", "w_sh"),
-          ("b_i", "b_f", "b_o", "b_s"))
-
-
-def gate_blocks(fields, vec: np.ndarray) -> tuple:
-    """The fused input-side (4u, in), hidden-side (4u, u) and bias (4u,)
-    blocks of a gated layer whose ``fields`` (from ``pack``'s layout) sit in
-    ``vec``: views, since each block's i, f, o, s parts are laid out in turn."""
-    at = {name: entries[0] for name, per_order, entries in fields if not per_order}
-    blocks = []
-    for names in _FUSED:
-        _, start, _, shape = at[names[0]]
-        _, _, stop, _ = at[names[-1]]
-        if any(at[name][3] != shape for name in names):
-            raise ShapeMismatchError(f"{', '.join(names)} differ in shape")
-        blocks.append(vec[start:stop].reshape(4 * shape[0], *shape[1:]))
-    return tuple(blocks)
+        gates.append(fused and tuple(vec[a:b].reshape(shape) for a, b, shape in fused))
+    return containers, gates
 
 
 @dataclass(frozen=True)
@@ -251,12 +253,12 @@ class Model:
 
     ``theta`` lays out the arrays of ``layers`` and then ``output`` in
     ``param_items`` order, so an SGD step is one vector update and each gated
-    layer's fused gate blocks (``gates``, from ``gate_blocks``) are views
-    too.  Construction copies the arrays of the given containers into a new
-    vector and new containers and leaves the given ones untouched; so a copy
-    made by ``copy.deepcopy``, ``dataclasses.replace`` or ``pickle`` owns a
-    vector of its own (in the dtype of its arrays: longdouble for gradient
-    checks).
+    layer's fused gate blocks (``gates``, where ``layout`` places them) are
+    views too.  Construction copies the arrays of the given containers into
+    a new vector and new containers and leaves the given ones untouched; so
+    a copy made by ``copy.deepcopy``, ``dataclasses.replace`` or ``pickle``
+    owns a vector of its own (in the dtype of its arrays: longdouble for
+    gradient checks).
     """
 
     config: StackConfig
@@ -269,14 +271,13 @@ class Model:
 
     def __post_init__(self):
         theta, layout = pack((*self.layers, self.output))
-        views = param_views(layout, theta)
+        (*layers, output), gates = param_views(layout, theta)
         init = functools.partial(object.__setattr__, self)
         init("theta", theta)
         init("layout", layout)
-        init("layers", tuple(views[:-1]))
-        init("output", views[-1])
-        init("gates", tuple(gate_blocks(fields, theta) if cls is CellParams else None
-                            for cls, fields in layout[:-1]))
+        init("layers", tuple(layers))
+        init("output", output)
+        init("gates", tuple(gates[:-1]))
 
     def __getstate__(self):
         return {"config": self.config, "layers": self.layers, "output": self.output,

@@ -17,7 +17,7 @@ feature space, plus optional isotropic noise.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -265,9 +265,5 @@ def fit_preprocess(train_split: Dataset, energy: float = 0.9) -> PcaTransform:
 
 
 def apply_preprocess(t: PcaTransform, dataset: Dataset) -> Dataset:
-    sequences = []
-    for seq in dataset.sequences:
-        projected = np.stack([pca_apply(t, f) for f in seq.frames])
-        sequences.append(Sequence(frames=projected, label=seq.label, id=seq.id,
-                                  frame_labels=seq.frame_labels, group=seq.group))
+    sequences = [replace(seq, frames=pca_apply(t, seq.frames)) for seq in dataset.sequences]
     return Dataset(sequences=sequences, class_names=list(dataset.class_names))

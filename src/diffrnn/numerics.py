@@ -108,12 +108,16 @@ def pca_fit(samples, energy: float = 0.9) -> PcaTransform:
 
 
 def pca_apply(t: PcaTransform, v: np.ndarray) -> np.ndarray:
-    v = as_vector(v)
-    if v.shape[0] != t.input_dim:
+    """Project a (d,) vector, or each row of a (T, d) array, onto the basis.
+    A batched matmul of one column per row keeps every row bitwise equal to
+    ``basis @ (row - mean)``; ``(v - mean) @ basis.T`` would round
+    differently."""
+    v = np.asarray(v, dtype=np.float64)
+    if v.ndim not in (1, 2) or v.shape[-1] != t.input_dim:
         raise ShapeMismatchError(
-            f"transform expects dimension {t.input_dim}, got {v.shape[0]}"
+            f"transform expects (d,) or (T, d) with d = {t.input_dim}, got shape {v.shape}"
         )
-    return t.basis @ (v - t.mean)
+    return np.matmul(t.basis, (v - t.mean)[..., None])[..., 0]
 
 
 # ---------------------------------------------------------------------------

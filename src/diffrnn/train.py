@@ -108,7 +108,7 @@ def _grad_norm(grads: Gradients) -> float:
 def apply_sgd_step(model: Model, grads: Gradients, lr: float,
                    clip_norm: float | None = None) -> None:
     """One step on the model's parameter vector; ``grads`` is left as it is."""
-    g = grads.flat()
+    g = grads.vector
     if clip_norm is not None:
         norm = _grad_norm(grads)
         if norm > clip_norm:
@@ -205,6 +205,14 @@ def _params_to_json(p) -> dict:
     return doc
 
 
+def _typed(value, kind: type, what: str):
+    """``value`` if its type is exactly ``kind``: neither ``true`` nor
+    ``2.0`` passes as an int."""
+    if type(value) is not kind:
+        raise CheckpointError(f"{what} must be {kind.__name__}, got {value!r}")
+    return value
+
+
 def _params_from_json(cls, doc: dict):
     """A ``cls`` container read from its JSON form; which fields are
     per-order dicts comes from the declaration of ``cls``, not the JSON."""
@@ -214,6 +222,8 @@ def _params_from_json(cls, doc: dict):
         if isinstance(value, dict) != per_order:
             raise CheckpointError(f"{name} must be " + (
                 "a dict of per-order matrices" if per_order else "an array"))
+        if per_order and any(n != str(int(n)) for n in value):
+            raise CheckpointError(f"{name} has keys {list(value)}, not all orders")
         kw[name] = ({int(n): np.asarray(m, dtype=np.float64)
                      for n, m in value.items()} if per_order
                     else np.asarray(value, dtype=np.float64))
@@ -280,24 +290,28 @@ def model_to_doc(model: Model) -> dict:
 def model_from_doc(doc: dict) -> Model:
     if not isinstance(doc, dict) or "format_version" not in doc:
         raise CheckpointError("not a checkpoint file")
-    if doc["format_version"] != CHECKPOINT_VERSION:
+    if type(doc["format_version"]) is not int or doc["format_version"] != CHECKPOINT_VERSION:
         raise CheckpointError(
             f"unsupported checkpoint version {doc['format_version']}")
     try:
         cfg = doc["config"]
+        # CellKind rejects a kind that is not one of its names (strings)
         config = StackConfig(
-            layers=tuple((CellKind(kind, order), units)
+            layers=tuple((CellKind(kind, _typed(order, int, "layer order")),
+                          _typed(units, int, "layer units"))
                          for kind, order, units in cfg["layers"]),
-            input_units=cfg["input_units"],
-            output_classes=cfg["output_classes"],
-            tie_gate_hidden_weights=cfg.get("tie_gate_hidden_weights", False),
+            input_units=_typed(cfg["input_units"], int, "input_units"),
+            output_classes=_typed(cfg["output_classes"], int, "output_classes"),
+            tie_gate_hidden_weights=_typed(cfg.get("tie_gate_hidden_weights", False), bool,
+                                           "tie_gate_hidden_weights"),
         )
+        seed = _typed(doc.get("seed", 0), int, "seed")
         layers = [_layer_from_json(d) for d in doc["layers"]]
         output = _params_from_json(OutputParams, doc["output"])
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise CheckpointError(f"malformed checkpoint: {exc}") from exc
     _check_against_config(config, layers, output)
-    return Model(config=config, layers=layers, output=output, seed=doc.get("seed", 0))
+    return Model(config=config, layers=layers, output=output, seed=seed)
 
 
 def checkpoint_save(model: Model, path) -> None:

@@ -13,12 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from diffrnn.backprop import (
-    backward_full,
-    backward_truncated,
-    grad_check,
-    model_param_items,
-)
+from diffrnn.backprop import backward, grad_check, model_param_items
 from diffrnn.cells import (
     CellKind,
     StackConfig,
@@ -50,8 +45,8 @@ def report(line):
 
 
 def test_criterion_1_gradient_correctness():
-    """backward_full vs central differences (h=1e-5): max rel err < 1e-4 for
-    five architectures x three seeds, within one minute."""
+    """The full backward vs central differences (h=1e-5): max rel err < 1e-4
+    for five architectures x three seeds, within one minute."""
     archs = {
         "lstm": stacked_lstm_config(1, 4, 6, 3),
         "dos1": StackConfig(((CellKind("dos", 1), 6),), 4, 3),
@@ -140,8 +135,8 @@ def test_criterion_3_truncation_contract():
     frames = seeded_rng(9).normal(size=(5, 3))
     tape = stack_forward(model, frames)
     _, dlogits = loss_frame(tape.logits, [0])
-    full = dict(model_param_items(backward_full(model, tape, dlogits)))
-    trunc = dict(model_param_items(backward_truncated(model, tape, dlogits)))
+    full = dict(model_param_items(backward(model, tape, dlogits, truncated=False)))
+    trunc = dict(model_param_items(backward(model, tape, dlogits, truncated=True)))
     assert all(np.array_equal(full[k], trunc[k]) for k in full), \
         "ACCEPTANCE 3: FAIL — zero-DoS model: truncated != full bitwise"
 
@@ -150,8 +145,8 @@ def test_criterion_3_truncation_contract():
     frames = seeded_rng(9).normal(size=(4, 3))
     tape = stack_forward(model, frames)
     _, dlogits = loss_frame(tape.logits, [0])
-    g_full = backward_full(model, tape, dlogits)
-    g_trunc = backward_truncated(model, tape, dlogits)
+    g_full = backward(model, tape, dlogits, truncated=False)
+    g_trunc = backward(model, tape, dlogits, truncated=True)
     diff = float(np.max(np.abs(g_full.layers[0].w_ix - g_trunc.layers[0].w_ix)))
     assert diff > 1e-10, \
         "ACCEPTANCE 3: FAIL — full and truncated agree on order-1 instance"
@@ -162,7 +157,7 @@ def test_criterion_3_truncation_contract():
     frames = seeded_rng(15).normal(size=(5, 3))
     tape = stack_forward(model, frames)
     _, dlogits = loss_frame(tape.logits, [1])
-    trunc = dict(model_param_items(backward_truncated(model, tape, dlogits)))
+    trunc = dict(model_param_items(backward(model, tape, dlogits, truncated=True)))
     frozen = {1: dos(1, tape.layers[0].s).astype(np.longdouble)}
     numeric = _fd_frozen_surrogate(model, kind, frames, 1, frozen)
     worst = max(abs(float(trunc[name][idx]) - gn) for name, idx, gn in numeric)

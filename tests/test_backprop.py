@@ -1,3 +1,5 @@
+import types
+
 import numpy as np
 import pytest
 
@@ -5,8 +7,7 @@ import diffrnn.backprop as bp
 import diffrnn.cells as cells
 from diffrnn.backprop import (
     Gradients,
-    backward_full,
-    backward_truncated,
+    backward,
     grad_check,
     map_params,
     model_param_items,
@@ -44,8 +45,8 @@ def grads_bitwise_equal(a: Gradients, b: Gradients) -> bool:
 class TestContainers:
     def test_zeros_like_model_shapes(self):
         model = build_model(d2rnn_config(2, 3, 4, 2), seed=0)
-        z = Gradients(layers=[map_params(np.zeros_like, p) for p in model.layers],
-                      output=map_params(np.zeros_like, model.output))
+        z = types.SimpleNamespace(layers=[map_params(np.zeros_like, p) for p in model.layers],
+                                  output=map_params(np.zeros_like, model.output))
         for (name, arr), (zname, zarr) in zip(model_param_items(model),
                                               model_param_items(z)):
             assert name == zname
@@ -73,6 +74,21 @@ class TestContainers:
             + [f"layer2.{n}" for n in mats + biases]
             + ["output.w_yh", "output.b_y"])
 
+    @pytest.mark.parametrize("truncated", [False, True], ids=["full", "truncated"])
+    def test_gradients_are_views_into_one_fresh_vector(self, truncated):
+        model = small_model([(CellKind("rnn"), 3), (CellKind("drnn", 2), 4),
+                             (CellKind("dos", 1), 3)], tie=True)
+        tape = stack_forward(model, seeded_rng(1).normal(size=(5, 3)))
+        _, dlogits = loss_frame(tape.logits, [1])
+        grads = backward(model, tape, dlogits, truncated)
+        items = list(model_param_items(grads))
+        assert [n for n, _ in items] == [n for n, _ in model_param_items(model)]
+        assert all(a.base is grads.vector for _, a in items)
+        assert np.array_equal(np.concatenate([a.ravel() for _, a in items]), grads.vector)
+        again = backward(model, tape, dlogits, truncated)
+        assert not np.shares_memory(again.vector, grads.vector)
+        assert np.array_equal(again.vector, grads.vector)
+
     def test_non_finite_gradient_raises(self):
         model = build_model(d2rnn_config(1, 3, 4, 2), seed=0)
         tape = stack_forward(model, np.ones((4, 3)))
@@ -80,13 +96,13 @@ class TestContainers:
         dlogits[-1] = np.inf
         names_one = r"non-finite gradient in (layer0|output)\.\w+"
         with np.errstate(all="ignore"), pytest.raises(FloatingPointError, match=names_one):
-            backward_full(model, tape, dlogits)
+            backward(model, tape, dlogits, truncated=False)
 
     def test_dlogits_shape_checked(self):
         model = build_model(d2rnn_config(1, 3, 4, 2), seed=0)
         tape = stack_forward(model, np.zeros((4, 3)))
         with pytest.raises(ValueError):
-            backward_full(model, tape, np.zeros((3, 2)))
+            backward(model, tape, np.zeros((3, 2)), truncated=False)
 
 
 class TestSequenceLoss:
@@ -111,7 +127,7 @@ class TestOutputLayerClosedForm:
         frames = seeded_rng(3).normal(size=(5, 3))
         tape = stack_forward(model, frames)
         _, dlogits = loss_frame(tape.logits, [1])
-        grads = backward_full(model, tape, dlogits)
+        grads = backward(model, tape, dlogits, truncated=False)
         # y_t = tanh(W h_t + b): dW = sum_t (dy_t * (1 - y_t^2)) h_t^T
         expected_w = np.zeros_like(model.output.w_yh)
         expected_b = np.zeros_like(model.output.b_y)
@@ -160,7 +176,7 @@ class TestHandOneStepLstm:
 
         tape = stack_forward(model, frames)
         _, dlogits = loss_frame(tape.logits, [0])
-        grads = backward_full(model, tape, dlogits)
+        grads = backward(model, tape, dlogits, truncated=False)
         gl = grads.layers[0]
         assert abs(gl.w_ox[0, 0] - exp_w_ox) < 1e-14
         assert abs(gl.w_ix[0, 0] - exp_w_ix) < 1e-14
@@ -178,9 +194,9 @@ class TestLinearity:
         rng = seeded_rng(7)
         d1 = rng.normal(size=tape.logits.shape)
         d2 = rng.normal(size=tape.logits.shape)
-        g1 = backward_full(model, tape, d1)
-        g2 = backward_full(model, tape, d2)
-        g12 = backward_full(model, tape, 2.0 * d1 + 3.0 * d2)
+        g1 = backward(model, tape, d1, truncated=False)
+        g2 = backward(model, tape, d2, truncated=False)
+        g12 = backward(model, tape, 2.0 * d1 + 3.0 * d2, truncated=False)
         combo = dict(model_param_items(g12))
         for (name, a), (_, b) in zip(model_param_items(g1), model_param_items(g2)):
             lhs = combo[name]
@@ -210,14 +226,14 @@ class TestGradCheck:
 
     def test_fault_injection_is_caught(self, monkeypatch):
         # a backward pass that is wrong by 5% anywhere must fail the check
-        real = bp.backward_full
+        real = bp.backward
 
-        def corrupted(model, tape, dlogits):
-            g = real(model, tape, dlogits)
+        def corrupted(model, tape, dlogits, truncated):
+            g = real(model, tape, dlogits, truncated)
             g.layers[0].w_ix[...] = g.layers[0].w_ix * 1.05 + 1e-6
             return g
 
-        monkeypatch.setattr(bp, "backward_full", corrupted)
+        monkeypatch.setattr(bp, "backward", corrupted)
         model = build_model(ARCHS["dos1"](), seed=11)
         frames = seeded_rng(12).normal(size=(5, 3))
         report = bp.grad_check(model, frames, label=1)
@@ -255,24 +271,24 @@ class TestTruncationContract:
         frames = seeded_rng(9).normal(size=(5, 3))
         tape = stack_forward(model, frames)
         _, dlogits = loss_frame(tape.logits, [0])
-        assert grads_bitwise_equal(backward_full(model, tape, dlogits),
-                                   backward_truncated(model, tape, dlogits))
+        assert grads_bitwise_equal(backward(model, tape, dlogits, truncated=False),
+                                   backward(model, tape, dlogits, truncated=True))
 
     def test_order0_cell_never_severed(self):
         model = small_model([(CellKind("dos", 0), 4)], seed=8)
         frames = seeded_rng(9).normal(size=(5, 3))
         tape = stack_forward(model, frames)
         _, dlogits = loss_frame(tape.logits, [0])
-        assert grads_bitwise_equal(backward_full(model, tape, dlogits),
-                                   backward_truncated(model, tape, dlogits))
+        assert grads_bitwise_equal(backward(model, tape, dlogits, truncated=False),
+                                   backward(model, tape, dlogits, truncated=True))
 
     def test_full_differs_on_order1_instance(self):
         model = small_model([(CellKind("dos", 1), 4)], seed=8)
         frames = seeded_rng(9).normal(size=(4, 3))
         tape = stack_forward(model, frames)
         _, dlogits = loss_frame(tape.logits, [0])
-        full = backward_full(model, tape, dlogits)
-        trunc = backward_truncated(model, tape, dlogits)
+        full = backward(model, tape, dlogits, truncated=False)
+        trunc = backward(model, tape, dlogits, truncated=True)
         assert np.max(np.abs(full.layers[0].w_ix - trunc.layers[0].w_ix)) > 1e-10
 
     @pytest.mark.parametrize("kind", [CellKind("dos", 1), CellKind("drnn", 1),
@@ -286,7 +302,7 @@ class TestTruncationContract:
         label = 1
         tape = stack_forward(model, frames)
         _, dlogits = loss_frame(tape.logits, [label])
-        trunc = dict(model_param_items(backward_truncated(model, tape, dlogits)))
+        trunc = dict(model_param_items(backward(model, tape, dlogits, truncated=True)))
 
         frozen = {n: dos(n, tape.layers[0].s).astype(np.longdouble)
                   for n in kind.dos_orders if n >= 1}
@@ -337,7 +353,7 @@ def _fd_frozen_surrogate(model, kind, frames, label, frozen, h=1e-5):
     ld_layers = [map_params(lambda a: a.astype(np.longdouble), p) for p in model.layers]
     ld_output = map_params(lambda a: a.astype(np.longdouble), model.output)
     ld_frames = frames.astype(np.longdouble)
-    shadow = dict(model_param_items(Gradients(layers=ld_layers, output=ld_output)))
+    shadow = dict(model_param_items(types.SimpleNamespace(layers=ld_layers, output=ld_output)))
     hl = np.longdouble(h)
 
     def loss():

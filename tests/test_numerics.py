@@ -160,6 +160,22 @@ class TestPca:
         with pytest.raises(ShapeMismatchError):
             pca_apply(t, np.zeros(3))
 
+    @pytest.mark.parametrize("energy", [0.9, 1.0])
+    def test_sequence_projects_bitwise_like_its_rows(self, energy):
+        rng = seeded_rng(10)
+        frames = rng.normal(size=(20, 16)) @ rng.normal(size=(16, 16))
+        t = pca_fit(list(frames), energy)
+        projected = pca_apply(t, frames)
+        assert projected.shape == (20, t.n_components)
+        rows = np.stack([pca_apply(t, f) for f in frames])
+        assert projected.tobytes() == rows.tobytes()
+
+    @pytest.mark.parametrize("shape", [(4, 3), (4, 1), (2, 4, 2), ()])
+    def test_sequence_width_or_rank_mismatch(self, shape):
+        t = pca_fit([np.array([float(i), 0.0]) for i in range(5)], energy=1.0)
+        with pytest.raises(ShapeMismatchError):
+            pca_apply(t, np.zeros(shape))
+
     def test_deterministic(self):
         rng = seeded_rng(9)
         samples = list(rng.normal(size=(30, 4)))

@@ -8,7 +8,7 @@ import types
 import numpy as np
 import pytest
 
-from diffrnn.backprop import Gradients, backward_full, map_params, model_param_items
+from diffrnn.backprop import backward, map_params, model_param_items
 from diffrnn.cells import (
     CellKind,
     Model,
@@ -19,7 +19,7 @@ from diffrnn.cells import (
     stack_forward,
 )
 from diffrnn.data import Dataset, gen_synthetic
-from diffrnn.numerics import seeded_rng
+from diffrnn.numerics import ShapeMismatchError, seeded_rng
 from diffrnn.train import (
     CheckpointError,
     TrainConfig,
@@ -162,7 +162,8 @@ class TestSgd:
         tape = stack_forward(model, seq.frames)
         expected = copy.deepcopy(model)
         loss, dlogits = loss_frame(tape.logits, [seq.label])
-        grads = backward_full(expected, stack_forward(expected, seq.frames), dlogits)
+        grads = backward(expected, stack_forward(expected, seq.frames), dlogits,
+                         truncated=False)
         lr = 0.01
         apply_sgd_step(expected, grads, lr)
         sgd_epoch(model, ds, TrainConfig(learning_rate=lr, epochs=1, shuffle=False))
@@ -349,22 +350,18 @@ class TestParameterVector:
         assert not np.array_equal(stack_forward(model, frames).logits, before)
         assert not np.any(model.gates[1][0][:4])
 
-    @pytest.mark.parametrize("clip", [None, 0.5])
-    def test_hand_built_gradients_step_like_backward(self, clip):
-        model = build_model(self.CONFIG, seed=3)
-        seq = tiny_dataset().sequences[0]
-        tape = stack_forward(model, seq.frames)
-        _, dlogits = loss_frame(tape.logits, [seq.label])
-        grads = backward_full(model, tape, dlogits)
-        hand = Gradients(layers=[map_params(np.copy, p) for p in grads.layers],
-                         output=map_params(np.copy, grads.output))
-        kept = hand.flat().copy()
-        a, b = copy.deepcopy(model), copy.deepcopy(model)
-        apply_sgd_step(a, grads, 0.3, clip)
-        apply_sgd_step(b, hand, 0.3, clip)
-        assert np.array_equal(a.theta, b.theta)
-        assert not np.array_equal(a.theta, model.theta)
-        assert np.array_equal(hand.flat(), kept)
+    @pytest.mark.parametrize("field, names", [
+        ("w_fx", "w_ix, w_fx, w_ox, w_sx"),
+        ("w_sh", "w_ih, w_fh, w_oh, w_sh"),
+        ("b_o", "b_i, b_f, b_o, b_s"),
+    ])
+    def test_gate_parts_of_another_shape_rejected(self, field, names):
+        built = build_model(self.CONFIG, seed=3)
+        layers = [map_params(np.copy, p) for p in built.layers]
+        shape = getattr(layers[1], field).shape
+        layers[1] = dataclasses.replace(layers[1], **{field: np.zeros((shape[0] + 1, *shape[1:]))})
+        with pytest.raises(ShapeMismatchError, match=f"{names} differ in shape"):
+            Model(self.CONFIG, layers=layers, output=built.output, seed=3)
 
 
 class TestClassCount:
@@ -450,6 +447,10 @@ class TestCheckpoint:
             model_from_doc(doc)
 
 
+# an extra per-order key that names order 1 another way, beside "1"
+ALIAS = object()
+
+
 class TestCheckpointSchema:
     """model_from_doc rejects weights that do not fit the stored config."""
 
@@ -514,6 +515,45 @@ class TestCheckpointSchema:
         save_jsonl(tiny_dataset(), data)
         assert main(["eval", "--checkpoint", str(ckpt), "--data", str(data)]) == 2
         assert "w_id holds orders []" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("path, value, message", [
+        (("config", "tie_gate_hidden_weights"), "no", "tie_gate_hidden_weights must be bool"),
+        (("config", "tie_gate_hidden_weights"), 0, "tie_gate_hidden_weights must be bool"),
+        (("config", "layers", 1), ["drnn", 1.5, 4], "layer order must be int, got 1.5"),
+        (("config", "layers", 1, 1), True, "layer order must be int, got True"),
+        (("config", "layers", 0, 0), 5, "unknown cell kind 5"),
+        (("config", "layers", 0, 2), 4.0, "layer units must be int"),
+        (("config", "input_units"), 3.0, "input_units must be int"),
+        (("config", "output_classes"), 2.0, "output_classes must be int"),
+        (("seed",), "x", "seed must be int"),
+        (("seed",), False, "seed must be int"),
+        (("format_version",), True, "unsupported checkpoint version True"),
+        (("format_version",), 1.0, "unsupported checkpoint version 1.0"),
+        (("layers", 1, "w_id", "01"), ALIAS, r"w_id has keys \['1', '01'\], not all orders"),
+        (("layers", 1, "w_od", "+1"), ALIAS, r"w_od has keys \['1', '\+1'\], not all orders"),
+    ], ids=["tie_str", "tie_int", "drnn_float_order", "bool_order", "int_kind",
+            "float_units", "float_input_units", "float_classes", "str_seed", "bool_seed",
+            "bool_version", "float_version", "padded_order_key", "signed_order_key"])
+    def test_config_field_types(self, tmp_path, capsys, path, value, message):
+        from diffrnn.cli import main
+        from diffrnn.data import save_jsonl
+
+        doc = self._doc()
+        if value is ALIAS:
+            value = doc["layers"][1][path[2]]["1"]
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        with pytest.raises(CheckpointError, match=message):
+            model_from_doc(doc)
+        ckpt = tmp_path / "typed.json"
+        ckpt.write_text(json.dumps(doc))
+        data = tmp_path / "data.jsonl"
+        save_jsonl(tiny_dataset(), data)
+        assert main(["eval", "--checkpoint", str(ckpt), "--data", str(data)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_key_order(self):
         # rnn, drnn:2 and lstm layers: type tag, then matrices, biases and
