@@ -13,6 +13,15 @@ tiny seeded models and compares them bit for bit:
 * per trained model, the logits, the gradients ``backward`` gives on a
   held-out sequence, ``evaluate`` on the held-out set and ``dos_energy`` of
   every gated layer;
+* per trained model, ``evaluate`` and every sequence's logits on a ragged,
+  unsorted set (lengths 1..LENGTH, with repeats), where sequences of
+  different lengths share a time loop: the logits come from the set-level
+  ``forward_set`` where the tree has one, else from one ``stack_forward``
+  per sequence;
+* an ensemble ``fit_ernn`` fits on a ragged training set (its boosting scan
+  runs on ragged sequences), with its member weights and parameters and
+  each member's decisions on the ragged set (from ``predict_set`` where the
+  tree has one, else ``predict_sequence``);
 * one ``grad_check`` report per architecture;
 * the PCA projection ``apply_preprocess`` gives on noisy 16-dim data, fitted
   at energies 0.9 and 1.0, so that every frame goes through a many-component
@@ -45,19 +54,37 @@ ARCHS = {
     "mixed": [("rnn", 0), ("drnn", 1), ("lstm", 0)],
 }
 DIM, UNITS, CLASSES, LENGTH, COUNT = 3, 3, 3, 6, 9
+# lengths of the ragged set, one per generated sequence: unsorted, repeated
+RAGGED = (3, 6, 1, 4, 6, 2, 5, 3, 1, 6, 4, 2)
 
 
 def dump(path: str) -> None:
     """Write every result of the tree on ``sys.path`` to ``path`` (.npz)."""
+    from diffrnn import cells
     from diffrnn.backprop import backward, grad_check, model_param_items
     from diffrnn.cells import CellKind, StackConfig, build_model, dos_energy, stack_forward
-    from diffrnn.data import Dataset, apply_preprocess, fit_preprocess, gen_synthetic
+    from diffrnn.data import Dataset, Sequence, apply_preprocess, fit_preprocess, gen_synthetic
+    from diffrnn.ensemble import fit_ernn
     from diffrnn.train import TrainConfig, evaluate, loss_frame, train
 
     data = gen_synthetic("mixed", CLASSES, COUNT + CLASSES, LENGTH, DIM, 0.3, seed=7)
     train_set = Dataset(data.sequences[:COUNT], data.class_names)
     holdout = Dataset(data.sequences[COUNT:], data.class_names)
     probe = holdout.sequences[0]
+    ragged = Dataset([Sequence(s.frames[:n], s.label, s.id)
+                      for s, n in zip(data.sequences, RAGGED)], data.class_names)
+    ragged_frames = [s.frames for s in ragged.sequences]
+
+    def set_logits(model):
+        if hasattr(cells, "forward_set"):
+            return cells.forward_set(model, ragged_frames)
+        return [stack_forward(model, f).logits for f in ragged_frames]
+
+    def set_decisions(model):
+        if hasattr(cells, "predict_set"):
+            return cells.predict_set(model, ragged_frames)
+        return [cells.predict_sequence(model, f)[0] for f in ragged_frames]
+
     out = {}
 
     def flat(items):
@@ -87,6 +114,10 @@ def dump(path: str) -> None:
                         m = evaluate(model, holdout)
                         out[key + "/evaluate"] = np.array([m.mean_loss, m.accuracy])
                         out[key + "/evaluate_confusion"] = m.confusion
+                        m = evaluate(model, ragged)
+                        out[key + "/ragged_evaluate"] = np.array([m.mean_loss, m.accuracy])
+                        out[key + "/ragged_evaluate_confusion"] = m.confusion
+                        out[key + "/ragged_logits"] = np.concatenate(set_logits(model))
                         for li, (kind, _units) in enumerate(config.layers):
                             if kind.kind != "rnn":
                                 out[f"{key}/dos_energy{li}"] = dos_energy(model, probe.frames, li)
@@ -97,6 +128,11 @@ def dump(path: str) -> None:
             [[e.analytic, e.numeric, e.rel_error] for e in report.entries])
         out[f"{arch}/grad_check_summary"] = np.array([report.max_rel_error, report.passed])
         out[f"{arch}/grad_check_names"] = np.array([e.name for e in report.entries])
+    ensemble = fit_ernn(ragged, 2, TrainConfig(learning_rate=0.1, epochs=2, seed=3), UNITS)
+    out["ensemble/alphas"] = np.array([alpha for _, alpha in ensemble.members])
+    for mi, (model, _alpha) in enumerate(ensemble.members):
+        out[f"ensemble/member{mi}/params"] = flat(model_param_items(model))
+        out[f"ensemble/member{mi}/decisions"] = np.array(set_decisions(model))
     noisy = gen_synthetic("mixed", CLASSES, 12, 20, 16, 1.0, seed=11)
     for energy in (0.9, 1.0):
         projected = apply_preprocess(fit_preprocess(noisy, energy), noisy)

@@ -12,7 +12,9 @@ from .cells import (
     d2rnn_config,
     dos,
     dos_energy,
+    forward_set,
     predict_sequence,
+    predict_set,
     stack_forward,
     stacked_lstm_config,
 )

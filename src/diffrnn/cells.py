@@ -17,6 +17,15 @@ stack as well as homogeneous LSTM stacks.
 Gate update order within a step matters and is fixed as: input/forget gates
 read the derivative of the PREVIOUS state; the state is then updated; the
 output gate reads the derivative of the CURRENT state.
+
+One time loop per layer serves two kinds of caller.  One-row callers
+(``stack_forward``, ``predict_sequence``, ``dos_energy``) run one sequence
+and get its (T, units) tapes.  Set-level callers (``forward_set``,
+``predict_set``) run up to ``MAX_ROWS`` sequences together, longest first:
+at step t only the sequences longer than t are live, and one broadcast
+matmul per weight block serves them all.  Every product a sequence's numbers
+go through is the one a one-row run makes, so both give bitwise the same
+results, sequence by sequence.
 """
 from __future__ import annotations
 
@@ -379,17 +388,88 @@ def stacked_lstm_config(depth: int, input_units: int, units: int, classes: int) 
 # ---------------------------------------------------------------------------
 # Forward pass
 
+# At most this many sequences step together in one set-level call; a call's
+# memory grows with the frames of the sequences it holds.
+MAX_ROWS = 64
+
+
+class _Rows:
+    """Sequences stepped together, longest first (``lengths`` non-increasing):
+    at step t the first n_t of them, those longer than t, are live.  Packed
+    arrays hold the live rows of step 0, then those of step 1, and so on, so
+    one sequence's packed rows are its frames in order.  ``runs`` splits the
+    steps where n_t changes, as (t0, t1, n, start, stop): steps t0..t1-1 have
+    n live rows, at packed rows start..stop-1.  ``index[b]`` selects the
+    packed rows of sequence b in time order: a slice if they lie in the
+    first run, else an index array."""
+
+    def __init__(self, lengths):
+        runs, t0, at = [], 0, 0
+        for t1 in sorted(set(lengths)):
+            n = sum(length >= t1 for length in lengths)
+            runs.append((t0, t1, n, at, at + (t1 - t0) * n))
+            t0, at = t1, at + (t1 - t0) * n
+        self.runs, self.size = tuple(runs), at
+        (_, t1, n0, _, _), *later = runs
+        # the packed row of the first sequence at each step
+        first = later and np.concatenate([np.arange(a, b, n) for _, _, n, a, b in runs])
+        self.index = tuple(slice(b, b + n0 * length, n0) if length <= t1 else first[:length] + b
+                           for b, length in enumerate(lengths))
+
+
+@functools.lru_cache(maxsize=256)
+def _one_sequence(length: int) -> _Rows:
+    """The packing of one sequence of ``length`` frames.  Nothing changes a
+    ``_Rows`` once built, so every one-row call of a length shares one."""
+    return _Rows((length,))
+
+
+def _steps(block: np.ndarray, n: int) -> np.ndarray:
+    """Per-step views of a packed block (..., steps * n, width) of a run with
+    n live rows: for one row the block itself, (..., steps, width) vectors,
+    where a plain matrix-vector product serves; else (..., steps, n, width,
+    1) column vectors, so that one broadcast matmul serves every row."""
+    if n == 1:
+        return block
+    *lead, size, width = block.shape
+    return block.reshape(*lead, size // n, n, width, 1)
+
+
+def _lag_windows(past: np.ndarray, cols: np.ndarray, lags: int) -> np.ndarray:
+    """(steps, lags, ...) view of ``past``, which holds the ``lags`` states
+    before a run of steps and then the run's own, oldest first, as column
+    vectors ``cols`` (a view of ``past`` from its first element): window k
+    holds the states before step k, newest first."""
+    s0 = cols.strides[0]
+    return np.ndarray((len(cols) - lags, lags, *cols.shape[1:]), past.dtype, past,
+                      (lags - 1) * s0, (s0, -s0, *cols.strides[1:]))
+
+
+def _input_terms(x: np.ndarray, w: np.ndarray, b: np.ndarray, rows: _Rows) -> np.ndarray:
+    """``x @ w.T + b`` over packed rows, one product per sequence: a single
+    product over all rows would round differently."""
+    if len(rows.index) == 1:    # one sequence: its packed rows are its frames
+        return x @ w.T + b
+    out = np.empty((rows.size, w.shape[0]), x.dtype)
+    for idx in rows.index:
+        out[idx] = np.ascontiguousarray(x[idx]) @ w.T + b
+    return out
+
 
 @dataclass
 class LayerTape:
-    """Per-timestep intermediates of one layer; arrays are (T, units),
-    row index = t-1.  A classical RNN layer records only ``x`` and ``h``.
-    A gated layer also keeps the weights its forward ran with, for the
-    backward to reuse: the fused input and hidden gate blocks ``wx`` and
-    ``wh`` and ``lag_weights`` of its derivative orders (``lags``, ``cur``)."""
+    """Per-timestep intermediates of one layer, one packed row (``_Rows``)
+    per live sequence and step: for one sequence, arrays are (T, units) and
+    row index = t-1.  When the sequences share one length (one run of steps,
+    as one sequence always does) a gated layer's tape keeps what a backward
+    pass needs: its input ``x``, every activation, and the weights its
+    forward ran with, the fused input and hidden gate blocks ``wx`` and
+    ``wh`` and ``lag_weights`` of its derivative orders (``lags``, ``cur``);
+    a classical RNN layer keeps ``x`` and ``h``.  A ragged batch keeps ``h``
+    alone, so a set-level forward holds one run's activations at a time."""
 
-    x: np.ndarray
     h: np.ndarray
+    x: np.ndarray | None = None
     i: np.ndarray | None = None
     f: np.ndarray | None = None
     o: np.ndarray | None = None
@@ -433,61 +513,86 @@ def lag_weights(params: CellParams, orders):
 
 
 def _layer_forward(params: CellParams, gates, kind: CellKind, tie: bool,
-                   x_all: np.ndarray) -> LayerTape:
-    """One gated layer over the sequence; ``gates`` are the layer's fused
-    gate blocks (``Model.gates``).  Each step writes its activations straight
-    into the tape rows."""
-    T = x_all.shape[0]
+                   x: np.ndarray, rows: _Rows) -> LayerTape:
+    """One gated layer over the packed input ``x`` of the sequences ``rows``
+    steps together; ``gates`` are the layer's fused gate blocks
+    (``Model.gates``).  Each run of steps with the same live rows prepares
+    its views once, and each step writes its activations straight into the
+    run's rows of the tape arrays."""
     u = params.units
-    dt = x_all.dtype
+    dt = x.dtype
     orders = kind.dos_orders
     wx, wh, bias = gates
     if tie:
         # the i, f and o gates all read the hidden state through w_ih
         wh = np.vstack([params.w_ih, params.w_ih, params.w_ih, params.w_sh])
     lags, cur = lag_weights(params, orders)
-    zx = x_all @ wx.T + bias                  # (T, 4u) input-side gate terms
+    n_lags = len(lags)
+    zx = _input_terms(x, wx, bias, rows)      # (rows, 4u) input-side gate terms
 
-    i_a, f_a, o_a, g_a, h_a, th_a = (np.empty((T, u), dt) for _ in range(6))
-    # states newest-first: row T-1-t holds s_t and the zero rows from T on the
-    # states before the sequence, so step t's lags are the rows T-t .. T-t+K
-    # and its previous state is row T-t
-    past = np.zeros((T + len(lags), u), dt)
-    z = np.empty(4 * u, dt)
-    z_i, z_f, z_o, z_g = z[:u], z[u:2 * u], z[2 * u:3 * u], z[3 * u:]
-    h = np.zeros(u, dt)
-    for t in range(T):
-        r = T - 1 - t
-        np.add(zx[t], wh @ h, out=z)
+    h_a = np.empty((rows.size, u), dt)
+    # each run's states start with the states before it, oldest first, and
+    # its hidden state with the one before it: zero before a sequence
+    hist, h_last = None, np.zeros((rows.runs[0][2], u), dt)
+    for t0, t1, n, start, stop in rows.runs:
+        steps = t1 - t0
+        zx_r, h_r = _steps(zx[start:stop], n), _steps(h_a[start:stop], n)
+        acts = np.empty((5, stop - start, u), dt)       # the run's i, f, o, g, tanh s
+        i_r, f_r, o_r, g_r, th_r = _steps(acts, n)
+        past = np.zeros((n_lags + steps, n, u), dt)
+        if t0:
+            past[:n_lags] = hist[:, :n]
+        past_r = _steps(past.reshape(-1, u), n)
+        s_r, sp_r = past_r[n_lags:], past_r[n_lags - 1:-1]
+        z_all = np.empty((n, 4, u), dt)
+        z = _steps(z_all.reshape(n, 4 * u), n)[0]
+        z_i, z_f, z_o, z_g = _steps(z_all.transpose(1, 0, 2), n)[:, 0]
         if orders:
-            z += (lags @ past[r + 1:r + 1 + len(lags), :, None]).sum(axis=0)[:, 0]
-        i_t = sigmoid(z_i, out=i_a[t])
-        f_t = sigmoid(z_f, out=f_a[t])
-        g_t = np.tanh(z_g, out=g_a[t])
-        s = np.multiply(f_t, past[r + 1], out=past[r])
-        s += i_t * g_t
-        if orders:
-            z_o += cur @ s
-        h = np.multiply(sigmoid(z_o, out=o_a[t]), np.tanh(s, out=th_a[t]), out=h_a[t])
-    return LayerTape(x=x_all, i=i_a, f=f_a, o=o_a, g=g_a, s=past[T - 1::-1],
+            # the lag products take the states as column vectors even for
+            # one row, and broadcast the lag weights over the rows
+            cols = past_r if n > 1 else past_r[..., None]
+            z_lag = z if n > 1 else z[:, None]
+            lag_r = lags[:, None] if n > 1 else lags
+            win_r = _lag_windows(past, cols, n_lags)
+        h = _steps(h_last[:n], n)[0]
+        for k in range(steps):
+            np.add(zx_r[k], wh @ h, out=z)
+            if orders:
+                z_lag += (lag_r @ win_r[k]).sum(axis=0)
+            i_t = sigmoid(z_i, out=i_r[k])
+            f_t = sigmoid(z_f, out=f_r[k])
+            g_t = np.tanh(z_g, out=g_r[k])
+            s = np.multiply(f_t, sp_r[k], out=s_r[k])
+            s += i_t * g_t
+            if orders:
+                z_o += cur @ s
+            h = np.multiply(sigmoid(z_o, out=o_r[k]), np.tanh(s, out=th_r[k]), out=h_r[k])
+        hist, h_last = past[steps:], h_a[stop - n:stop]
+    if len(rows.runs) > 1:
+        return LayerTape(h=h_a)
+    i_a, f_a, o_a, g_a, th_a = (i_r, f_r, o_r, g_r, th_r) if n == 1 else acts
+    return LayerTape(x=x, i=i_a, f=f_a, o=o_a, g=g_a, s=past[n_lags:].reshape(-1, u),
                      h=h_a, tanh_s=th_a, wx=wx, wh=wh, lags=lags, cur=cur)
 
 
-def _rnn_layer_forward(params: RnnParams, x_all: np.ndarray) -> LayerTape:
-    T = x_all.shape[0]
-    zx = x_all @ params.w_hx.T + params.b_h
-    h_a = np.empty((T, params.units), x_all.dtype)
-    h = np.zeros(params.units, x_all.dtype)
-    for t in range(T):
-        h = np.tanh(np.add(params.w_hh @ h, zx[t], out=h_a[t]), out=h_a[t])
-    return LayerTape(x=x_all, h=h_a)
+def _rnn_layer_forward(params: RnnParams, x: np.ndarray, rows: _Rows) -> LayerTape:
+    u = params.units
+    zx = _input_terms(x, params.w_hx, params.b_h, rows)
+    h_a = np.empty((rows.size, u), x.dtype)
+    h = np.zeros((rows.runs[0][2], u), x.dtype)    # the hidden state before a run
+    for t0, t1, n, start, stop in rows.runs:
+        zx_r, h_r = _steps(zx[start:stop], n), _steps(h_a[start:stop], n)
+        h = _steps(h[:n], n)[0]
+        for k in range(t1 - t0):
+            h = np.tanh(np.add(params.w_hh @ h, zx_r[k], out=h_r[k]), out=h_r[k])
+        h = h_a[stop - n:stop]
+    return LayerTape(h=h_a, x=x if len(rows.runs) == 1 else None)
 
 
-def _layer_tapes(model: Model, frames: np.ndarray):
-    """Run the stack over a sequence of frames (T x input_units), yielding
-    each layer's tape in turn: layer k consumes layer k-1's hidden states.
-    Frames are cast to the model's weight dtype, so a longdouble copy of a
-    model runs the same equations in extended precision."""
+def _frames(model: Model, frames) -> np.ndarray:
+    """``frames`` in the model's weight dtype, once known to be a nonempty
+    (T, input_units) sequence: a longdouble copy of a model runs the same
+    equations in extended precision."""
     frames = np.asarray(frames, dtype=model.theta.dtype)
     if frames.ndim != 2 or frames.shape[0] == 0:
         raise ShapeMismatchError("forward pass needs a nonempty (T, dim) sequence")
@@ -496,15 +601,27 @@ def _layer_tapes(model: Model, frames: np.ndarray):
             f"model expects input dimension {model.config.input_units}, "
             f"got {frames.shape[1]}"
         )
+    return frames
+
+
+def _layer_tapes(model: Model, x: np.ndarray, rows: _Rows):
+    """Run the stack over the packed frames ``x`` of the sequences ``rows``
+    steps together, yielding each layer's tape in turn: layer k consumes
+    layer k-1's hidden states."""
     tie = model.config.tie_gate_hidden_weights
-    x_all = frames
     for (kind, _units), params, gates in zip(model.config.layers, model.layers, model.gates):
         if kind.kind == "rnn":
-            tape = _rnn_layer_forward(params, x_all)
+            tape = _rnn_layer_forward(params, x, rows)
         else:
-            tape = _layer_forward(params, gates, kind, tie, x_all)
+            tape = _layer_forward(params, gates, kind, tie, x, rows)
+        x = tape.h
         yield tape
-        x_all = tape.h
+
+
+def _logits(model: Model, h: np.ndarray, idx) -> np.ndarray:
+    """The tanh output projection of one sequence's final-layer hidden states,
+    its rows ``idx`` of the packed ``h``."""
+    return np.tanh(np.ascontiguousarray(h[idx]) @ model.output.w_yh.T + model.output.b_y)
 
 
 def stack_forward(model: Model, frames: np.ndarray) -> Tape:
@@ -514,16 +631,54 @@ def stack_forward(model: Model, frames: np.ndarray) -> Tape:
     to per-frame confidence scores.  Sequence-level scores are those of the
     last frame.
     """
-    layer_tapes = list(_layer_tapes(model, frames))
-    logits = np.tanh(layer_tapes[-1].h @ model.output.w_yh.T + model.output.b_y)
-    return Tape(layers=layer_tapes, logits=logits)
+    frames = _frames(model, frames)
+    rows = _one_sequence(len(frames))
+    layer_tapes = list(_layer_tapes(model, frames, rows))
+    return Tape(layers=layer_tapes, logits=_logits(model, layer_tapes[-1].h, rows.index[0]))
+
+
+def _pack(seqs, rows: _Rows) -> np.ndarray:
+    """The frames of ``seqs``, the sequences ``rows`` describes, packed."""
+    x = np.empty((rows.size, seqs[0].shape[1]), seqs[0].dtype)
+    for frames, idx in zip(seqs, rows.index):
+        x[idx] = frames
+    return x
+
+
+def forward_set(model: Model, sequences) -> list[np.ndarray]:
+    """The (T, classes) logits ``stack_forward`` gives each of a set of
+    sequences, bitwise, in input order.  Up to ``MAX_ROWS`` sequences step
+    together through one time loop per layer, longest first; only the layer
+    running and the hidden states it reads are kept."""
+    seqs = [_frames(model, frames) for frames in sequences]
+    # a stable sort: sequences of equal length keep their order
+    order = sorted(range(len(seqs)), key=lambda i: -len(seqs[i]))
+    logits = [None] * len(seqs)
+    for at in range(0, len(order), MAX_ROWS):
+        chunk = order[at:at + MAX_ROWS]
+        rows = _Rows([len(seqs[i]) for i in chunk])
+        for tape in _layer_tapes(model, _pack([seqs[i] for i in chunk], rows), rows):
+            pass
+        for i, idx in zip(chunk, rows.index):
+            logits[i] = _logits(model, tape.h, idx)
+    return logits
+
+
+def _read_out(logits: np.ndarray) -> tuple[int, np.ndarray]:
+    """Class decision from the final frame's probabilities."""
+    p = softmax(logits[-1])
+    return int(np.argmax(p)), p
 
 
 def predict_sequence(model: Model, frames: np.ndarray) -> tuple[int, np.ndarray]:
     """Class decision from the final frame's probabilities."""
-    tape = stack_forward(model, frames)
-    p = softmax(tape.logits[-1])
-    return int(np.argmax(p)), p
+    return _read_out(stack_forward(model, frames).logits)
+
+
+def predict_set(model: Model, sequences) -> list[int]:
+    """``predict_sequence``'s class decision for each of a set of sequences,
+    in input order, from one ``forward_set`` call."""
+    return [_read_out(logits)[0] for logits in forward_set(model, sequences)]
 
 
 def dos_energy(model: Model, frames: np.ndarray, layer: int) -> np.ndarray:
@@ -538,6 +693,8 @@ def dos_energy(model: Model, frames: np.ndarray, layer: int) -> np.ndarray:
     kind, _units = model.config.layers[layer]
     if kind.kind == "rnn":
         raise ValueError("classical RNN layers have no internal state derivatives")
-    s = next(itertools.islice(_layer_tapes(model, frames), layer, None)).s
+    frames = _frames(model, frames)
+    tapes = _layer_tapes(model, frames, _one_sequence(len(frames)))
+    s = next(itertools.islice(tapes, layer, None)).s
     return np.stack([np.linalg.norm(dos(k, s), axis=1)
                      for k in range(kind.max_order + 1)], axis=1)

@@ -30,7 +30,7 @@ from .cells import (
     build_model,
     d2rnn_config,
     dos_energy,
-    predict_sequence,
+    predict_set,
     stacked_lstm_config,
 )
 from .data import DataFormatError, KFold, MonteCarlo
@@ -299,9 +299,12 @@ def cmd_ensemble(args) -> int:
     ens_accs = []
     for si, (train_set, test_set) in enumerate(splits):
         ens = fit_ernn(train_set, args.max_order, tc, args.state_units)
-        # each member runs once per sequence; the ensemble votes on its decisions
-        decided = [([predict_sequence(m, seq.frames)[0] for m, _ in ens.members],
-                    seq.label) for seq in test_set.sequences]
+        # each member runs once over the test set; the ensemble votes on
+        # their decisions, sequence by sequence
+        frames = [seq.frames for seq in test_set.sequences]
+        member_preds = [predict_set(m, frames) for m, _ in ens.members]
+        decided = [(preds, seq.label)
+                   for preds, seq in zip(zip(*member_preds), test_set.sequences)]
         n = len(decided)
         for mi in range(n_members):
             member_accs[mi].append(sum(preds[mi] == y for preds, y in decided) / n)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cells import CellKind, Model, StackConfig, build_model, predict_sequence
+from .cells import CellKind, Model, StackConfig, build_model, predict_sequence, predict_set
 from .data import Dataset
 from .numerics import seeded_rng
 from .train import CheckpointError, TrainConfig, model_from_doc, model_to_doc, train
@@ -97,9 +97,9 @@ def fit_ernn(dataset: Dataset, max_order: int, config: TrainConfig,
         train_set = dataset if np.allclose(weights, 1.0 / n) \
             else _weighted_resample(dataset, weights, rng)
         train(model, train_set, config)
-        is_wrong = np.array([
-            predict_sequence(model, seq.frames)[0] != seq.label
-            for seq in dataset.sequences])
+        decisions = predict_set(model, [seq.frames for seq in dataset.sequences])
+        is_wrong = np.array([pred != seq.label
+                             for pred, seq in zip(decisions, dataset.sequences)])
         alpha, weights = samme_round(is_wrong, weights, k)
         members.append((model, alpha))
     if not any(a > 0 for _, a in members):

@@ -22,6 +22,7 @@ from .cells import (
     OutputParams,
     RnnParams,
     StackConfig,
+    forward_set,
     model_param_items,
     param_fields,
     param_items,
@@ -169,14 +170,15 @@ def train(model: Model, dataset, config: TrainConfig) -> list[Metrics]:
 
 def evaluate(model: Model, dataset) -> Metrics:
     """Accuracy and confusion matrix; prediction is the argmax of the
-    final frame's class probabilities."""
+    final frame's class probabilities.  The whole set runs through one
+    ``forward_set`` call; losses are summed in dataset order."""
     confusion = _zero_confusion(model, dataset, "evaluate")
     total_loss = 0.0
-    for seq in dataset.sequences:
-        tape = stack_forward(model, seq.frames)
-        loss, _ = loss_frame(tape.logits, [seq.label])
+    all_logits = forward_set(model, [seq.frames for seq in dataset.sequences])
+    for seq, logits in zip(dataset.sequences, all_logits):
+        loss, _ = loss_frame(logits, [seq.label])
         total_loss += loss
-        pred = int(np.argmax(tape.logits[-1]))
+        pred = int(np.argmax(logits[-1]))
         confusion[seq.label, pred] += 1
     n = len(dataset.sequences)
     return Metrics(mean_loss=total_loss / n,
@@ -236,6 +238,13 @@ def _layer_from_json(doc: dict):
     return _params_from_json(_LAYER_TYPES[doc["type"]], doc)
 
 
+def _orders_text(orders) -> str:
+    """A sorted sequence of derivative orders in a few words, however long."""
+    if len(orders) <= 4:
+        return f"orders {list(orders)}"
+    return f"{len(orders)} orders {orders[0]}..{orders[-1]}"
+
+
 def _check_against_config(config: StackConfig, layers, output) -> None:
     """Every stored weight must be the one ``config`` implies: layer types
     match kinds, derivative-order keys match ``dos_orders``, shapes chain
@@ -249,12 +258,15 @@ def _check_against_config(config: StackConfig, layers, output) -> None:
         if type(p) is not (RnnParams if kind.kind == "rnn" else CellParams):
             raise CheckpointError(f"layer {li}: a {kind.kind} layer cannot hold "
                                   f"{type(p).__name__} weights")
+        # a drnn layer's orders are compared as a range: the config's order
+        # is not bounded by the file's size, as the stored keys are
+        need = range(kind.order + 1) if kind.kind == "drnn" else kind.dos_orders
         for dname in [name for name, per_order in param_fields(type(p)) if per_order]:
             orders = sorted(getattr(p, dname))
-            if orders != list(kind.dos_orders):
+            if len(orders) != len(need) or orders != list(need):
                 raise CheckpointError(
-                    f"layer {li}: {dname} holds orders {orders}, "
-                    f"{kind.kind}:{kind.order} needs {list(kind.dos_orders)}")
+                    f"layer {li}: {dname} holds {_orders_text(orders)}, "
+                    f"{kind.kind}:{kind.order} needs {_orders_text(need)}")
         for name, arr in param_items(p, f"layer{li}."):
             base = name.split(".")[1]
             cols = in_units if base.endswith("x") else units

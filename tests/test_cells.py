@@ -14,11 +14,15 @@ from diffrnn.cells import (
     d2rnn_config,
     dos,
     dos_energy,
+    forward_set,
     predict_sequence,
+    predict_set,
     stack_forward,
     stacked_lstm_config,
 )
+from diffrnn.data import Dataset, Sequence
 from diffrnn.numerics import ShapeMismatchError, seeded_rng, sigmoid
+from diffrnn.train import evaluate, loss_frame
 from reference import ref_dos, ref_stack_logits
 
 
@@ -304,3 +308,112 @@ class TestPredictAndEnergy:
         model = build_model(d2rnn_config(1, 3, 4, 2), seed=0)
         with pytest.raises(IndexError):
             dos_energy(model, np.zeros((3, 3)), layer=5)
+
+
+# every cell kind, stacked, and a mixed stack; (kind, order) per layer
+SET_ARCHS = {
+    "rnn": [("rnn", 0)],
+    "lstm": [("lstm", 0)],
+    "dos0": [("dos", 0)],
+    "dos2": [("dos", 2)],
+    "drnn2": [("drnn", 2)],
+    "d2rnn3": [("dos", 0), ("dos", 1), ("dos", 2)],
+    "stacked2": [("lstm", 0), ("lstm", 0)],
+    "mixed": [("rnn", 0), ("drnn", 1), ("lstm", 0)],
+}
+# ragged sets: 1-40 sequences of 1-30 frames; drawing from a few lengths
+# as often as from all of them makes ties common
+set_lengths = st.lists(st.one_of(st.integers(1, 30), st.sampled_from([1, 2, 7])),
+                       min_size=1, max_size=40)
+
+
+def set_model(arch, tie=False, seed=0):
+    return small_model([(CellKind(k, n), 3) for k, n in SET_ARCHS[arch]], classes=3,
+                       seed=seed, tie=tie)
+
+
+def longdouble_copy(model):
+    def to_ld(a):
+        return a.astype(np.longdouble)
+
+    return replace(model, layers=[map_params(to_ld, p) for p in model.layers],
+                   output=map_params(to_ld, model.output))
+
+
+def assert_bitwise(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    # longdouble's padding bytes are not part of its value
+    assert np.array_equal(a, b) and (a.dtype == np.longdouble or a.tobytes() == b.tobytes())
+
+
+class TestForwardSet:
+    """The set-level forward against one ``stack_forward`` per sequence."""
+
+    @pytest.mark.parametrize("tie", [False, True], ids=["untied", "tied"])
+    @pytest.mark.parametrize("arch", list(SET_ARCHS))
+    @given(lengths=set_lengths, seed=st.integers(0, 2 ** 16))
+    @settings(max_examples=12, deadline=None)
+    def test_logits_match_one_sequence_at_a_time(self, arch, tie, lengths, seed):
+        model = set_model(arch, tie, seed % 7)
+        rng = seeded_rng(seed)
+        seqs = [random_frames(rng, t, 3) for t in lengths]
+        got = forward_set(model, seqs)
+        assert len(got) == len(seqs)
+        for frames, logits in zip(seqs, got):   # input order, not length order
+            assert_bitwise(logits, stack_forward(model, frames).logits)
+
+    @pytest.mark.parametrize("arch", ["rnn", "d2rnn3", "mixed"])
+    @given(lengths=set_lengths, seed=st.integers(0, 2 ** 16))
+    @settings(max_examples=8, deadline=None)
+    def test_longdouble_model(self, arch, lengths, seed):
+        model = longdouble_copy(set_model(arch, seed=seed % 7))
+        rng = seeded_rng(seed)
+        seqs = [random_frames(rng, t, 3) for t in lengths]
+        for frames, logits in zip(seqs, forward_set(model, seqs)):
+            assert logits.dtype == np.longdouble
+            assert_bitwise(logits, stack_forward(model, frames).logits)
+
+    def test_more_sequences_than_one_call_holds(self, monkeypatch):
+        model = set_model("d2rnn3", seed=1)
+        rng = seeded_rng(2)
+        seqs = [random_frames(rng, t, 3) for t in (5, 1, 9, 5, 3, 9, 2, 5, 8, 4, 6)]
+        monkeypatch.setattr(cells, "MAX_ROWS", 4)
+        for frames, logits in zip(seqs, forward_set(model, seqs)):
+            assert_bitwise(logits, stack_forward(model, frames).logits)
+
+    def test_decisions_match_predict_sequence(self):
+        model = set_model("drnn2", seed=3)
+        rng = seeded_rng(4)
+        seqs = [random_frames(rng, t, 3, scale=3.0) for t in (4, 12, 1, 12, 7, 3)]
+        assert predict_set(model, seqs) == [predict_sequence(model, f)[0] for f in seqs]
+
+    @pytest.mark.parametrize("arch", ["lstm", "d2rnn3", "mixed"])
+    @given(lengths=set_lengths, seed=st.integers(0, 2 ** 16))
+    @settings(max_examples=8, deadline=None)
+    def test_evaluate_matches_per_sequence_loop(self, arch, lengths, seed):
+        model = set_model(arch, seed=seed % 7)
+        rng = seeded_rng(seed)
+        data = Dataset([Sequence(random_frames(rng, t, 3), int(rng.integers(3)))
+                        for t in lengths], ["a", "b", "c"])
+        # the oracle: one stack_forward per sequence, losses summed in order
+        total, confusion = 0.0, np.zeros((3, 3), dtype=np.int64)
+        for seq in data.sequences:
+            logits = stack_forward(model, seq.frames).logits
+            total += loss_frame(logits, [seq.label])[0]
+            confusion[seq.label, int(np.argmax(logits[-1]))] += 1
+        got = evaluate(model, data)
+        assert got.mean_loss == total / len(lengths)
+        assert got.accuracy == float(np.trace(confusion)) / len(lengths)
+        assert np.array_equal(got.confusion, confusion)
+
+    def test_width_mismatch_raises_before_any_work(self, monkeypatch):
+        model = set_model("lstm")
+        runs = []
+        monkeypatch.setattr(cells, "_layer_forward", lambda *a: runs.append(1))
+        seqs = [np.zeros((4, 3)), np.zeros((2, 3)), np.zeros((5, 4))]
+        with pytest.raises(ShapeMismatchError,
+                           match=r"^model expects input dimension 3, got 4$"):
+            forward_set(model, seqs)
+        with pytest.raises(ShapeMismatchError, match="nonempty"):
+            forward_set(model, [np.zeros((4, 3)), np.zeros((0, 3))])
+        assert runs == []

@@ -516,6 +516,34 @@ class TestCheckpointSchema:
         assert main(["eval", "--checkpoint", str(ckpt), "--data", str(data)]) == 2
         assert "w_id holds orders []" in capsys.readouterr().err
 
+    def test_huge_drnn_order_fails_short_and_small(self, tmp_path, capsys):
+        # a drnn:1 checkpoint whose config claims order 10^6: the check must
+        # neither list the million orders it needs nor print them
+        import tracemalloc
+
+        from diffrnn.cli import main
+        from diffrnn.data import save_jsonl
+
+        doc = model_to_doc(build_model(StackConfig(((CellKind("drnn", 1), 3),), 3, 2), seed=0))
+        doc["config"]["layers"][0][1] = 10 ** 6
+        tracemalloc.start()
+        try:
+            with pytest.raises(CheckpointError) as err:
+                model_from_doc(doc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+        assert str(err.value) == ("layer 0: w_id holds orders [0, 1], "
+                                  "drnn:1000000 needs 1000001 orders 0..1000000")
+        ckpt = tmp_path / "drnn_huge.json"
+        ckpt.write_text(json.dumps(doc))
+        data = tmp_path / "data.jsonl"
+        save_jsonl(tiny_dataset(), data)
+        assert main(["eval", "--checkpoint", str(ckpt), "--data", str(data)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and len(err) <= 200
+
     @pytest.mark.parametrize("path, value, message", [
         (("config", "tie_gate_hidden_weights"), "no", "tie_gate_hidden_weights must be bool"),
         (("config", "tie_gate_hidden_weights"), 0, "tie_gate_hidden_weights must be bool"),
