@@ -22,7 +22,8 @@ tiny seeded models and compares them bit for bit:
   runs on ragged sequences), with its member weights and parameters and
   each member's decisions on the ragged set (from ``predict_set`` where the
   tree has one, else ``predict_sequence``);
-* one ``grad_check`` report per architecture;
+* one ``grad_check`` report per architecture, with and without tied gate
+  hidden weights (``{arch}/grad_check*`` and ``{arch}/tie=True/grad_check*``);
 * the PCA projection ``apply_preprocess`` gives on noisy 16-dim data, fitted
   at energies 0.9 and 1.0, so that every frame goes through a many-component
   projection.
@@ -121,13 +122,15 @@ def dump(path: str) -> None:
                         for li, (kind, _units) in enumerate(config.layers):
                             if kind.kind != "rnn":
                                 out[f"{key}/dos_energy{li}"] = dos_energy(model, probe.frames, li)
-        model = build_model(StackConfig(tuple((CellKind(k, n), UNITS) for k, n in layers),
-                                        DIM, CLASSES), seed=ai)
-        report = grad_check(model, probe.frames[:4], probe.label)
-        out[f"{arch}/grad_check"] = np.array(
-            [[e.analytic, e.numeric, e.rel_error] for e in report.entries])
-        out[f"{arch}/grad_check_summary"] = np.array([report.max_rel_error, report.passed])
-        out[f"{arch}/grad_check_names"] = np.array([e.name for e in report.entries])
+        for tie in (False, True):
+            model = build_model(StackConfig(tuple((CellKind(k, n), UNITS) for k, n in layers),
+                                            DIM, CLASSES, tie_gate_hidden_weights=tie), seed=ai)
+            report = grad_check(model, probe.frames[:4], probe.label)
+            key = f"{arch}/tie=True" if tie else arch
+            out[f"{key}/grad_check"] = np.array(
+                [[e.analytic, e.numeric, e.rel_error] for e in report.entries])
+            out[f"{key}/grad_check_summary"] = np.array([report.max_rel_error, report.passed])
+            out[f"{key}/grad_check_names"] = np.array([e.name for e in report.entries])
     ensemble = fit_ernn(ragged, 2, TrainConfig(learning_rate=0.1, epochs=2, seed=3), UNITS)
     out["ensemble/alphas"] = np.array([alpha for _, alpha in ensemble.members])
     for mi, (model, _alpha) in enumerate(ensemble.members):

@@ -26,15 +26,18 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .cells import (
+    MAX_ROWS,
     CellParams,
     Model,
     OutputParams,
     RnnParams,
     Tape,
     dos,
+    forward_rows,
     lag_weights,
     map_params,
     model_param_items,
+    param_items,
     param_views,
     stack_forward,
 )
@@ -210,11 +213,18 @@ def grad_check(model: Model, frames: np.ndarray, label: int,
                h: float = 1e-5, tol: float = 1e-4) -> GradCheckReport:
     """Central finite differences vs. the full backward pass, every parameter.
 
-    The numeric side runs ``stack_forward`` itself on a longdouble copy of
+    The numeric side runs the production forward on a longdouble copy of
     the model: central differences of a float64 loss at h=1e-5 carry ~1e-11
     of cancellation noise, which would swamp honestly-tiny gradients deep in
-    a stack.  Relative error is |g_a - g_n| / max(|g_a|, |g_n|, 1e-8); the
-    check passes iff the maximum over all parameters is below ``tol``.
+    a stack.  Each entry's two perturbed models (+h and -h) are two rows of
+    ``cells.forward_rows``, and up to ``MAX_ROWS`` rows step together.  A
+    perturbation leaves the layers below its own unchanged, so a batch of
+    rows starts at the layer of its first entry, from that layer's input in
+    one unperturbed longdouble forward; output-layer entries cost only the
+    last frame's projection.  Each row's loss is bitwise the one a
+    whole-stack ``stack_forward`` of its model gives.  Relative error is
+    |g_a - g_n| / max(|g_a|, |g_n|, 1e-8); the check passes iff the maximum
+    over all parameters is below ``tol``.
     """
     from .train import loss_frame   # train imports this module
 
@@ -227,30 +237,37 @@ def grad_check(model: Model, frames: np.ndarray, label: int,
 
     ld_model = replace(model, layers=[map_params(to_ld, p) for p in model.layers],
                        output=map_params(to_ld, model.output))
-    ld_frames = np.asarray(frames, dtype=np.longdouble)
+    ld_tape = stack_forward(ld_model, frames)
+    # the input of each layer and of the output projection, unperturbed
+    inputs = [lt.x for lt in ld_tape.layers] + [ld_tape.layers[-1].h]
+    # entry k lies in the first container (layer, or the output) ending past k
+    ends = np.cumsum([sum(a.size for _, a in param_items(p))
+                      for p in (*model.layers, model.output)])
     theta = ld_model.theta
     hl = np.longdouble(h)
-
-    def loss_now():
-        return -np.log(softmax(stack_forward(ld_model, ld_frames).logits[-1])[label])
 
     # entry k of both vectors is the k-th entry in C order of the arrays in
     # param_items order
     names = (f"{name}{list(idx)}" for name, arr in model_param_items(model)
              for idx in np.ndindex(arr.shape))
     entries = []
-    for k, name in enumerate(names):
-        orig = theta[k]
-        theta[k] = orig + hl
-        lp = loss_now()
-        theta[k] = orig - hl
-        lm = loss_now()
-        theta[k] = orig
-        gn, ga = float((lp - lm) / (2.0 * hl)), float(analytic[k])
-        if not (math.isfinite(gn) and math.isfinite(ga)):
-            raise FloatingPointError(f"non-finite gradient at {name}")
-        rel = abs(ga - gn) / max(abs(ga), abs(gn), 1e-8)
-        entries.append(GradCheckEntry(name=name, analytic=ga, numeric=gn, rel_error=rel))
+    per_call = MAX_ROWS // 2
+    for k0 in range(0, theta.size, per_call):
+        ks = np.arange(k0, min(k0 + per_call, theta.size))
+        plus = 2 * np.arange(len(ks))       # row 2i is entry ks[i] + h, row 2i+1 - h
+        vectors = np.repeat(theta[None], 2 * len(ks), axis=0)
+        vectors[plus, ks] = theta[ks] + hl
+        vectors[plus + 1, ks] = theta[ks] - hl
+        first = int(np.searchsorted(ends, k0, side="right"))
+        logits = forward_rows(ld_model, vectors, inputs[first], first)
+        loss = -np.log(softmax(logits)[:, label])
+        numeric = (loss[plus] - loss[plus + 1]) / (2.0 * hl)
+        for k, name, gn in zip(ks, names, numeric):
+            gn, ga = float(gn), float(analytic[k])
+            if not (math.isfinite(gn) and math.isfinite(ga)):
+                raise FloatingPointError(f"non-finite gradient at {name}")
+            rel = abs(ga - gn) / max(abs(ga), abs(gn), 1e-8)
+            entries.append(GradCheckEntry(name=name, analytic=ga, numeric=gn, rel_error=rel))
     worst = max(entries, key=lambda e: e.rel_error)
     return GradCheckReport(entries=entries, max_rel_error=worst.rel_error,
                            worst=worst.name, passed=worst.rel_error < tol)

@@ -18,14 +18,16 @@ Gate update order within a step matters and is fixed as: input/forget gates
 read the derivative of the PREVIOUS state; the state is then updated; the
 output gate reads the derivative of the CURRENT state.
 
-One time loop per layer serves two kinds of caller.  One-row callers
+One time loop per layer serves three kinds of caller.  One-row callers
 (``stack_forward``, ``predict_sequence``, ``dos_energy``) run one sequence
 and get its (T, units) tapes.  Set-level callers (``forward_set``,
 ``predict_set``) run up to ``MAX_ROWS`` sequences together, longest first:
 at step t only the sequences longer than t are live, and one broadcast
-matmul per weight block serves them all.  Every product a sequence's numbers
-go through is the one a one-row run makes, so both give bitwise the same
-results, sequence by sequence.
+matmul per weight block serves them all.  ``forward_rows`` runs one
+sequence under many weight sets, one per row, each weight block stacked
+along the rows: the perturbed models of a gradient check.  Every product a
+row's numbers go through is the one a one-row run makes, so all give
+bitwise the same results, row by row.
 """
 from __future__ import annotations
 
@@ -102,11 +104,11 @@ class CellParams:
 
     @property
     def units(self) -> int:
-        return self.b_i.shape[0]
+        return self.b_i.shape[-1]
 
     @property
     def input_units(self) -> int:
-        return self.w_ix.shape[1]
+        return self.w_ix.shape[-1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,11 +119,11 @@ class RnnParams:
 
     @property
     def units(self) -> int:
-        return self.b_h.shape[0]
+        return self.b_h.shape[-1]
 
     @property
     def input_units(self) -> int:
-        return self.w_hx.shape[1]
+        return self.w_hx.shape[-1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,10 +224,28 @@ def pack(containers) -> tuple[np.ndarray, tuple]:
     return np.concatenate(arrays), tuple(layout)
 
 
+class _PerRow:
+    """A (rows, P) stack of parameter vectors that ``param_views`` slices as
+    it slices one vector: ``[a:b]`` keeps every row, and ``reshape`` shapes
+    each row's slice, behind a leading row axis."""
+
+    def __init__(self, stack: np.ndarray):
+        self.stack = stack
+
+    def __getitem__(self, cols):
+        return _PerRow(self.stack[:, cols])
+
+    def reshape(self, shape):
+        return self.stack.reshape(len(self.stack), *shape)
+
+
 def param_views(layout, vec: np.ndarray) -> tuple[list, list]:
     """Containers as ``layout`` describes them, holding views into ``vec``,
     and per container its fused gate blocks, views too (None but for a
-    gated layer)."""
+    gated layer).  A (rows, P) ``vec`` holds one parameter vector per row
+    and gives per-row weights: every array is a (rows, ...) stack."""
+    if vec.ndim > 1:
+        vec = _PerRow(vec)
     containers, gates = [], []
     for cls, fields, fused in layout:
         kw = {}
@@ -447,9 +467,14 @@ def _lag_windows(past: np.ndarray, cols: np.ndarray, lags: int) -> np.ndarray:
 
 def _input_terms(x: np.ndarray, w: np.ndarray, b: np.ndarray, rows: _Rows) -> np.ndarray:
     """``x @ w.T + b`` over packed rows, one product per sequence: a single
-    product over all rows would round differently."""
+    product over all rows would round differently.  Per-row weights (a
+    (rows, 4u, in) ``w``) take rows of one length, one stacked product."""
     if len(rows.index) == 1:    # one sequence: its packed rows are its frames
         return x @ w.T + b
+    if w.ndim == 3:
+        n = len(rows.index)
+        seqs = x.reshape(-1, n, x.shape[1]).swapaxes(0, 1)
+        return (seqs @ w.swapaxes(1, 2) + b[:, None]).swapaxes(0, 1).reshape(rows.size, -1)
     out = np.empty((rows.size, w.shape[0]), x.dtype)
     for idx in rows.index:
         out[idx] = np.ascontiguousarray(x[idx]) @ w.T + b
@@ -497,18 +522,20 @@ def lag_weights(params: CellParams, orders):
     (K+1, 4u, u) stack whose block j weighs s_{t-1-j}, K the highest order:
     i and f rows hold lags 0..K of the previous state's derivatives, o rows
     lags 1..K of the current state's, s rows zeros.  Also returns the o
-    gate's (u, u) weight on s_t itself."""
-    u = params.units
-    lags = np.zeros((max(orders, default=0) + 1, 4 * u, u), params.w_ih.dtype)
-    cur = np.zeros((u, u), params.w_ih.dtype)
+    gate's (u, u) weight on s_t itself.  Per-row weights give a
+    (K+1, rows, 4u, u) stack and a (rows, u, u) weight."""
+    w = params.w_ih
+    u = w.shape[-1]
+    lags = np.zeros((max(orders, default=0) + 1, *w.shape[:-2], 4 * u, u), w.dtype)
+    cur = np.zeros(w.shape, w.dtype)
     for n in orders:
         cur += params.w_od[n]
         for j in range(n + 1):
             c = _dos_weight(n, j)
-            lags[j, :u] += c * params.w_id[n]
-            lags[j, u:2 * u] += c * params.w_fd[n]
+            lags[j, ..., :u, :] += c * params.w_id[n]
+            lags[j, ..., u:2 * u, :] += c * params.w_fd[n]
             if j:
-                lags[j - 1, 2 * u:3 * u] += c * params.w_od[n]
+                lags[j - 1, ..., 2 * u:3 * u, :] += c * params.w_od[n]
     return lags, cur
 
 
@@ -525,7 +552,7 @@ def _layer_forward(params: CellParams, gates, kind: CellKind, tie: bool,
     wx, wh, bias = gates
     if tie:
         # the i, f and o gates all read the hidden state through w_ih
-        wh = np.vstack([params.w_ih, params.w_ih, params.w_ih, params.w_sh])
+        wh = np.concatenate([params.w_ih, params.w_ih, params.w_ih, params.w_sh], axis=-2)
     lags, cur = lag_weights(params, orders)
     n_lags = len(lags)
     zx = _input_terms(x, wx, bias, rows)      # (rows, 4u) input-side gate terms
@@ -549,10 +576,10 @@ def _layer_forward(params: CellParams, gates, kind: CellKind, tie: bool,
         z_i, z_f, z_o, z_g = _steps(z_all.transpose(1, 0, 2), n)[:, 0]
         if orders:
             # the lag products take the states as column vectors even for
-            # one row, and broadcast the lag weights over the rows
+            # one row, and broadcast shared lag weights over the rows
             cols = past_r if n > 1 else past_r[..., None]
             z_lag = z if n > 1 else z[:, None]
-            lag_r = lags[:, None] if n > 1 else lags
+            lag_r = lags.reshape(n_lags, -1, 4 * u, u) if n > 1 else lags
             win_r = _lag_windows(past, cols, n_lags)
         h = _steps(h_last[:n], n)[0]
         for k in range(steps):
@@ -604,12 +631,18 @@ def _frames(model: Model, frames) -> np.ndarray:
     return frames
 
 
-def _layer_tapes(model: Model, x: np.ndarray, rows: _Rows):
+def _layer_tapes(model: Model, x: np.ndarray, rows: _Rows, weights=None, first: int = 0):
     """Run the stack over the packed frames ``x`` of the sequences ``rows``
     steps together, yielding each layer's tape in turn: layer k consumes
-    layer k-1's hidden states."""
+    layer k-1's hidden states.  ``weights``, the layer containers and fused
+    gate blocks ``param_views`` gives, replace the model's own, and then
+    only the layers from ``first`` on run, ``x`` being the input of layer
+    ``first``."""
     tie = model.config.tie_gate_hidden_weights
-    for (kind, _units), params, gates in zip(model.config.layers, model.layers, model.gates):
+    stack = zip(model.config.layers, model.layers, model.gates)
+    if weights:
+        stack = itertools.islice(zip(model.config.layers, *weights), first, None)
+    for (kind, _units), params, gates in stack:
         if kind.kind == "rnn":
             tape = _rnn_layer_forward(params, x, rows)
         else:
@@ -662,6 +695,20 @@ def forward_set(model: Model, sequences) -> list[np.ndarray]:
         for i, idx in zip(chunk, rows.index):
             logits[i] = _logits(model, tape.h, idx)
     return logits
+
+
+def forward_rows(model: Model, vectors: np.ndarray, x: np.ndarray, first: int = 0) -> np.ndarray:
+    """The last frame's logits ``stack_forward`` gives ``model`` run with
+    each row of ``vectors`` (rows >= 2, theta.size) as its parameter vector,
+    bitwise, row by row: the rows step together, each with its own weights.
+    ``x`` is the (T, in) input of layer ``first`` and serves every row, so
+    the rows must agree on the layers below it, which do not run."""
+    n, steps = len(vectors), len(x)
+    (*layers, output), gates = param_views(model.layout, vectors)
+    x = np.repeat(x, n, axis=0)     # packed: every row's frame 0, then frame 1, ...
+    for tape in _layer_tapes(model, x, _Rows((steps,) * n), (layers, gates), first):
+        x = tape.h
+    return np.tanh((output.w_yh @ x[-n:, :, None])[..., 0] + output.b_y)
 
 
 def _read_out(logits: np.ndarray) -> tuple[int, np.ndarray]:

@@ -1,4 +1,5 @@
 import types
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -216,6 +217,42 @@ ARCHS = {
 }
 
 
+# more entries in every layer than one chunk of rows holds, tied, with
+# every cell kind
+WIDE = StackConfig(((CellKind("rnn"), 6), (CellKind("drnn", 1), 4), (CellKind("dos", 2), 5)),
+                   3, 3, tie_gate_hidden_weights=True)
+
+
+def _per_entry_reference(model, frames, label, h=1e-5):
+    """(name, analytic, numeric, rel_error) per entry, the numeric side from
+    two whole-stack longdouble ``stack_forward`` runs per entry."""
+    tape = stack_forward(model, frames)
+    _, dlogits = loss_frame(tape.logits, [label])
+    analytic = backward(model, tape, dlogits, truncated=False).vector
+    ld_model = replace(model, layers=[map_params(lambda a: a.astype(np.longdouble), p)
+                                      for p in model.layers],
+                       output=map_params(lambda a: a.astype(np.longdouble), model.output))
+    ld_frames = frames.astype(np.longdouble)
+    theta, hl = ld_model.theta, np.longdouble(h)
+
+    def loss():
+        return -np.log(softmax(stack_forward(ld_model, ld_frames).logits[-1])[label])
+
+    names = [f"{name}{list(idx)}" for name, arr in model_param_items(model)
+             for idx in np.ndindex(arr.shape)]
+    out = []
+    for k, name in enumerate(names):
+        orig = theta[k]
+        theta[k] = orig + hl
+        lp = loss()
+        theta[k] = orig - hl
+        lm = loss()
+        theta[k] = orig
+        gn, ga = float((lp - lm) / (2.0 * hl)), float(analytic[k])
+        out.append((name, ga, gn, abs(ga - gn) / max(abs(ga), abs(gn), 1e-8)))
+    return out
+
+
 class TestGradCheck:
     @pytest.mark.parametrize("name", sorted(ARCHS))
     def test_full_gradient_passes(self, name):
@@ -248,6 +285,34 @@ class TestGradCheck:
         model = build_model(ARCHS["dos1"](), seed=11)
         frames = seeded_rng(12).normal(size=(5, 3))
         assert grad_check(model, frames, label=1).passed is False
+
+    @pytest.mark.parametrize("name", sorted(ARCHS) + ["wide"])
+    def test_report_equals_per_entry_loop(self, name):
+        # the rows of one call must give, entry by entry, the numbers of two
+        # whole-stack longdouble forwards per entry
+        model = build_model(ARCHS[name]() if name != "wide" else WIDE, seed=11)
+        frames = seeded_rng(12).normal(size=(5, 3))
+        report = grad_check(model, frames, label=1)
+        got = [(e.name, e.analytic, e.numeric, e.rel_error) for e in report.entries]
+        assert got == _per_entry_reference(model, frames, label=1)
+
+    def test_wide_model_chunks_straddle_layers(self):
+        # a chunk holds MAX_ROWS // 2 entries; every container here holds
+        # more, and ends inside a chunk
+        model = build_model(WIDE, seed=11)
+        sizes = [sum(a.size for _, a in cells.param_items(p)) for p in (*model.layers, model.output)]
+        per_chunk = cells.MAX_ROWS // 2
+        assert min(sizes[:-1]) > per_chunk
+        assert all(end % per_chunk for end in np.cumsum(sizes)[:-1])
+
+    def test_non_finite_numeric_side_names_first_entry(self, monkeypatch):
+        # only the numeric side reads backprop.softmax; the analytic side
+        # stays finite, so the error is grad_check's own
+        monkeypatch.setattr(bp, "softmax", lambda y: np.full_like(y, np.nan))
+        model = build_model(ARCHS["rnn+lstm"](), seed=11)
+        frames = seeded_rng(12).normal(size=(5, 3))
+        with pytest.raises(FloatingPointError, match=r"^non-finite gradient at layer0\.w_hh\[0, 0\]$"):
+            bp.grad_check(model, frames, label=1)
 
     def test_report_format(self):
         model = build_model(ARCHS["lstm"](), seed=1)

@@ -417,3 +417,55 @@ class TestForwardSet:
         with pytest.raises(ShapeMismatchError, match="nonempty"):
             forward_set(model, [np.zeros((4, 3)), np.zeros((0, 3))])
         assert runs == []
+
+
+class TestForwardRows:
+    """Per-row weights: each row of a (rows, P) stack of parameter vectors
+    runs as a model of its own, bitwise."""
+
+    @staticmethod
+    def row_models(model, vectors):
+        for v in vectors:
+            other = longdouble_copy(model)
+            other.theta[:] = v
+            yield other
+
+    def test_param_views_of_rows(self):
+        model = set_model("drnn2", tie=True)
+        vectors = np.stack([model.theta, 2.0 * model.theta, -model.theta])
+        (layer, output), (gates, _) = cells.param_views(model.layout, vectors)
+        assert layer.w_id[2].shape == (3, 3, 3) and output.b_y.shape == (3, 3)
+        assert [g.shape for g in gates] == [(3, 12, 3), (3, 12, 3), (3, 12)]
+        assert layer.units == 3 and layer.input_units == 3
+        assert np.shares_memory(layer.w_ix, vectors)
+        assert np.array_equal(layer.w_fd[1][1], 2.0 * model.layers[0].w_fd[1])
+
+    @pytest.mark.parametrize("tie", [False, True], ids=["untied", "tied"])
+    @pytest.mark.parametrize("arch", list(SET_ARCHS))
+    def test_rows_match_stack_forward(self, arch, tie):
+        model = longdouble_copy(set_model(arch, tie, seed=2))
+        rng = seeded_rng(3)
+        frames = random_frames(rng, 6, 3).astype(np.longdouble)
+        vectors = model.theta + rng.normal(scale=0.1, size=(5, model.theta.size))
+        got = cells.forward_rows(model, vectors, frames)
+        assert got.shape == (5, 3)
+        for y, other in zip(got, self.row_models(model, vectors)):
+            assert_bitwise(y, stack_forward(other, frames).logits[-1])
+
+    @pytest.mark.parametrize("first", [1, 2, 3])
+    def test_layers_below_first_do_not_run(self, first, monkeypatch):
+        model = longdouble_copy(set_model("mixed", seed=4))
+        frames = random_frames(seeded_rng(5), 4, 3).astype(np.longdouble)
+        tape = stack_forward(model, frames)
+        x = tape.layers[first].x if first < 3 else tape.layers[-1].h
+        # the rows agree below layer ``first`` and differ from it on
+        start = sum(a.size for p in model.layers[:first] for _, a in cells.param_items(p))
+        vectors = np.repeat(model.theta[None], 4, axis=0)
+        vectors[:, start:] += seeded_rng(6).normal(scale=0.1, size=(4, model.theta.size - start))
+        expected = [stack_forward(m, frames).logits[-1] for m in self.row_models(model, vectors)]
+        ran = []
+        real = cells._layer_forward
+        monkeypatch.setattr(cells, "_layer_forward", lambda *a: ran.append(1) or real(*a))
+        for y, e in zip(cells.forward_rows(model, vectors, x, first), expected):
+            assert_bitwise(y, e)
+        assert len(ran) == (first <= 1) + (first <= 2)
