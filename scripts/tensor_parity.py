@@ -26,7 +26,12 @@ tiny seeded models and compares them bit for bit:
   hidden weights (``{arch}/grad_check*`` and ``{arch}/tie=True/grad_check*``);
 * the PCA projection ``apply_preprocess`` gives on noisy 16-dim data, fitted
   at energies 0.9 and 1.0, so that every frame goes through a many-component
-  projection.
+  projection;
+* at the benchmark's training shapes (dim 16, 16 units, T=20, frame mode),
+  3-epoch training histories and trained parameters, and the logits and
+  ``backward`` gradients on a held-out sequence, for lstm, dos:2, drnn:2 and
+  d2rnn:3, each with and without tied gate hidden weights, in full and
+  truncated backprop (``bench/...`` keys).
 
     python3 scripts/tensor_parity.py PARENT_SRC CHANGE_SRC
 
@@ -57,6 +62,9 @@ ARCHS = {
 DIM, UNITS, CLASSES, LENGTH, COUNT = 3, 3, 3, 6, 9
 # lengths of the ragged set, one per generated sequence: unsorted, repeated
 RAGGED = (3, 6, 1, 4, 6, 2, 5, 3, 1, 6, 4, 2)
+# the benchmark's training shapes: input dim, units, frames, sequences
+BENCH_DIM, BENCH_UNITS, BENCH_LENGTH, BENCH_COUNT = 16, 16, 20, 8
+BENCH_ARCHS = ("lstm", "dos:2", "drnn:2", "d2rnn:3")
 
 
 def dump(path: str) -> None:
@@ -140,6 +148,26 @@ def dump(path: str) -> None:
     for energy in (0.9, 1.0):
         projected = apply_preprocess(fit_preprocess(noisy, energy), noisy)
         out[f"pca/energy={energy}"] = np.stack([s.frames for s in projected.sequences])
+    bench = gen_synthetic("acceleration", 2, BENCH_COUNT + 1, BENCH_LENGTH, BENCH_DIM, 0.05,
+                          seed=13)
+    bench_train = Dataset(bench.sequences[:BENCH_COUNT], bench.class_names)
+    bench_probe = bench.sequences[BENCH_COUNT]
+    for ai, arch in enumerate(BENCH_ARCHS):
+        for tie in (False, True):
+            config = StackConfig(tuple((CellKind(k, n), BENCH_UNITS) for k, n in ARCHS[arch]),
+                                 BENCH_DIM, 2, tie_gate_hidden_weights=tie)
+            for truncation in ("full", "truncated"):
+                key = f"bench/{arch}/tie={tie}/{truncation}"
+                model = build_model(config, seed=20 + ai)
+                history = train(model, bench_train, TrainConfig(
+                    learning_rate=0.05, epochs=3, mode="frame", truncation=truncation, seed=3))
+                out[key + "/history"] = np.array([[m.mean_loss, m.accuracy] for m in history])
+                out[key + "/params"] = flat(model_param_items(model))
+                tape = stack_forward(model, bench_probe.frames)
+                out[key + "/logits"] = tape.logits
+                _, dlogits = loss_frame(tape.logits, bench_probe.frame_labels)
+                grads = backward(model, tape, dlogits, truncation == "truncated")
+                out[key + "/grads"] = flat(model_param_items(grads))
     np.savez(path, **out)
 
 

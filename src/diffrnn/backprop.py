@@ -70,26 +70,47 @@ def _cell_backward(params: CellParams, kind, ltape, dh_in, truncated, tie, grads
     The time loop only carries the recurrences (state and hidden gradients);
     the gate derivative factors are formed for all T before it, and the
     weight gradients as single time-batched matmuls against the tape after
-    it.  Truncation keeps only the order-0 DoS paths in the lag weights the
-    state gradient flows through; otherwise the forward's lag weights serve.
+    it.  A step adds into held row views: ``dh[t - 1] += ...`` would fetch
+    the row, add into it and then assign it back.  Truncation keeps only
+    the order-0 DoS paths in the lag weights the state gradient flows
+    through; otherwise the forward's lag weights serve, and with no DoS
+    path left none are built.
     """
     T = ltape.s.shape[0]
     u = params.units
     flow = tuple(n for n in kind.dos_orders if not truncated or n == 0)
-    lags, cur = ((ltape.lags, ltape.cur) if flow == kind.dos_orders
-                 else lag_weights(params, flow))
-    lags_t, cur_t, wh_t = lags.transpose(0, 2, 1), cur.T, ltape.wh.T
+    if flow:
+        lags, cur = ((ltape.lags, ltape.cur) if flow == kind.dos_orders
+                     else lag_weights(params, flow))
+        n_lags, cur_t = len(lags), cur.T
+        # one product per step gives both dh[t-1] (block 0) and the lagged
+        # state gradients (blocks 1..)
+        back_t = np.concatenate([ltape.wh[None], lags]).transpose(0, 2, 1)
+        back = np.empty((1 + n_lags, u, 1))
+        back_h, back_lag = back[0, :, 0], back[1:, :, 0]
+    else:
+        n_lags, wh_t = 0, ltape.wh.T
 
     i_a, f_a, o_a, g_a, th_a = ltape.i, ltape.f, ltape.o, ltape.g, ltape.tanh_s
-    d_th, d_o, d_i, d_f = 1.0 - th_a * th_a, 1.0 - o_a, 1.0 - i_a, 1.0 - f_a
-    d_g = 1.0 - g_a * g_a
-    s_prev = _shifted(ltape.s)
+    d_th, d_o, d_g = 1.0 - th_a * th_a, 1.0 - o_a, 1.0 - g_a * g_a
+    # the i and f gate gradients step as one (2, u) chain,
+    # ((ds * [g, s_prev]) * [i, f]) * [1-i, 1-f]
+    gs = np.empty((T, 2, u))
+    gs[:, 0] = g_a
+    gs[0, 1] = 0.0
+    gs[1:, 1] = ltape.s[:-1]
+    i_f = np.empty((T, 2, u))
+    i_f[:, 0] = i_a
+    i_f[:, 1] = f_a
+    d_if = 1.0 - i_f
     dz_all = np.empty((T, 4 * u))
-    dzi_a, dzf_a, dzo_a, dzg_a = (dz_all[:, k * u:(k + 1) * u] for k in range(4))
+    dz_gates = dz_all.reshape(T, 4, u)
+    dz_if, dzo_a, dzg_a = dz_gates[:, :2], dz_gates[:, 2], dz_gates[:, 3]
+    dz_col = dz_all[:, :, None]
     dh = dh_in.copy()
     # newest-first like the forward's states: row T-1-t is time t, and lags
     # reaching before the sequence land in the padding rows from T on
-    ds = np.zeros((T + len(lags), u))
+    ds = np.zeros((T + n_lags, u))
 
     for t in range(T - 1, -1, -1):
         r = T - 1 - t
@@ -100,19 +121,21 @@ def _cell_backward(params: CellParams, kind, ltape, dh_in, truncated, tie, grads
         dzo *= d_o[t]
         if flow:
             dst += cur_t @ dzo
-        dzi = np.multiply(dst, g_a[t], out=dzi_a[t])
-        dzi *= i_a[t]
-        dzi *= d_i[t]
-        dzf = np.multiply(dst, s_prev[t], out=dzf_a[t])
-        dzf *= f_a[t]
-        dzf *= d_f[t]
+        dzif = np.multiply(dst, gs[t], out=dz_if[t])
+        dzif *= i_f[t]
+        dzif *= d_if[t]
         dzg = np.multiply(dst, i_a[t], out=dzg_a[t])
         dzg *= d_g[t]
-        ds[r + 1] += dst * f_a[t]
-        if flow:
-            ds[r + 1:r + 1 + len(lags)] += (lags_t @ dz_all[t, :, None])[:, :, 0]
-        if t >= 1:
-            dh[t - 1] += wh_t @ dz_all[t]
+        if t:       # nothing reaches before the sequence
+            nxt, prev = ds[r + 1], dh[t - 1]
+            nxt += dst * f_a[t]
+            if flow:
+                np.matmul(back_t, dz_col[t], out=back)
+                prev += back_h
+                win = ds[r + 1:r + 1 + n_lags]
+                win += back_lag
+            else:
+                prev += wh_t @ dz_all[t]
 
     gwx, gwh, gb = gblocks
     np.matmul(dz_all.T, ltape.x, out=gwx)
@@ -139,8 +162,9 @@ def _rnn_backward(params: RnnParams, ltape, dh_in, grads):
     dz_all = np.empty((T, params.units))
     for t in range(T - 1, -1, -1):
         dz = np.multiply(dh[t], d_h[t], out=dz_all[t])
-        if t >= 1:
-            dh[t - 1] += w_hh_t @ dz
+        if t:
+            prev = dh[t - 1]
+            prev += w_hh_t @ dz
     np.matmul(dz_all.T, _shifted(ltape.h), out=grads.w_hh)
     np.matmul(dz_all.T, ltape.x, out=grads.w_hx)
     np.sum(dz_all, axis=0, out=grads.b_h)
@@ -180,6 +204,12 @@ def backward(model: Model, tape: Tape, dlogits: np.ndarray, truncated: bool) -> 
     return grads
 
 
+# A chunk of grad_check rows holds at most MAX_ROWS perturbed models, and
+# fewer where their working set would pass this many bytes; never fewer than
+# one entry's two rows.
+CHUNK_BYTES = 8 << 20
+
+
 @dataclass
 class GradCheckEntry:
     name: str
@@ -217,7 +247,8 @@ def grad_check(model: Model, frames: np.ndarray, label: int,
     the model: central differences of a float64 loss at h=1e-5 carry ~1e-11
     of cancellation noise, which would swamp honestly-tiny gradients deep in
     a stack.  Each entry's two perturbed models (+h and -h) are two rows of
-    ``cells.forward_rows``, and up to ``MAX_ROWS`` rows step together.  A
+    ``cells.forward_rows``, and up to ``MAX_ROWS`` rows step together, fewer
+    where their working set would pass ``CHUNK_BYTES``.  A
     perturbation leaves the layers below its own unchanged, so a batch of
     rows starts at the layer of its first entry, from that layer's input in
     one unperturbed longdouble forward; output-layer entries cost only the
@@ -251,7 +282,12 @@ def grad_check(model: Model, frames: np.ndarray, label: int,
     names = (f"{name}{list(idx)}" for name, arr in model_param_items(model)
              for idx in np.ndindex(arr.shape))
     entries = []
-    per_call = MAX_ROWS // 2
+    # a row's working set: its parameter vector, the per-row weight stacks
+    # its forward builds (lag weights, a tied hidden block: at most about
+    # three times as large) and its activations, about 12 per unit and frame
+    units = sum(u for _, u in model.config.layers)
+    row_bytes = theta.itemsize * (4 * theta.size + 12 * len(frames) * units)
+    per_call = max(1, min(MAX_ROWS, CHUNK_BYTES // row_bytes) // 2)
     for k0 in range(0, theta.size, per_call):
         ks = np.arange(k0, min(k0 + per_call, theta.size))
         plus = 2 * np.arange(len(ks))       # row 2i is entry ks[i] + h, row 2i+1 - h

@@ -585,7 +585,7 @@ def _layer_forward(params: CellParams, gates, kind: CellKind, tie: bool,
         for k in range(steps):
             np.add(zx_r[k], wh @ h, out=z)
             if orders:
-                z_lag += (lag_r @ win_r[k]).sum(axis=0)
+                z_lag += np.add.reduce(lag_r @ win_r[k], axis=0)
             i_t = sigmoid(z_i, out=i_r[k])
             f_t = sigmoid(z_f, out=f_r[k])
             g_t = np.tanh(z_g, out=g_r[k])

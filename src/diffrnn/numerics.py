@@ -33,11 +33,18 @@ def as_vector(x) -> np.ndarray:
 
 
 def sigmoid(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Numerically stable logistic function, elementwise, in the dtype of
-    ``v``, written into ``out`` if given.  exp only ever sees -|v|, so
-    neither branch can overflow: 1 / (1 + e) for v >= 0, e / (1 + e) below."""
-    e = np.exp(-np.abs(v))
-    return np.divide(np.where(v >= 0, 1.0, e), 1.0 + e, out=out)
+    """Numerically stable logistic function, elementwise over an array ``v``
+    of one or more dimensions, in its dtype, written into ``out`` if given.
+    exp only ever sees -|v| (``copysign(v, -1)``), so it cannot overflow:
+    1 / (1 + e) for v >= 0, e / (1 + e) below.  The numerator max(sign v, e)
+    picks between them without a branch, since e <= 1 and e = 1 at v = 0;
+    every non-NaN input gives bitwise the two-branch result."""
+    e = np.copysign(v, -1.0)
+    np.exp(e, out=e)
+    num = np.sign(v, out=out)
+    np.maximum(num, e, out=num)
+    e += 1.0
+    return np.divide(num, e, out=num)
 
 
 def softmax(y: np.ndarray) -> np.ndarray:

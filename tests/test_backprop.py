@@ -1,3 +1,4 @@
+import tracemalloc
 import types
 from dataclasses import replace
 
@@ -22,6 +23,7 @@ from diffrnn.cells import (
     stack_forward,
     stacked_lstm_config,
 )
+from diffrnn.cli import build_config
 from diffrnn.numerics import seeded_rng, sigmoid, softmax
 from diffrnn.train import loss_frame
 
@@ -305,6 +307,56 @@ class TestGradCheck:
         assert min(sizes[:-1]) > per_chunk
         assert all(end % per_chunk for end in np.cumsum(sizes)[:-1])
 
+    def test_wide_chunks_stay_within_the_byte_budget(self, monkeypatch):
+        # MAX_ROWS rows of this model would take several times the budget;
+        # bounded by bytes, the check's transient peak stays under it, and
+        # its report is still the per-entry loop's
+        model = small_model([(CellKind("dos", 1), 12)], input_units=2, classes=3,
+                            seed=3, tie=True)
+        frames = seeded_rng(4).normal(size=(5, 2))
+        budget = 1 << 20
+
+        def transient_peak():
+            tracemalloc.start()
+            try:
+                report = bp.grad_check(model, frames, label=1)
+                kept, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            return report, peak - kept      # what is kept is the report
+
+        monkeypatch.setattr(bp, "CHUNK_BYTES", budget)
+        report, peak = transient_peak()
+        assert peak < budget
+        got = [(e.name, e.analytic, e.numeric, e.rel_error) for e in report.entries]
+        assert got == _per_entry_reference(model, frames, label=1)
+        monkeypatch.setattr(bp, "CHUNK_BYTES", 1 << 40)
+        assert transient_peak()[1] > 3 * budget
+
+    @pytest.mark.parametrize("arch,units,rows", [
+        # the tiny-oracle benchmark's checks fill whole chunks
+        ("lstm", 6, cells.MAX_ROWS), ("dos:1", 6, cells.MAX_ROWS),
+        ("dos:2", 6, cells.MAX_ROWS), ("drnn:2", 6, cells.MAX_ROWS),
+        ("d2rnn:3", 5, cells.MAX_ROWS),
+        # ``diffrnn gradcheck --state-units 150``: one entry a call, 5 MiB
+        # of rows where MAX_ROWS would hold 157 MiB
+        ("dos:1", 150, 2)])
+    def test_rows_per_call(self, monkeypatch, arch, units, rows):
+        model = build_model(build_config(arch, 4, units, 3), seed=1)
+        seen = []
+
+        class FirstCall(Exception):
+            pass
+
+        def first_call(model, vectors, x, first=0):
+            seen.append(len(vectors))
+            raise FirstCall
+
+        monkeypatch.setattr(bp, "forward_rows", first_call)
+        with pytest.raises(FirstCall):
+            bp.grad_check(model, seeded_rng(2).normal(size=(5, 4)), label=0)
+        assert seen == [rows]
+
     def test_non_finite_numeric_side_names_first_entry(self, monkeypatch):
         # only the numeric side reads backprop.softmax; the analytic side
         # stays finite, so the error is grad_check's own
@@ -346,6 +398,21 @@ class TestTruncationContract:
         _, dlogits = loss_frame(tape.logits, [0])
         assert grads_bitwise_equal(backward(model, tape, dlogits, truncated=False),
                                    backward(model, tape, dlogits, truncated=True))
+
+    @pytest.mark.parametrize("layers,builds", [
+        # layer 0 keeps its whole order-0 flow, layers 1-2 keep none
+        ([(CellKind("dos", 0), 4), (CellKind("dos", 1), 4), (CellKind("dos", 2), 4)], 0),
+        # orders 1-2 are cut, order 0 still flows
+        ([(CellKind("drnn", 2), 4)], 1)])
+    def test_truncation_builds_lag_weights_only_for_a_cut_flow(self, monkeypatch, layers,
+                                                              builds):
+        model = small_model(layers, seed=8)
+        tape = stack_forward(model, seeded_rng(9).normal(size=(5, 3)))
+        _, dlogits = loss_frame(tape.logits, [0])
+        calls = []
+        monkeypatch.setattr(bp, "lag_weights", lambda *a: calls.append(a) or cells.lag_weights(*a))
+        backward(model, tape, dlogits, truncated=True)
+        assert len(calls) == builds
 
     def test_full_differs_on_order1_instance(self):
         model = small_model([(CellKind("dos", 1), 4)], seed=8)

@@ -97,6 +97,39 @@ class TestActivations:
                               expected[finite].view(np.uint64))
         assert np.isnan(got[-1])   # NaN stays NaN (its sign bit may differ)
 
+    @staticmethod
+    def _assert_longdouble_bitwise(got, expected):
+        # a longdouble's padding bytes are undefined, so compare values and
+        # signs: equal values differ in bits only as +0 and -0
+        assert got.dtype == expected.dtype == np.longdouble
+        assert np.array_equal(got, expected)
+        assert np.array_equal(np.signbit(got), np.signbit(expected))
+
+    # full 64-bit significands at any scale, and often at |v| < 2**14,
+    # where exp(-|v|) does not underflow
+    @given(st.lists(st.tuples(st.integers(-(2 ** 64) + 1, 2 ** 64 - 1),
+                              st.integers(-16500, 16300) | st.integers(-130, -50)),
+                    min_size=1, max_size=64))
+    def test_longdouble_sigmoid_bitwise_equals_two_branch_form(self, parts):
+        with np.errstate(over="ignore", under="ignore"):
+            v = np.array([np.ldexp(np.longdouble(m), e) for m, e in parts])
+            expected = self._two_branch_sigmoid(v)
+            got = sigmoid(v)
+        self._assert_longdouble_bitwise(got, expected)
+
+    def test_longdouble_sigmoid_bitwise_at_special_values(self):
+        fi = np.finfo(np.longdouble)
+        v = np.array([0.0, np.inf, fi.smallest_subnormal, fi.smallest_normal, fi.eps,
+                      np.ldexp(np.longdouble(1), -16400), np.longdouble("11355.1"),
+                      np.longdouble("11356.6"), np.longdouble("11400"), fi.max],
+                     dtype=np.longdouble)
+        v = np.concatenate([v, -v, [np.nan]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = self._two_branch_sigmoid(v)
+            got = sigmoid(v)
+        self._assert_longdouble_bitwise(got[:-1], expected[:-1])
+        assert np.isnan(got[-1])
+
     def test_sigmoid_keeps_longdouble(self):
         v = np.array([-3.0, 0.0, 2.5], dtype=np.longdouble)
         got = sigmoid(v)
