@@ -22,6 +22,11 @@ tiny seeded models and compares them bit for bit:
   runs on ragged sequences), with its member weights and parameters and
   each member's decisions on the ragged set (from ``predict_set`` where the
   tree has one, else ``predict_sequence``);
+* per architecture, with and without tied gate hidden weights, the
+  parameter vector of a freshly built model (``{arch}/tie={tie}/init``),
+  which gates the initial draw order, and the bytes of its checkpoint
+  document, ``json.dumps(model_to_doc(model))`` as uint8
+  (``{arch}/tie={tie}/checkpoint``);
 * one ``grad_check`` report per architecture, with and without tied gate
   hidden weights (``{arch}/grad_check*`` and ``{arch}/tie=True/grad_check*``);
 * the PCA projection ``apply_preprocess`` gives on noisy 16-dim data, fitted
@@ -41,6 +46,7 @@ that differs and exits 1 if any does, 0 if every key is bitwise equal.
 Uses numpy and the standard library only and runs in well under a minute.
 """
 import argparse
+import json
 import os
 import subprocess
 import sys
@@ -74,7 +80,7 @@ def dump(path: str) -> None:
     from diffrnn.cells import CellKind, StackConfig, build_model, dos_energy, stack_forward
     from diffrnn.data import Dataset, Sequence, apply_preprocess, fit_preprocess, gen_synthetic
     from diffrnn.ensemble import fit_ernn
-    from diffrnn.train import TrainConfig, evaluate, loss_frame, train
+    from diffrnn.train import TrainConfig, evaluate, loss_frame, model_to_doc, train
 
     data = gen_synthetic("mixed", CLASSES, COUNT + CLASSES, LENGTH, DIM, 0.3, seed=7)
     train_set = Dataset(data.sequences[:COUNT], data.class_names)
@@ -133,6 +139,9 @@ def dump(path: str) -> None:
         for tie in (False, True):
             model = build_model(StackConfig(tuple((CellKind(k, n), UNITS) for k, n in layers),
                                             DIM, CLASSES, tie_gate_hidden_weights=tie), seed=ai)
+            out[f"{arch}/tie={tie}/init"] = model.theta.copy()
+            out[f"{arch}/tie={tie}/checkpoint"] = np.frombuffer(
+                json.dumps(model_to_doc(model)).encode(), dtype=np.uint8)
             report = grad_check(model, probe.frames[:4], probe.label)
             key = f"{arch}/tie=True" if tie else arch
             out[f"{key}/grad_check"] = np.array(

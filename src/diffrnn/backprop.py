@@ -32,12 +32,12 @@ from .cells import (
     OutputParams,
     RnnParams,
     Tape,
+    container_ends,
     dos,
     forward_rows,
     lag_weights,
     map_params,
     model_param_items,
-    param_items,
     param_views,
     stack_forward,
 )
@@ -272,8 +272,7 @@ def grad_check(model: Model, frames: np.ndarray, label: int,
     # the input of each layer and of the output projection, unperturbed
     inputs = [lt.x for lt in ld_tape.layers] + [ld_tape.layers[-1].h]
     # entry k lies in the first container (layer, or the output) ending past k
-    ends = np.cumsum([sum(a.size for _, a in param_items(p))
-                      for p in (*model.layers, model.output)])
+    ends = container_ends(model.layout)
     theta = ld_model.theta
     hl = np.longdouble(h)
 

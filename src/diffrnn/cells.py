@@ -31,6 +31,7 @@ bitwise the same results, row by row.
 """
 from __future__ import annotations
 
+import dataclasses
 import functools
 import itertools
 import math
@@ -42,6 +43,10 @@ import numpy as np
 from .numerics import ShapeMismatchError, seeded_rng, sigmoid, softmax
 
 VALID_KINDS = ("rnn", "lstm", "dos", "drnn")
+
+# The highest derivative order: the largest n for which every binomial
+# weight C(n, j) of an order-n difference is a finite float64.
+MAX_ORDER = 1029
 
 
 @dataclass(frozen=True)
@@ -55,8 +60,8 @@ class CellKind:
     def __post_init__(self):
         if self.kind not in VALID_KINDS:
             raise ValueError(f"unknown cell kind {self.kind!r}")
-        if self.order < 0:
-            raise ValueError("derivative order must be >= 0")
+        if not 0 <= self.order <= MAX_ORDER:
+            raise ValueError(f"derivative order must be in 0..{MAX_ORDER}, got {self.order}")
 
     @property
     def dos_orders(self) -> tuple[int, ...]:
@@ -76,6 +81,13 @@ class CellKind:
 # compare by identity, as arrays have no single truth value.
 
 
+def _param(*dims):
+    """A parameter field whose arrays have shape ``dims``, where "out" is
+    the container's output width (a layer's units, the class count) and
+    "in" its input width."""
+    return field(metadata={"dims": dims})
+
+
 @dataclass(frozen=True, eq=False)
 class CellParams:
     """All weights of one gated recurrent layer.
@@ -86,21 +98,21 @@ class CellParams:
     (4u, in), (4u, u) and (4u,) blocks of the fused gate matmuls are slices.
     """
 
-    w_ix: np.ndarray
-    w_fx: np.ndarray
-    w_ox: np.ndarray
-    w_sx: np.ndarray
-    w_ih: np.ndarray
-    w_fh: np.ndarray
-    w_oh: np.ndarray
-    w_sh: np.ndarray
-    w_id: dict[int, np.ndarray]
-    w_fd: dict[int, np.ndarray]
-    w_od: dict[int, np.ndarray]
-    b_i: np.ndarray
-    b_f: np.ndarray
-    b_o: np.ndarray
-    b_s: np.ndarray
+    w_ix: np.ndarray = _param("out", "in")
+    w_fx: np.ndarray = _param("out", "in")
+    w_ox: np.ndarray = _param("out", "in")
+    w_sx: np.ndarray = _param("out", "in")
+    w_ih: np.ndarray = _param("out", "out")
+    w_fh: np.ndarray = _param("out", "out")
+    w_oh: np.ndarray = _param("out", "out")
+    w_sh: np.ndarray = _param("out", "out")
+    w_id: dict[int, np.ndarray] = _param("out", "out")
+    w_fd: dict[int, np.ndarray] = _param("out", "out")
+    w_od: dict[int, np.ndarray] = _param("out", "out")
+    b_i: np.ndarray = _param("out")
+    b_f: np.ndarray = _param("out")
+    b_o: np.ndarray = _param("out")
+    b_s: np.ndarray = _param("out")
 
     @property
     def units(self) -> int:
@@ -113,9 +125,9 @@ class CellParams:
 
 @dataclass(frozen=True, eq=False)
 class RnnParams:
-    w_hh: np.ndarray
-    w_hx: np.ndarray
-    b_h: np.ndarray
+    w_hh: np.ndarray = _param("out", "out")
+    w_hx: np.ndarray = _param("out", "in")
+    b_h: np.ndarray = _param("out")
 
     @property
     def units(self) -> int:
@@ -128,22 +140,23 @@ class RnnParams:
 
 @dataclass(frozen=True, eq=False)
 class OutputParams:
-    w_yh: np.ndarray
-    b_y: np.ndarray
+    w_yh: np.ndarray = _param("out", "in")
+    b_y: np.ndarray = _param("out")
 
 
 @functools.cache
-def param_fields(cls) -> tuple[tuple[str, bool], ...]:
-    """(name, declared a per-order dict?) for each field of a parameter
+def param_fields(cls) -> tuple[tuple[str, bool, tuple[str, ...]], ...]:
+    """(name, declared a per-order dict?, dims) for each field of a parameter
     dataclass, in declaration order: the order of gradients and checkpoints."""
     hints = typing.get_type_hints(cls)
-    return tuple((name, typing.get_origin(hint) is dict) for name, hint in hints.items())
+    return tuple((f.name, typing.get_origin(hints[f.name]) is dict, f.metadata["dims"])
+                 for f in dataclasses.fields(cls))
 
 
 def param_items(p, prefix=""):
     """Yield (name, array) for every array of a parameter container, in field
     order; a per-order dict field yields ``name[n]`` per order n, ascending."""
-    for name, per_order in param_fields(type(p)):
+    for name, per_order, _ in param_fields(type(p)):
         value = getattr(p, name)
         if per_order:
             for n in sorted(value):
@@ -155,7 +168,7 @@ def param_items(p, prefix=""):
 def map_params(fn, p):
     """A container of ``p``'s type holding ``fn(array)`` for each array."""
     kw = {}
-    for name, per_order in param_fields(type(p)):
+    for name, per_order, _ in param_fields(type(p)):
         value = getattr(p, name)
         kw[name] = {n: fn(m) for n, m in value.items()} if per_order else fn(value)
     return type(p)(**kw)
@@ -184,44 +197,93 @@ class _Orders(dict):
         return dict, (dict(self),)
 
 
-# the i, f, o, s fields of each fused gate block of a gated layer
-_FUSED = (("w_ix", "w_fx", "w_ox", "w_sx"), ("w_ih", "w_fh", "w_oh", "w_sh"),
-          ("b_i", "b_f", "b_o", "b_s"))
+# the first and last of the i, f, o, s fields of each fused gate block of a
+# gated layer
+_FUSED = (("w_ix", "w_sx"), ("w_ih", "w_sh"), ("b_i", "b_s"))
 
 
-def pack(containers) -> tuple[np.ndarray, tuple]:
-    """A copy of the arrays of ``containers`` laid end to end in one vector,
-    in ``param_items`` order, and the layout that says where each sits: per
+# every model built or loaded computes its layout: a gradient check builds
+# one per call, and the layout of a small stack costs a third of that build
+@functools.lru_cache(maxsize=64)
+def layout(config: StackConfig) -> tuple:
+    """Where each array of a ``config`` model sits in its parameter vector:
+    the layers' arrays, then the output's, in ``param_items`` order.  Per
     container (class, fields, fused); per field (name, per_order, entries);
     per array an entry (order, start, stop, shape), order None for a plain
-    field.  ``fused`` is None but for a gated layer, where it holds the
+    field, and a per-order field one entry per order of the layer's kind,
+    ascending.  ``fused`` is None but for a gated layer, where it holds the
     (start, stop, shape) of the fused input-side (4u, in), hidden-side
     (4u, u) and bias (4u,) gate blocks: slices, since each block's i, f, o,
     s parts are laid out in turn."""
-    layout, arrays, at = [], [], 0
-    for p in containers:
+    specs = [(RnnParams if kind.kind == "rnn" else CellParams, units, kind.dos_orders)
+             for kind, units in config.layers]
+    specs.append((OutputParams, config.output_classes, ()))
+    widths = [config.input_units] + [units for _, units in config.layers]
+    containers, at = [], 0
+    for (cls, out, orders), width in zip(specs, widths):
+        size = {"out": out, "in": width}
         fields = []
-        for name, per_order in param_fields(type(p)):
-            value = getattr(p, name)
+        for name, per_order, dims in param_fields(cls):
+            shape = tuple(size[d] for d in dims)
             entries = []
-            for n, a in sorted(value.items()) if per_order else [(None, value)]:
-                a = np.asarray(a)
-                arrays.append(a.ravel())
-                entries.append((n, at, at + a.size, a.shape))
-                at += a.size
+            for n in orders if per_order else (None,):
+                entries.append((n, at, at + math.prod(shape), shape))
+                at += math.prod(shape)
             fields.append((name, per_order, tuple(entries)))
         fused = None
-        if type(p) is CellParams:
+        if cls is CellParams:
             plain = {name: entries[0] for name, per_order, entries in fields if not per_order}
-            fused = []
-            for names in _FUSED:
-                (_, start, _, shape), (_, _, stop, _) = plain[names[0]], plain[names[-1]]
-                if any(plain[name][3] != shape for name in names):
-                    raise ShapeMismatchError(f"{', '.join(names)} differ in shape")
-                fused.append((start, stop, (4 * shape[0], *shape[1:])))
-            fused = tuple(fused)
-        layout.append((type(p), tuple(fields), fused))
-    return np.concatenate(arrays), tuple(layout)
+            fused = tuple((plain[first][1], plain[last][2], (4 * out, *plain[first][3][1:]))
+                          for first, last in _FUSED)
+        containers.append((cls, tuple(fields), fused))
+    return tuple(containers)
+
+
+def container_ends(lay) -> list[int]:
+    """Where each container of a layout ends in its vector: where its last
+    field, always a plain one, stops."""
+    return [fields[-1][2][0][2] for _, fields, _ in lay]
+
+
+def _orders_text(orders) -> str:
+    """A sorted sequence of derivative orders in a few words, however long."""
+    if len(orders) <= 4:
+        return f"orders {list(orders)}"
+    return f"{len(orders)} orders {orders[0]}..{orders[-1]}"
+
+
+def _fitted(config: StackConfig, lay, containers) -> list[np.ndarray]:
+    """The arrays of ``containers``, the layers' and then the output's,
+    flattened in layout order once each fits ``lay``, the layout of
+    ``config``: each container is of the layout's class, and each per-order
+    field has its orders and each array its shape.  The first that does not
+    fit raises a ShapeMismatchError naming it."""
+    if len(containers) != len(lay):
+        raise ShapeMismatchError(f"config lists {len(config.layers)} layers, "
+                                 f"got {len(containers) - 1}")
+    arrays = []
+    for li, (p, (cls, fields, _)) in enumerate(zip(containers, lay)):
+        kind = config.layers[li][0] if li < len(config.layers) else None
+        if type(p) is not cls:
+            where = f"layer {li}: a {kind.kind} layer" if kind else "output: the output"
+            raise ShapeMismatchError(f"{where} cannot hold {type(p).__name__} weights")
+        prefix = f"layer{li}." if kind else "output."
+        for name, per_order, entries in fields:
+            value = getattr(p, name)
+            if per_order:
+                need = [n for n, *_ in entries]
+                if sorted(value) != need:
+                    raise ShapeMismatchError(
+                        f"layer {li}: {name} holds {_orders_text(sorted(value))}, "
+                        f"{kind.kind}:{kind.order} needs {_orders_text(need)}")
+            for n, _, _, shape in entries:
+                a = value if n is None else value[n]
+                if np.shape(a) != shape:
+                    where = prefix + name + ("" if n is None else f"[{n}]")
+                    raise ShapeMismatchError(f"{where} has shape {np.shape(a)}, "
+                                             f"expected {shape}")
+                arrays.append(np.ravel(a))
+    return arrays
 
 
 class _PerRow:
@@ -280,14 +342,16 @@ class StackConfig:
 class Model:
     """A stack's weights, all views into one parameter vector ``theta``.
 
-    ``theta`` lays out the arrays of ``layers`` and then ``output`` in
-    ``param_items`` order, so an SGD step is one vector update and each gated
-    layer's fused gate blocks (``gates``, where ``layout`` places them) are
-    views too.  Construction copies the arrays of the given containers into
-    a new vector and new containers and leaves the given ones untouched; so
-    a copy made by ``copy.deepcopy``, ``dataclasses.replace`` or ``pickle``
-    owns a vector of its own (in the dtype of its arrays: longdouble for
-    gradient checks).
+    ``theta`` lays out the arrays of ``layers`` and then ``output`` as
+    ``layout(config)`` places them, so an SGD step is one vector update and
+    each gated layer's fused gate blocks (``gates``) are views too.
+    Construction checks every given array against that layout (each
+    container's class, each per-order field's orders, each array's shape),
+    raising a ShapeMismatchError that names the first that does not fit,
+    then copies the arrays into a new vector and new containers and leaves
+    the given ones untouched; so a copy made by ``copy.deepcopy``,
+    ``dataclasses.replace`` or ``pickle`` owns a vector of its own (in the
+    dtype of its arrays: longdouble for gradient checks).
     """
 
     config: StackConfig
@@ -299,11 +363,12 @@ class Model:
     gates: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        theta, layout = pack((*self.layers, self.output))
-        (*layers, output), gates = param_views(layout, theta)
+        lay = layout(self.config)
+        theta = np.concatenate(_fitted(self.config, lay, (*self.layers, self.output)))
+        (*layers, output), gates = param_views(lay, theta)
         init = functools.partial(object.__setattr__, self)
         init("theta", theta)
-        init("layout", layout)
+        init("layout", lay)
         init("layers", tuple(layers))
         init("output", output)
         init("gates", tuple(gates[:-1]))
@@ -341,55 +406,23 @@ def dos(order: int, states: np.ndarray) -> np.ndarray:
 # Initialization
 
 
-def _uniform_matrix(rng, rows, cols):
-    r = 1.0 / math.sqrt(cols)
-    return rng.uniform(-r, r, size=(rows, cols))
-
-
-def init_cell_params(rng, units: int, input_units: int, orders) -> CellParams:
-    # Forget bias starts at +1 so early memory is retained (keeps small-lr
-    # training from losing signal before the gates learn).
-    def mat_in():
-        return _uniform_matrix(rng, units, input_units)
-
-    def mat_hid():
-        return _uniform_matrix(rng, units, units)
-
-    return CellParams(
-        w_ix=mat_in(), w_fx=mat_in(), w_ox=mat_in(), w_sx=mat_in(),
-        w_ih=mat_hid(), w_fh=mat_hid(), w_oh=mat_hid(), w_sh=mat_hid(),
-        w_id={n: mat_hid() for n in orders},
-        w_fd={n: mat_hid() for n in orders},
-        w_od={n: mat_hid() for n in orders},
-        b_i=np.zeros(units),
-        b_f=np.ones(units),
-        b_o=np.zeros(units),
-        b_s=np.zeros(units),
-    )
-
-
-def init_rnn_params(rng, units: int, input_units: int) -> RnnParams:
-    return RnnParams(
-        w_hh=_uniform_matrix(rng, units, units),
-        w_hx=_uniform_matrix(rng, units, input_units),
-        b_h=np.zeros(units),
-    )
-
-
 def build_model(config: StackConfig, seed: int = 0) -> Model:
+    """A ``config`` model whose arrays are drawn in layout order: each
+    matrix uniform in +-1/sqrt(its columns), each bias 0 but ``b_f``."""
     rng = seeded_rng(seed)
-    layers = []
-    in_units = config.input_units
-    for kind, units in config.layers:
-        if kind.kind == "rnn":
-            layers.append(init_rnn_params(rng, units, in_units))
-        else:
-            layers.append(init_cell_params(rng, units, in_units, kind.dos_orders))
-        in_units = units
-    output = OutputParams(
-        w_yh=_uniform_matrix(rng, config.output_classes, in_units),
-        b_y=np.zeros(config.output_classes),
-    )
+    lay = layout(config)
+    theta = np.zeros(container_ends(lay)[-1])
+    for _, fields, _ in lay:
+        for name, _, entries in fields:
+            for _, a, b, shape in entries:
+                if len(shape) == 2:
+                    r = 1.0 / math.sqrt(shape[1])
+                    theta[a:b] = rng.uniform(-r, r, size=b - a)
+                elif name == "b_f":
+                    # Forget bias starts at +1 so early memory is retained (keeps
+                    # small-lr training from losing signal before the gates learn).
+                    theta[a:b] = 1.0
+    (*layers, output), _ = param_views(lay, theta)
     return Model(config=config, layers=layers, output=output, seed=seed)
 
 

@@ -25,10 +25,9 @@ from .cells import (
     forward_set,
     model_param_items,
     param_fields,
-    param_items,
     stack_forward,
 )
-from .numerics import seeded_rng, softmax
+from .numerics import ShapeMismatchError, seeded_rng, softmax
 
 
 class TrainingDivergedError(RuntimeError):
@@ -200,7 +199,7 @@ _LAYER_TAGS = {cls: tag for tag, cls in _LAYER_TYPES.items()}
 def _params_to_json(p) -> dict:
     """Plain arrays first, then the per-order dicts keyed by str(order)."""
     doc = {}
-    for name, per_order in sorted(param_fields(type(p)), key=lambda f: f[1]):
+    for name, per_order, _ in sorted(param_fields(type(p)), key=lambda f: f[1]):
         value = getattr(p, name)
         doc[name] = ({str(n): m.tolist() for n, m in value.items()} if per_order
                      else value.tolist())
@@ -219,7 +218,7 @@ def _params_from_json(cls, doc: dict):
     """A ``cls`` container read from its JSON form; which fields are
     per-order dicts comes from the declaration of ``cls``, not the JSON."""
     kw = {}
-    for name, per_order in param_fields(cls):
+    for name, per_order, _ in param_fields(cls):
         value = doc[name]
         if isinstance(value, dict) != per_order:
             raise CheckpointError(f"{name} must be " + (
@@ -236,50 +235,6 @@ def _layer_from_json(doc: dict):
     if doc["type"] not in _LAYER_TYPES:
         raise CheckpointError(f"unknown layer type {doc['type']!r}")
     return _params_from_json(_LAYER_TYPES[doc["type"]], doc)
-
-
-def _orders_text(orders) -> str:
-    """A sorted sequence of derivative orders in a few words, however long."""
-    if len(orders) <= 4:
-        return f"orders {list(orders)}"
-    return f"{len(orders)} orders {orders[0]}..{orders[-1]}"
-
-
-def _check_against_config(config: StackConfig, layers, output) -> None:
-    """Every stored weight must be the one ``config`` implies: layer types
-    match kinds, derivative-order keys match ``dos_orders``, shapes chain
-    from ``input_units`` and all values are finite."""
-    if len(layers) != len(config.layers):
-        raise CheckpointError(f"config lists {len(config.layers)} layers, "
-                              f"checkpoint stores {len(layers)}")
-    arrays = []   # (name, array, expected shape)
-    in_units = config.input_units
-    for li, ((kind, units), p) in enumerate(zip(config.layers, layers)):
-        if type(p) is not (RnnParams if kind.kind == "rnn" else CellParams):
-            raise CheckpointError(f"layer {li}: a {kind.kind} layer cannot hold "
-                                  f"{type(p).__name__} weights")
-        # a drnn layer's orders are compared as a range: the config's order
-        # is not bounded by the file's size, as the stored keys are
-        need = range(kind.order + 1) if kind.kind == "drnn" else kind.dos_orders
-        for dname in [name for name, per_order in param_fields(type(p)) if per_order]:
-            orders = sorted(getattr(p, dname))
-            if len(orders) != len(need) or orders != list(need):
-                raise CheckpointError(
-                    f"layer {li}: {dname} holds {_orders_text(orders)}, "
-                    f"{kind.kind}:{kind.order} needs {_orders_text(need)}")
-        for name, arr in param_items(p, f"layer{li}."):
-            base = name.split(".")[1]
-            cols = in_units if base.endswith("x") else units
-            arrays.append((name, arr, (units,) if base.startswith("b_") else (units, cols)))
-        in_units = units
-    k = config.output_classes
-    arrays += [("output.w_yh", output.w_yh, (k, in_units)),
-               ("output.b_y", output.b_y, (k,))]
-    for name, arr, want in arrays:
-        if arr.shape != want:
-            raise CheckpointError(f"{name} has shape {arr.shape}, expected {want}")
-        if not np.all(np.isfinite(arr)):
-            raise CheckpointError(f"{name} holds a non-finite value")
 
 
 def model_to_doc(model: Model) -> dict:
@@ -322,8 +277,14 @@ def model_from_doc(doc: dict) -> Model:
         output = _params_from_json(OutputParams, doc["output"])
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise CheckpointError(f"malformed checkpoint: {exc}") from exc
-    _check_against_config(config, layers, output)
-    return Model(config=config, layers=layers, output=output, seed=seed)
+    try:
+        model = Model(config=config, layers=layers, output=output, seed=seed)
+    except ShapeMismatchError as exc:   # it names the first array that does not fit
+        raise CheckpointError(str(exc)) from exc
+    if not np.isfinite(model.theta).all():
+        name = next(name for name, a in model_param_items(model) if not np.isfinite(a).all())
+        raise CheckpointError(f"{name} holds a non-finite value")
+    return model
 
 
 def checkpoint_save(model: Model, path) -> None:

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -50,6 +51,18 @@ class TestCellKind:
     def test_rejects_negative_order(self):
         with pytest.raises(ValueError):
             CellKind("dos", -1)
+
+    def test_order_bound(self):
+        assert cells.MAX_ORDER == 1029
+        assert CellKind("drnn", 1029).dos_orders[-1] == 1029
+        with pytest.raises(ValueError, match=r"derivative order must be in 0\.\.1029, got 1030"):
+            CellKind("dos", 1030)
+
+    def test_weights_of_the_highest_order_are_finite(self):
+        n = cells.MAX_ORDER
+        assert all(math.isfinite(cells._dos_weight(n, j)) for j in range(n + 1))
+        with pytest.raises(OverflowError):
+            cells._dos_weight(n + 1, (n + 1) // 2)
 
 
 class TestDos:
@@ -235,7 +248,7 @@ class TestBuildersAndShapes:
 
     @pytest.mark.parametrize("input_units, units", [(0, 4), (3, 0), (3, -1)])
     def test_units_must_be_positive(self, input_units, units):
-        # zero units used to reach _uniform_matrix and divide by zero
+        # zero units used to reach the initial draw and divide by zero
         with pytest.raises(ValueError, match="units must be >= 1"):
             StackConfig(((CellKind("lstm"), 4), (CellKind("lstm"), units)),
                         input_units, 2)

@@ -338,8 +338,12 @@ class TestBadValues:
         ["train", "--split", "mc:0.5:0"],
         ["gradcheck", "--input-dim", "0"],
         ["train", "--epochs", "0"],
+        # binomial weights of these orders overflow float64
+        ["gradcheck", "--arch", "dos:1100", "--len", "3"],
+        ["gradcheck", "--arch", "drnn:1100"],
+        ["train", "--arch", "drnn:1100"],
     ], ids=["zero_units", "negative_clip", "zero_trials", "zero_input_dim",
-            "zero_epochs"])
+            "zero_epochs", "dos_order_1100", "drnn_order_1100", "train_order_1100"])
     def test_out_of_range_value_fails_with_one_line(self, tmp_path, capsys, argv):
         # a value bad for any data is a usage error, not a data error
         if argv[0] == "train":
@@ -349,8 +353,9 @@ class TestBadValues:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("body", ['{"epochs": 0}', '{"split": "kfold:1"}'],
-                             ids=["zero_epochs", "one_fold"])
+    @pytest.mark.parametrize("body", ['{"epochs": 0}', '{"split": "kfold:1"}',
+                                      '{"arch": "dos:1100"}'],
+                             ids=["zero_epochs", "one_fold", "order_1100"])
     def test_out_of_range_config_value_is_usage_error(self, tmp_path, capsys, body):
         data = make_data(tmp_path)
         cfg = tmp_path / "cfg.json"

@@ -359,9 +359,26 @@ class TestParameterVector:
         built = build_model(self.CONFIG, seed=3)
         layers = [map_params(np.copy, p) for p in built.layers]
         shape = getattr(layers[1], field).shape
-        layers[1] = dataclasses.replace(layers[1], **{field: np.zeros((shape[0] + 1, *shape[1:]))})
-        with pytest.raises(ShapeMismatchError, match=f"{names} differ in shape"):
+        wrong = (shape[0] + 1, *shape[1:])
+        layers[1] = dataclasses.replace(layers[1], **{field: np.zeros(wrong)})
+        with pytest.raises(ShapeMismatchError) as err:
             Model(self.CONFIG, layers=layers, output=built.output, seed=3)
+        # the message names the one field, not the fused block of ``names``
+        assert str(err.value) == f"layer1.{field} has shape {wrong}, expected {shape}"
+        assert all(name not in str(err.value) for name in names.split(", ") if name != field)
+
+    @pytest.mark.parametrize("kind, inputs, message", [
+        (CellKind("rnn"), 5, "layer 0: a lstm layer cannot hold RnnParams weights"),
+        (CellKind("dos", 1), 5, "layer 0: w_id holds orders [1], lstm:0 needs orders []"),
+        (CellKind("lstm"), 4, "layer0.w_ix has shape (4, 4), expected (4, 5)"),
+    ], ids=["rnn_params", "dos_orders", "input_width"])
+    def test_arrays_that_do_not_fit_the_config_rejected(self, kind, inputs, message):
+        # an lstm layer of 4 units over 5 inputs, given another layer's arrays
+        config = StackConfig(((CellKind("lstm"), 4),), 5, 2)
+        built = build_model(StackConfig(((kind, 4),), inputs, 2), seed=0)
+        with pytest.raises(ShapeMismatchError) as err:
+            Model(config, layers=built.layers, output=built.output)
+        assert str(err.value) == message
 
 
 class TestClassCount:
@@ -517,8 +534,8 @@ class TestCheckpointSchema:
         assert "w_id holds orders []" in capsys.readouterr().err
 
     def test_huge_drnn_order_fails_short_and_small(self, tmp_path, capsys):
-        # a drnn:1 checkpoint whose config claims order 10^6: the check must
-        # neither list the million orders it needs nor print them
+        # a drnn:1 checkpoint whose config claims order 10^6: the load must
+        # neither lay out the million orders nor print them
         import tracemalloc
 
         from diffrnn.cli import main
@@ -534,8 +551,8 @@ class TestCheckpointSchema:
         finally:
             tracemalloc.stop()
         assert peak < 2 ** 20
-        assert str(err.value) == ("layer 0: w_id holds orders [0, 1], "
-                                  "drnn:1000000 needs 1000001 orders 0..1000000")
+        assert str(err.value) == ("malformed checkpoint: derivative order must be in "
+                                  "0..1029, got 1000000")
         ckpt = tmp_path / "drnn_huge.json"
         ckpt.write_text(json.dumps(doc))
         data = tmp_path / "data.jsonl"
