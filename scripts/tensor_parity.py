@@ -6,10 +6,11 @@ so this dumps, under each tree, the library's results for a fixed set of
 tiny seeded models and compares them bit for bit:
 
 * 3-epoch training histories (loss, accuracy, confusion) and the trained
-  parameters, for rnn, lstm, stacked:3, dos:0-2, drnn:2, d2rnn:3 and a mixed
-  rnn/drnn:1/lstm stack, each with and without tied gate hidden weights, in
-  full and truncated backprop, sequence and frame mode, with no clipping
-  and with clip norm 0.5;
+  parameters, for rnn, lstm, stacked:3, dos:0-2, drnn:2, d2rnn:3, a mixed
+  rnn/drnn:1/lstm stack, dos:5 and drnn:6 (orders whose lags reach past
+  the start of these short sequences), each with and without tied gate
+  hidden weights, in full and truncated backprop, sequence and frame mode,
+  with no clipping and with clip norm 0.5;
 * per trained model, the logits, the gradients ``backward`` gives on a
   held-out sequence, ``evaluate`` on the held-out set and ``dos_energy`` of
   every gated layer;
@@ -64,6 +65,9 @@ ARCHS = {
     "drnn:2": [("drnn", 2)],
     "d2rnn:3": [("dos", 0), ("dos", 1), ("dos", 2)],
     "mixed": [("rnn", 0), ("drnn", 1), ("lstm", 0)],
+    # orders high enough that many (order, lag) pairs meet in one lag weight
+    "dos:5": [("dos", 5)],
+    "drnn:6": [("drnn", 6)],
 }
 DIM, UNITS, CLASSES, LENGTH, COUNT = 3, 3, 3, 6, 9
 # lengths of the ragged set, one per generated sequence: unsorted, repeated

@@ -20,8 +20,10 @@ oracle.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -29,7 +31,6 @@ from .cells import (
     MAX_ROWS,
     CellParams,
     Model,
-    OutputParams,
     RnnParams,
     Tape,
     container_ends,
@@ -46,12 +47,31 @@ from .numerics import softmax
 
 @dataclass
 class Gradients:
-    """Shape-congruent mirror of a model's parameters: views into one
-    ``vector`` laid out like the model's ``theta``."""
+    """Shape-congruent mirror of a model's parameters: ``vector`` laid out
+    like the model's ``theta``; ``layers`` and ``output`` are views into it,
+    made on first use."""
 
-    layers: list
-    output: OutputParams
     vector: np.ndarray
+    layout: tuple
+
+    @functools.cached_property
+    def _containers(self) -> list:
+        return param_views(self.layout, self.vector)[0]
+
+    layers = property(lambda self: self._containers[:-1])
+    output = property(lambda self: self._containers[-1])
+
+
+def _views(vec: np.ndarray, fields, names) -> SimpleNamespace:
+    """Views into ``vec`` of the fields ``names`` of a container laid out as
+    ``fields`` (``cells.layout``), by name: an array per plain field, a dict
+    of arrays by order per per-order field."""
+    out = SimpleNamespace()
+    for name, per_order, entries in fields:
+        if name in names:
+            views = {n: vec[a:b].reshape(shape) for n, a, b, shape in entries}
+            setattr(out, name, views if per_order else views[None])
+    return out
 
 
 def _shifted(rows: np.ndarray) -> np.ndarray:
@@ -64,17 +84,18 @@ def _shifted(rows: np.ndarray) -> np.ndarray:
 def _cell_backward(params: CellParams, kind, ltape, dh_in, truncated, tie, grads, gblocks):
     """Backward through one gated layer.  ``dh_in`` is (T, units) gradient at
     the layer's hidden outputs; writes the weight gradients into ``grads``,
-    whose arrays and fused blocks ``gblocks`` are views into one gradient
-    vector, and returns dx (T, input_units).
+    the views (``_views``) of the layer's per-order fields, and ``gblocks``,
+    its fused gate blocks, all in one gradient vector, and returns dx
+    (T, input_units).
 
     The time loop only carries the recurrences (state and hidden gradients);
-    the gate derivative factors are formed for all T before it, and the
-    weight gradients as single time-batched matmuls against the tape after
-    it.  A step adds into held row views: ``dh[t - 1] += ...`` would fetch
-    the row, add into it and then assign it back.  Truncation keeps only
-    the order-0 DoS paths in the lag weights the state gradient flows
-    through; otherwise the forward's lag weights serve, and with no DoS
-    path left none are built.
+    the gate derivative factors are formed for all T before it, as blocks
+    that let one product serve several gradients, and the weight gradients
+    as single time-batched matmuls against the tape after it.  A step adds
+    into held row views: ``dh[t - 1] += ...`` would fetch the row, add into
+    it and then assign it back.  Truncation keeps only the order-0 DoS paths
+    in the lag weights the state gradient flows through; otherwise the
+    forward's lag weights serve, and with no DoS path left none are built.
     """
     T = ltape.s.shape[0]
     u = params.units
@@ -82,26 +103,29 @@ def _cell_backward(params: CellParams, kind, ltape, dh_in, truncated, tie, grads
     if flow:
         lags, cur = ((ltape.lags, ltape.cur) if flow == kind.dos_orders
                      else lag_weights(params, flow))
-        n_lags, cur_t = len(lags), cur.T
+        n_lags, cur_dot = len(lags), cur.T.dot
         # one product per step gives both dh[t-1] (block 0) and the lagged
         # state gradients (blocks 1..)
         back_t = np.concatenate([ltape.wh[None], lags]).transpose(0, 2, 1)
         back = np.empty((1 + n_lags, u, 1))
         back_h, back_lag = back[0, :, 0], back[1:, :, 0]
     else:
-        n_lags, wh_t = 0, ltape.wh.T
+        n_lags, wh_dot = 0, ltape.wh.T.dot
 
-    i_a, f_a, o_a, g_a, th_a = ltape.i, ltape.f, ltape.o, ltape.g, ltape.tanh_s
-    d_th, d_o, d_g = 1.0 - th_a * th_a, 1.0 - o_a, 1.0 - g_a * g_a
-    # the i and f gate gradients step as one (2, u) chain,
-    # ((ds * [g, s_prev]) * [i, f]) * [1-i, 1-f]
-    gs = np.empty((T, 2, u))
-    gs[:, 0] = g_a
-    gs[0, 1] = 0.0
-    gs[1:, 1] = ltape.s[:-1]
-    i_f = np.empty((T, 2, u))
-    i_f[:, 0] = i_a
-    i_f[:, 1] = f_a
+    o_a, th_a = ltape.o, ltape.tanh_s
+    # dh feeds one (2, u) chain, (dh * [o, tanh s]) * [1-tanh^2 s, o]: row 0
+    # is the state gradient's term, row 1 times 1-o is the o gate's
+    oth = np.empty((T, 3, u))
+    oth[:, 0], oth[:, 1], oth[:, 2] = 1.0 - th_a * th_a, o_a, th_a
+    h_in, h_out = oth[:, 1:], oth[:, :2]
+    d_o, d_g = 1.0 - o_a, 1.0 - ltape.g * ltape.g
+    # one (4, u) product ds * [g, s_prev, f, i] feeds the i and f gates'
+    # chain, ((ds * [g, s_prev]) * [i, f]) * [1-i, 1-f], the state gradient
+    # carried back (ds * f) and the g gate's (ds * i) * (1-g^2)
+    fac = np.empty((T, 4, u))
+    fac[:, 0], fac[0, 1], fac[1:, 1] = ltape.g, 0.0, ltape.s[:-1]
+    fac[:, 2], fac[:, 3] = ltape.f, ltape.i
+    i_f = fac[:, 3:1:-1].copy()     # contiguous rows step faster
     d_if = 1.0 - i_f
     dz_all = np.empty((T, 4 * u))
     dz_gates = dz_all.reshape(T, 4, u)
@@ -111,31 +135,34 @@ def _cell_backward(params: CellParams, kind, ltape, dh_in, truncated, tie, grads
     # newest-first like the forward's states: row T-1-t is time t, and lags
     # reaching before the sequence land in the padding rows from T on
     ds = np.zeros((T + n_lags, u))
+    # the step's product blocks and their rows, held across steps
+    hb, sb = np.empty((2, u)), np.empty((4, u))
+    (hb_s, hb_o), (sb_if, sb_s, sb_g) = hb, (sb[:2], sb[2], sb[3])
+    multiply, matmul = np.multiply, np.matmul
 
     for t in range(T - 1, -1, -1):
         r = T - 1 - t
-        dht, o_t, dst, dzo = dh[t], o_a[t], ds[r], dzo_a[t]
-        dst += dht * o_t * d_th[t]
-        np.multiply(dht, th_a[t], out=dzo)
-        dzo *= o_t
-        dzo *= d_o[t]
+        dst, dzo = ds[r], dzo_a[t]
+        multiply(dh[t], h_in[t], hb)
+        hb *= h_out[t]
+        dst += hb_s
+        multiply(hb_o, d_o[t], dzo)
         if flow:
-            dst += cur_t @ dzo
-        dzif = np.multiply(dst, gs[t], out=dz_if[t])
-        dzif *= i_f[t]
+            dst += cur_dot(dzo)
+        multiply(dst, fac[t], sb)
+        dzif = multiply(sb_if, i_f[t], dz_if[t])
         dzif *= d_if[t]
-        dzg = np.multiply(dst, i_a[t], out=dzg_a[t])
-        dzg *= d_g[t]
+        multiply(sb_g, d_g[t], dzg_a[t])
         if t:       # nothing reaches before the sequence
             nxt, prev = ds[r + 1], dh[t - 1]
-            nxt += dst * f_a[t]
+            nxt += sb_s
             if flow:
-                np.matmul(back_t, dz_col[t], out=back)
+                matmul(back_t, dz_col[t], back)
                 prev += back_h
                 win = ds[r + 1:r + 1 + n_lags]
                 win += back_lag
             else:
-                prev += wh_t @ dz_all[t]
+                prev += wh_dot(dz_all[t])
 
     gwx, gwh, gb = gblocks
     np.matmul(dz_all.T, ltape.x, out=gwx)
@@ -150,53 +177,58 @@ def _cell_backward(params: CellParams, kind, ltape, dh_in, truncated, tie, grads
         d = dos(n, ltape.s)         # row t-1 is what the i/f gates see at t
         grads.w_id[n][...], grads.w_fd[n][...] = (dz_all[1:, :2 * u].T @ d[:-1]).reshape(2, u, u)
         np.matmul(dzo_a.T, d, out=grads.w_od[n])
-    np.sum(dz_all, axis=0, out=gb)
+    np.add.reduce(dz_all, 0, out=gb)
     return dz_all @ ltape.wx
 
 
 def _rnn_backward(params: RnnParams, ltape, dh_in, grads):
     T = ltape.h.shape[0]
     d_h = 1.0 - ltape.h * ltape.h
-    w_hh_t = params.w_hh.T
+    w_hh_dot = params.w_hh.T.dot
     dh = dh_in.copy()
     dz_all = np.empty((T, params.units))
     for t in range(T - 1, -1, -1):
         dz = np.multiply(dh[t], d_h[t], out=dz_all[t])
         if t:
             prev = dh[t - 1]
-            prev += w_hh_t @ dz
+            prev += w_hh_dot(dz)
     np.matmul(dz_all.T, _shifted(ltape.h), out=grads.w_hh)
     np.matmul(dz_all.T, ltape.x, out=grads.w_hx)
-    np.sum(dz_all, axis=0, out=grads.b_h)
+    np.add.reduce(dz_all, 0, out=grads.b_h)
     return dz_all @ params.w_hx
 
 
 def backward(model: Model, tape: Tape, dlogits: np.ndarray, truncated: bool) -> Gradients:
     """Gradient of the loss given its gradient at the post-tanh logits,
     one row per frame (rows may be zero for frames that carry no loss).
-    The gradients are views into one vector laid out like ``model.theta``."""
+    The gradients fill one fresh vector laid out like ``model.theta``; only
+    the views written into are made here."""
     dlogits = np.asarray(dlogits, dtype=np.float64)
     if dlogits.shape != tape.logits.shape:
         raise ValueError(
             f"logit gradient shape {dlogits.shape} does not match tape "
             f"logits {tape.logits.shape}"
         )
+    lay = model.layout
     vector = np.empty(model.theta.size)
-    (*layers, output), gates = param_views(model.layout, vector)
+    output = _views(vector, lay[-1][1], ("w_yh", "b_y"))
     du_all = dlogits * (1.0 - tape.logits ** 2)
     np.matmul(du_all.T, tape.layers[-1].h, out=output.w_yh)
-    np.sum(du_all, axis=0, out=output.b_y)
+    np.add.reduce(du_all, 0, out=output.b_y)
     dh = du_all @ model.output.w_yh
 
     tie = model.config.tie_gate_hidden_weights
     for li in range(len(model.layers) - 1, -1, -1):
         kind, _units = model.config.layers[li]
+        _, fields, fused = lay[li]
         if kind.kind == "rnn":
-            dh = _rnn_backward(model.layers[li], tape.layers[li], dh, layers[li])
+            dh = _rnn_backward(model.layers[li], tape.layers[li], dh,
+                               _views(vector, fields, ("w_hh", "w_hx", "b_h")))
         else:
+            gblocks = [vector[a:b].reshape(shape) for a, b, shape in fused]
             dh = _cell_backward(model.layers[li], kind, tape.layers[li], dh, truncated, tie,
-                                layers[li], gates[li])
-    grads = Gradients(layers=layers, output=output, vector=vector)
+                                _views(vector, fields, ("w_id", "w_fd", "w_od")), gblocks)
+    grads = Gradients(vector, lay)
     if not np.isfinite(vector).all():
         for name, arr in model_param_items(grads):
             if not np.all(np.isfinite(arr)):

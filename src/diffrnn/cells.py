@@ -518,13 +518,14 @@ def _input_terms(x: np.ndarray, w: np.ndarray, b: np.ndarray, rows: _Rows) -> np
 class LayerTape:
     """Per-timestep intermediates of one layer, one packed row (``_Rows``)
     per live sequence and step: for one sequence, arrays are (T, units) and
-    row index = t-1.  When the sequences share one length (one run of steps,
-    as one sequence always does) a gated layer's tape keeps what a backward
-    pass needs: its input ``x``, every activation, and the weights its
-    forward ran with, the fused input and hidden gate blocks ``wx`` and
-    ``wh`` and ``lag_weights`` of its derivative orders (``lags``, ``cur``);
-    a classical RNN layer keeps ``x`` and ``h``.  A ragged batch keeps ``h``
-    alone, so a set-level forward holds one run's activations at a time."""
+    row index = t-1.  The tape of one sequence keeps what a backward pass
+    needs: a gated layer's input ``x``, every activation (views into one
+    per-step block), and the weights its forward ran with, the fused input
+    and hidden gate blocks ``wx`` and ``wh`` and ``lag_weights`` of its
+    derivative orders (``lags``, ``cur``; None without any); a classical
+    RNN layer's ``x`` and ``h``.  A gated layer's tape of many sequences
+    keeps ``h`` alone, so a set-level forward holds one run's activations
+    at a time."""
 
     h: np.ndarray
     x: np.ndarray | None = None
@@ -548,6 +549,20 @@ class Tape:
     logits: np.ndarray        # (T, classes), post-tanh confidence scores
 
 
+@functools.cache
+def _binomials(order: int, dtype: np.dtype, ndim: int) -> np.ndarray:
+    """The weights ``_dos_weight(order, j)``, j = 0..order, in ``dtype``, as a
+    column that broadcasts against ``ndim``-dimensional weights.  At most
+    MAX_ORDER + 1 orders per dtype and rank, so the cache stays bounded."""
+    col, c = [], 1
+    for j in range(order + 1):
+        col.append((-1.0) ** j * c)     # as _dos_weight rounds C(order, j)
+        c = c * (order - j) // (j + 1)
+    col = np.array(col).astype(dtype).reshape(-1, *(1,) * ndim)
+    col.flags.writeable = False     # every caller shares it
+    return col
+
+
 def lag_weights(params: CellParams, orders):
     """The DoS gate terms of ``orders`` as weights on past states.
 
@@ -556,19 +571,20 @@ def lag_weights(params: CellParams, orders):
     i and f rows hold lags 0..K of the previous state's derivatives, o rows
     lags 1..K of the current state's, s rows zeros.  Also returns the o
     gate's (u, u) weight on s_t itself.  Per-row weights give a
-    (K+1, rows, 4u, u) stack and a (rows, u, u) weight."""
+    (K+1, rows, 4u, u) stack and a (rows, u, u) weight.  Each order adds
+    its binomial column times its matrices to all its lags in one broadcast,
+    so every lag sums its terms in ascending order."""
     w = params.w_ih
     u = w.shape[-1]
     lags = np.zeros((max(orders, default=0) + 1, *w.shape[:-2], 4 * u, u), w.dtype)
     cur = np.zeros(w.shape, w.dtype)
     for n in orders:
-        cur += params.w_od[n]
-        for j in range(n + 1):
-            c = _dos_weight(n, j)
-            lags[j, ..., :u, :] += c * params.w_id[n]
-            lags[j, ..., u:2 * u, :] += c * params.w_fd[n]
-            if j:
-                lags[j - 1, ..., 2 * u:3 * u, :] += c * params.w_od[n]
+        col, w_od = _binomials(n, w.dtype, w.ndim), params.w_od[n]
+        cur += w_od
+        lags[:n + 1, ..., :u, :] += col * params.w_id[n]
+        lags[:n + 1, ..., u:2 * u, :] += col * params.w_fd[n]
+        if n:
+            lags[:n, ..., 2 * u:3 * u, :] += col[1:] * w_od
     return lags, cur
 
 
@@ -578,7 +594,10 @@ def _layer_forward(params: CellParams, gates, kind: CellKind, tie: bool,
     steps together; ``gates`` are the layer's fused gate blocks
     (``Model.gates``).  Each run of steps with the same live rows prepares
     its views once, and each step writes its activations straight into the
-    run's rows of the tape arrays."""
+    run's rows of the tape arrays.  Without DoS terms the o gate reads
+    nothing of the new state, so one ``sigmoid`` call writes the i, f and o
+    gates; a step of one row multiplies matrix by vector through a bound
+    ``dot``, of many through a stacked matmul."""
     u = params.units
     dt = x.dtype
     orders = kind.dos_orders
@@ -586,9 +605,10 @@ def _layer_forward(params: CellParams, gates, kind: CellKind, tie: bool,
     if tie:
         # the i, f and o gates all read the hidden state through w_ih
         wh = np.concatenate([params.w_ih, params.w_ih, params.w_ih, params.w_sh], axis=-2)
-    lags, cur = lag_weights(params, orders)
-    n_lags = len(lags)
+    lags, cur = lag_weights(params, orders) if orders else (None, None)
+    n_lags = len(lags) if orders else 1
     zx = _input_terms(x, wx, bias, rows)      # (rows, 4u) input-side gate terms
+    add, multiply, tanh = np.add, np.multiply, np.tanh
 
     h_a = np.empty((rows.size, u), dt)
     # each run's states start with the states before it, oldest first, and
@@ -597,8 +617,12 @@ def _layer_forward(params: CellParams, gates, kind: CellKind, tie: bool,
     for t0, t1, n, start, stop in rows.runs:
         steps = t1 - t0
         zx_r, h_r = _steps(zx[start:stop], n), _steps(h_a[start:stop], n)
-        acts = np.empty((5, stop - start, u), dt)       # the run's i, f, o, g, tanh s
-        i_r, f_r, o_r, g_r, th_r = _steps(acts, n)
+        # the run's i, f, o, g and tanh s, step by step: a step writes
+        # contiguous rows, so one sigmoid can fill the i, f and o gates
+        acts = np.empty((steps, 5, n * u), dt)
+        acts_r = acts if n == 1 else acts.reshape(steps, 5, n, u, 1)
+        i_r, f_r, o_r, g_r, th_r = acts_r.swapaxes(0, 1)
+        ifo_r = acts_r[:, :3]
         past = np.zeros((n_lags + steps, n, u), dt)
         if t0:
             past[:n_lags] = hist[:, :n]
@@ -606,7 +630,9 @@ def _layer_forward(params: CellParams, gates, kind: CellKind, tie: bool,
         s_r, sp_r = past_r[n_lags:], past_r[n_lags - 1:-1]
         z_all = np.empty((n, 4, u), dt)
         z = _steps(z_all.reshape(n, 4 * u), n)[0]
-        z_i, z_f, z_o, z_g = _steps(z_all.transpose(1, 0, 2), n)[:, 0]
+        gates_r = _steps(z_all.transpose(1, 0, 2), n)[:, 0]
+        (z_i, z_f, z_o, z_g), z_ifo = gates_r, gates_r[:3]
+        wh_mv = wh.dot if n == 1 else wh.__matmul__
         if orders:
             # the lag products take the states as column vectors even for
             # one row, and broadcast shared lag weights over the rows
@@ -614,25 +640,31 @@ def _layer_forward(params: CellParams, gates, kind: CellKind, tie: bool,
             z_lag = z if n > 1 else z[:, None]
             lag_r = lags.reshape(n_lags, -1, 4 * u, u) if n > 1 else lags
             win_r = _lag_windows(past, cols, n_lags)
+            if n_lags == 1:     # a single lag block: no sum over blocks
+                lag_r, win_r = lag_r[0], win_r[:, 0]
+            lag_mv, cur_mv = lag_r.__matmul__, cur.dot if n == 1 else cur.__matmul__
         h = _steps(h_last[:n], n)[0]
         for k in range(steps):
-            np.add(zx_r[k], wh @ h, out=z)
+            add(zx_r[k], wh_mv(h), z)
             if orders:
-                z_lag += np.add.reduce(lag_r @ win_r[k], axis=0)
-            i_t = sigmoid(z_i, out=i_r[k])
-            f_t = sigmoid(z_f, out=f_r[k])
-            g_t = np.tanh(z_g, out=g_r[k])
-            s = np.multiply(f_t, sp_r[k], out=s_r[k])
+                lag = lag_mv(win_r[k])
+                z_lag += lag if n_lags == 1 else add.reduce(lag, 0)
+                i_t = sigmoid(z_i, i_r[k])
+                f_t = sigmoid(z_f, f_r[k])
+            else:
+                i_t, f_t, o_t = sigmoid(z_ifo, ifo_r[k])
+            g_t = tanh(z_g, g_r[k])
+            s = multiply(f_t, sp_r[k], s_r[k])
             s += i_t * g_t
             if orders:
-                z_o += cur @ s
-            h = np.multiply(sigmoid(z_o, out=o_r[k]), np.tanh(s, out=th_r[k]), out=h_r[k])
+                z_o += cur_mv(s)
+                o_t = sigmoid(z_o, o_r[k])
+            h = multiply(o_t, tanh(s, th_r[k]), h_r[k])
         hist, h_last = past[steps:], h_a[stop - n:stop]
-    if len(rows.runs) > 1:
+    if len(rows.index) > 1:
         return LayerTape(h=h_a)
-    i_a, f_a, o_a, g_a, th_a = (i_r, f_r, o_r, g_r, th_r) if n == 1 else acts
-    return LayerTape(x=x, i=i_a, f=f_a, o=o_a, g=g_a, s=past[n_lags:].reshape(-1, u),
-                     h=h_a, tanh_s=th_a, wx=wx, wh=wh, lags=lags, cur=cur)
+    return LayerTape(x=x, i=i_r, f=f_r, o=o_r, g=g_r, s=past[n_lags:].reshape(-1, u),
+                     h=h_a, tanh_s=th_r, wx=wx, wh=wh, lags=lags, cur=cur)
 
 
 def _rnn_layer_forward(params: RnnParams, x: np.ndarray, rows: _Rows) -> LayerTape:
@@ -640,11 +672,13 @@ def _rnn_layer_forward(params: RnnParams, x: np.ndarray, rows: _Rows) -> LayerTa
     zx = _input_terms(x, params.w_hx, params.b_h, rows)
     h_a = np.empty((rows.size, u), x.dtype)
     h = np.zeros((rows.runs[0][2], u), x.dtype)    # the hidden state before a run
+    add, tanh = np.add, np.tanh
     for t0, t1, n, start, stop in rows.runs:
         zx_r, h_r = _steps(zx[start:stop], n), _steps(h_a[start:stop], n)
-        h = _steps(h[:n], n)[0]
+        h, w_hh_mv = _steps(h[:n], n)[0], params.w_hh.dot if n == 1 else params.w_hh.__matmul__
         for k in range(t1 - t0):
-            h = np.tanh(np.add(params.w_hh @ h, zx_r[k], out=h_r[k]), out=h_r[k])
+            h_k = h_r[k]
+            h = tanh(add(w_hh_mv(h), zx_r[k], h_k), h_k)
         h = h_a[stop - n:stop]
     return LayerTape(h=h_a, x=x if len(rows.runs) == 1 else None)
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import json
 import os
 import sys
@@ -342,7 +343,10 @@ def _command(sub, name, run, help, config=True, out=True):
     return p
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The command-line parser and its subcommands' parsers by name, built
+    on first use and kept: building costs more than a small command runs."""
     parser = _Parser(prog="diffrnn",
                      description="differential recurrent network experiments")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -393,14 +397,25 @@ def main(argv=None) -> int:
     p.add_argument("--layer", type=int, default=0)
     p.add_argument("--index", type=int, default=0)
 
+    return parser, sub.choices
+
+
+def main(argv=None) -> int:
+    parser, commands = _parser()
     args = parser.parse_args(argv)
     try:
         if getattr(args, "config", None):
             # the file's values become the defaults; parsing again lets
             # explicit flags win over them
-            command = sub.choices[args.command]
+            command = commands[args.command]
+            saved = dict(command._defaults), [(a, a.default) for a in command._actions]
             command.set_defaults(**_config_defaults(args.config, command))
-            args = parser.parse_args(argv)
+            try:
+                args = parser.parse_args(argv)
+            finally:    # the parser serves later calls with its own defaults
+                command._defaults = saved[0]
+                for action, default in saved[1]:
+                    action.default = default
         return args.run(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

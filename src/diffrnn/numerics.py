@@ -32,19 +32,25 @@ def as_vector(x) -> np.ndarray:
     return v
 
 
+# bound once: one name lookup a call where ``np.exp`` takes two
+_copysign, _exp, _sign, _maximum, _add, _divide = (
+    np.copysign, np.exp, np.sign, np.maximum, np.add, np.divide)
+
+
 def sigmoid(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Numerically stable logistic function, elementwise over an array ``v``
     of one or more dimensions, in its dtype, written into ``out`` if given.
     exp only ever sees -|v| (``copysign(v, -1)``), so it cannot overflow:
     1 / (1 + e) for v >= 0, e / (1 + e) below.  The numerator max(sign v, e)
     picks between them without a branch, since e <= 1 and e = 1 at v = 0;
-    every non-NaN input gives bitwise the two-branch result."""
-    e = np.copysign(v, -1.0)
-    np.exp(e, out=e)
-    num = np.sign(v, out=out)
-    np.maximum(num, e, out=num)
-    e += 1.0
-    return np.divide(num, e, out=num)
+    every non-NaN input gives bitwise the two-branch result.  ``out`` goes
+    positionally, cheaper than by keyword, but to ``maximum`` (deprecated)."""
+    e = _copysign(v, -1.0)
+    _exp(e, e)
+    num = _sign(v, out)
+    _maximum(num, e, out=num)
+    _add(e, 1.0, e)
+    return _divide(num, e, num)
 
 
 def softmax(y: np.ndarray) -> np.ndarray:

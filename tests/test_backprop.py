@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 import types
 from dataclasses import replace
@@ -25,7 +26,7 @@ from diffrnn.cells import (
 )
 from diffrnn.cli import build_config
 from diffrnn.numerics import seeded_rng, sigmoid, softmax
-from diffrnn.train import loss_frame
+from diffrnn.train import apply_sgd_step, loss_frame
 
 
 def small_model(layers, input_units=3, classes=2, seed=0, tie=False):
@@ -91,6 +92,35 @@ class TestContainers:
         again = backward(model, tape, dlogits, truncated)
         assert not np.shares_memory(again.vector, grads.vector)
         assert np.array_equal(again.vector, grads.vector)
+
+    def test_container_views_are_made_on_first_use(self):
+        model = small_model([(CellKind("rnn"), 3), (CellKind("drnn", 2), 4),
+                             (CellKind("lstm"), 3)], tie=True)
+        tape = stack_forward(model, seeded_rng(2).normal(size=(5, 3)))
+        _, dlogits = loss_frame(tape.logits, [1])
+        grads = backward(model, tape, dlogits, truncated=False)
+        assert "_containers" not in vars(grads)
+        # an unclipped step reads the vector alone
+        apply_sgd_step(replace(model), grads, 0.1)
+        assert "_containers" not in vars(grads)
+        (*layers, output), _ = cells.param_views(model.layout, grads.vector)
+        for got, expected in zip([*grads.layers, grads.output], [*layers, output]):
+            for (name, a), (_, b) in zip(cells.param_items(got), cells.param_items(expected)):
+                assert a.base is grads.vector and np.array_equal(a, b), name
+                assert a.__array_interface__ == b.__array_interface__
+        assert grads.layers[0] is grads.layers[0]
+
+    def test_clipped_step_scales_the_vector_by_the_norm(self):
+        model = small_model([(CellKind("dos", 1), 4)])
+        tape = stack_forward(model, seeded_rng(3).normal(size=(6, 3)))
+        _, dlogits = loss_frame(tape.logits, [0])
+        grads = backward(model, tape, dlogits, truncated=False)
+        norm = math.sqrt(sum(float(np.sum(a * a)) for _, a in model_param_items(grads)))
+        clip = 0.5 * norm
+        stepped = replace(model)
+        apply_sgd_step(stepped, grads, 0.1, clip_norm=clip)
+        expected = model.theta - 0.1 * (grads.vector * (clip / norm))
+        assert np.array_equal(stepped.theta, expected)
 
     def test_non_finite_gradient_raises(self):
         model = build_model(d2rnn_config(1, 3, 4, 2), seed=0)

@@ -1,5 +1,7 @@
 import math
+import time
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -482,3 +484,108 @@ class TestForwardRows:
         for y, e in zip(cells.forward_rows(model, vectors, x, first), expected):
             assert_bitwise(y, e)
         assert len(ran) == (first <= 1) + (first <= 2)
+
+
+def _lag_weights_per_pair(params, orders):
+    """``lag_weights`` as a loop over every (order, lag) pair, the reference:
+    each lag sums its orders' terms in ascending order."""
+    w = params.w_ih
+    u = w.shape[-1]
+    lags = np.zeros((max(orders, default=0) + 1, *w.shape[:-2], 4 * u, u), w.dtype)
+    cur = np.zeros(w.shape, w.dtype)
+    for n in orders:
+        cur += params.w_od[n]
+        for j in range(n + 1):
+            c = (-1.0) ** j * math.comb(n, j)
+            lags[j, ..., :u, :] += c * params.w_id[n]
+            lags[j, ..., u:2 * u, :] += c * params.w_fd[n]
+            if j:
+                lags[j - 1, ..., 2 * u:3 * u, :] += c * params.w_od[n]
+    return lags, cur
+
+
+class TestLagWeights:
+    @pytest.mark.parametrize("rows", [0, 3], ids=["shared", "per_row"])
+    @pytest.mark.parametrize("dtype", [np.float64, np.longdouble], ids=["f64", "ld"])
+    @pytest.mark.parametrize("kind, order", [("dos", n) for n in range(7)]
+                             + [("drnn", n) for n in range(13)])
+    def test_equals_per_pair_loop(self, kind, order, dtype, rows):
+        model = small_model([(CellKind(kind, order), 3)], seed=order)
+        theta = model.theta.astype(dtype)
+        if rows:
+            noise = seeded_rng(order).normal(scale=0.3, size=(rows, theta.size))
+            theta = theta + noise.astype(dtype)
+        (layer, _), _ = cells.param_views(model.layout, theta)
+        orders = CellKind(kind, order).dos_orders
+        got, expected = cells.lag_weights(layer, orders), _lag_weights_per_pair(layer, orders)
+        for a, b in zip(got, expected):
+            assert_bitwise(a, b)
+
+    def test_highest_drnn_order_runs(self):
+        # a drnn:1029 layer has 1029 * 1030 / 2 (order, lag) pairs; its lag
+        # weights take one broadcast per order
+        model = small_model([(CellKind("drnn", cells.MAX_ORDER), 2)], input_units=2)
+        start = time.perf_counter()
+        logits = stack_forward(model, seeded_rng(0).normal(size=(3, 2))).logits
+        assert time.perf_counter() - start < 5.0
+        assert logits.shape == (3, 2) and np.isfinite(logits).all()
+
+
+def _with_lstm_weights(lstm, dos0, vec):
+    """A ``dos0`` parameter vector holding the arrays ``vec`` gives ``lstm``
+    (a one-layer lstm model) and zero DoS matrices: the same equations."""
+    def items(model, v):
+        (*layers, output), _ = cells.param_views(model.layout, v)
+        return cells.model_param_items(SimpleNamespace(layers=layers, output=output))
+
+    out = np.zeros(dos0.theta.size, vec.dtype)
+    src = dict(items(lstm, vec))
+    for name, arr in items(dos0, out):
+        if name in src:
+            arr[...] = src[name]
+    return out
+
+
+class TestFusedGates:
+    """An lstm layer fills its i, f and o gates with one sigmoid call; a
+    dos:0 layer with zero DoS matrices runs the same equations gate by gate,
+    and the two agree on every path."""
+
+    @staticmethod
+    def pair(seed):
+        lstm = set_model("lstm", seed=seed)
+        dos0 = set_model("dos0", seed=seed)
+        dos0.theta[:] = _with_lstm_weights(lstm, dos0, lstm.theta)
+        return lstm, dos0
+
+    def test_one_row(self):
+        lstm, dos0 = self.pair(1)
+        frames = random_frames(seeded_rng(2), 7, 3, scale=2.0)
+        a, b = stack_forward(lstm, frames), stack_forward(dos0, frames)
+        for name in ("i", "f", "o", "g", "s", "tanh_s", "h"):
+            assert np.array_equal(getattr(a.layers[0], name), getattr(b.layers[0], name))
+        assert np.array_equal(a.logits, b.logits)
+
+    def test_ragged_set(self):
+        lstm, dos0 = self.pair(3)
+        rng = seeded_rng(4)
+        seqs = [random_frames(rng, t, 3, scale=2.0) for t in (5, 1, 9, 5, 3, 9, 2)]
+        for a, b in zip(forward_set(lstm, seqs), forward_set(dos0, seqs)):
+            assert np.array_equal(a, b)
+
+    def test_per_row(self):
+        lstm, dos0 = (longdouble_copy(m) for m in self.pair(5))
+        rng = seeded_rng(6)
+        frames = random_frames(rng, 6, 3).astype(np.longdouble)
+        vectors = lstm.theta + rng.normal(scale=0.1, size=(4, lstm.theta.size))
+        dos0_vectors = np.stack([_with_lstm_weights(lstm, dos0, v) for v in vectors])
+        a = cells.forward_rows(lstm, vectors, frames)
+        assert np.array_equal(a, cells.forward_rows(dos0, dos0_vectors, frames))
+
+    @pytest.mark.parametrize("arch, per_step", [("lstm", 1), ("stacked2", 2), ("dos0", 3),
+                                                ("drnn2", 3), ("mixed", 4)])
+    def test_sigmoid_calls_per_step(self, monkeypatch, arch, per_step):
+        calls = []
+        monkeypatch.setattr(cells, "sigmoid", lambda v, out=None: calls.append(1) or sigmoid(v, out))
+        stack_forward(set_model(arch), np.ones((6, 3)))
+        assert len(calls) == 6 * per_step

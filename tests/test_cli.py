@@ -437,6 +437,35 @@ class TestParserStatesTheOptions:
             assert (tmp_path / "flag" / name).read_bytes() == \
                    (tmp_path / "file" / name).read_bytes()
 
+    def test_config_defaults_do_not_leak_into_later_calls(self, tmp_path, capsys):
+        # the parser is built once per process, so a config file's defaults
+        # must hold for its own call only
+        data = make_data(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"mode": "frame", "truncation": "truncated",
+                                   "arch": "lstm", "seed": 3}))
+
+        def usage_error():
+            with pytest.raises(SystemExit) as exc:
+                main(["train", "--out", str(tmp_path / "x")])
+            assert exc.value.code == 1
+            return capsys.readouterr().err
+
+        before = usage_error()
+        assert before.startswith("usage: diffrnn train ")
+        for name, extra in (("file", ["--config", str(cfg)]), ("plain", [])):
+            assert main(["train", "--data", str(data), *FAST, *extra,
+                         "--out", str(tmp_path / name)]) == 0
+        assert cli._parser() is cli._parser()
+        docs = {name: json.loads((tmp_path / name / "effective_config.json").read_text())
+                for name in ("file", "plain")}
+        assert docs["file"]["config"]["mode"] == "frame"
+        assert docs["file"]["config"]["seed"] == 3
+        defaults = {"mode": "sequence", "truncation": "full", "arch": "d2rnn:3", "seed": 0}
+        assert {k: docs["plain"]["config"][k] for k in defaults} == defaults
+        capsys.readouterr()
+        assert usage_error() == before
+
     @pytest.mark.parametrize("command, key", [
         ("synth", "task"), ("train", "mode"), ("train", "truncation"),
     ])
