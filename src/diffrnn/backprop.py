@@ -91,11 +91,12 @@ def _cell_backward(params: CellParams, kind, ltape, dh_in, truncated, tie, grads
     The time loop only carries the recurrences (state and hidden gradients);
     the gate derivative factors are formed for all T before it, as blocks
     that let one product serve several gradients, and the weight gradients
-    as single time-batched matmuls against the tape after it.  A step adds
-    into held row views: ``dh[t - 1] += ...`` would fetch the row, add into
-    it and then assign it back.  Truncation keeps only the order-0 DoS paths
-    in the lag weights the state gradient flows through; otherwise the
-    forward's lag weights serve, and with no DoS path left none are built.
+    as single time-batched matmuls against the tape after it.  The loop
+    iterates per-step views, newest step first, and adds into them in
+    place: ``dh[t - 1] += ...`` would fetch the row, add into it and then
+    assign it back.  Truncation keeps only the order-0 DoS paths in the lag
+    weights the state gradient flows through; otherwise the forward's lag
+    weights serve, and with no DoS path left none are built.
     """
     T = ltape.s.shape[0]
     u = params.units
@@ -117,7 +118,6 @@ def _cell_backward(params: CellParams, kind, ltape, dh_in, truncated, tie, grads
     # is the state gradient's term, row 1 times 1-o is the o gate's
     oth = np.empty((T, 3, u))
     oth[:, 0], oth[:, 1], oth[:, 2] = 1.0 - th_a * th_a, o_a, th_a
-    h_in, h_out = oth[:, 1:], oth[:, :2]
     d_o, d_g = 1.0 - o_a, 1.0 - ltape.g * ltape.g
     # one (4, u) product ds * [g, s_prev, f, i] feeds the i and f gates'
     # chain, ((ds * [g, s_prev]) * [i, f]) * [1-i, 1-f], the state gradient
@@ -126,43 +126,52 @@ def _cell_backward(params: CellParams, kind, ltape, dh_in, truncated, tie, grads
     fac[:, 0], fac[0, 1], fac[1:, 1] = ltape.g, 0.0, ltape.s[:-1]
     fac[:, 2], fac[:, 3] = ltape.f, ltape.i
     i_f = fac[:, 3:1:-1].copy()     # contiguous rows step faster
-    d_if = 1.0 - i_f
     dz_all = np.empty((T, 4 * u))
     dz_gates = dz_all.reshape(T, 4, u)
-    dz_if, dzo_a, dzg_a = dz_gates[:, :2], dz_gates[:, 2], dz_gates[:, 3]
-    dz_col = dz_all[:, :, None]
-    dh = dh_in.copy()
+    dh = np.concatenate([np.zeros((1, u)), dh_in])    # row 0: what t = 0 sends back
     # newest-first like the forward's states: row T-1-t is time t, and lags
     # reaching before the sequence land in the padding rows from T on
-    ds = np.zeros((T + n_lags, u))
+    ds = np.zeros((T + n_lags + 1, u))
     # the step's product blocks and their rows, held across steps
-    hb, sb = np.empty((2, u)), np.empty((4, u))
+    hb, sb, db = np.empty((2, u)), np.empty((4, u)), np.empty(u)
     (hb_s, hb_o), (sb_if, sb_s, sb_g) = hb, (sb[:2], sb[2], sb[3])
     multiply, matmul = np.multiply, np.matmul
-
-    for t in range(T - 1, -1, -1):
-        r = T - 1 - t
-        dst, dzo = ds[r], dzo_a[t]
-        multiply(dh[t], h_in[t], hb)
-        hb *= h_out[t]
-        dst += hb_s
-        multiply(hb_o, d_o[t], dzo)
-        if flow:
-            dst += cur_dot(dzo)
-        multiply(dst, fac[t], sb)
-        dzif = multiply(sb_if, i_f[t], dz_if[t])
-        dzif *= d_if[t]
-        multiply(sb_g, d_g[t], dzg_a[t])
-        if t:       # nothing reaches before the sequence
-            nxt, prev = ds[r + 1], dh[t - 1]
+    # per-step views, newest step first: the step's own rows, then the rows
+    # its carried gradients go to
+    steps = zip(dh[:0:-1], oth[::-1, 1:], oth[::-1, :2], d_o[::-1], dz_gates[::-1, 2], ds,
+                fac[::-1], i_f[::-1], dz_gates[::-1, :2], (1.0 - i_f)[::-1], d_g[::-1],
+                dz_gates[::-1, 3], ds[1:], dh[-2::-1])
+    if flow:
+        s0 = ds.strides[0]
+        wins = np.ndarray((T, n_lags, u), ds.dtype, ds, s0, (s0, *ds.strides))
+        for (dh_t, h_in, h_out, d_o_t, dzo, dst, fac_t, i_f_t, dzif, d_if, d_g_t, dzg, nxt,
+             prev), dz_t, win in zip(steps, dz_all[::-1, :, None], wins):
+            multiply(dh_t, h_in, hb)
+            hb *= h_out
+            dst += hb_s
+            multiply(hb_o, d_o_t, dzo)
+            dst += cur_dot(dzo, db)
+            multiply(dst, fac_t, sb)
+            multiply(sb_if, i_f_t, dzif)
+            dzif *= d_if
+            multiply(sb_g, d_g_t, dzg)
             nxt += sb_s
-            if flow:
-                matmul(back_t, dz_col[t], back)
-                prev += back_h
-                win = ds[r + 1:r + 1 + n_lags]
-                win += back_lag
-            else:
-                prev += wh_dot(dz_all[t])
+            matmul(back_t, dz_t, back)
+            prev += back_h
+            win += back_lag
+    else:
+        for (dh_t, h_in, h_out, d_o_t, dzo, dst, fac_t, i_f_t, dzif, d_if, d_g_t, dzg, nxt,
+             prev), dz_t in zip(steps, dz_all[::-1]):
+            multiply(dh_t, h_in, hb)
+            hb *= h_out
+            dst += hb_s
+            multiply(hb_o, d_o_t, dzo)
+            multiply(dst, fac_t, sb)
+            multiply(sb_if, i_f_t, dzif)
+            dzif *= d_if
+            multiply(sb_g, d_g_t, dzg)
+            nxt += sb_s
+            prev += wh_dot(dz_t, db)
 
     gwx, gwh, gb = gblocks
     np.matmul(dz_all.T, ltape.x, out=gwx)
@@ -173,6 +182,7 @@ def _cell_backward(params: CellParams, kind, ltape, dh_in, truncated, tie, grads
         gwh[:u] += gwh[u:2 * u]
         gwh[:u] += gwh[2 * u:3 * u]
         gwh[u:3 * u] = 0.0
+    dzo_a = dz_gates[:, 2]
     for n in kind.dos_orders:
         d = dos(n, ltape.s)         # row t-1 is what the i/f gates see at t
         grads.w_id[n][...], grads.w_fd[n][...] = (dz_all[1:, :2 * u].T @ d[:-1]).reshape(2, u, u)
@@ -185,13 +195,12 @@ def _rnn_backward(params: RnnParams, ltape, dh_in, grads):
     T = ltape.h.shape[0]
     d_h = 1.0 - ltape.h * ltape.h
     w_hh_dot = params.w_hh.T.dot
-    dh = dh_in.copy()
+    dh = np.concatenate([np.zeros((1, params.units)), dh_in])    # row 0: what t = 0 sends back
     dz_all = np.empty((T, params.units))
-    for t in range(T - 1, -1, -1):
-        dz = np.multiply(dh[t], d_h[t], out=dz_all[t])
-        if t:
-            prev = dh[t - 1]
-            prev += w_hh_dot(dz)
+    db = np.empty(params.units)
+    multiply = np.multiply
+    for dh_t, d_h_t, dz, prev in zip(dh[:0:-1], d_h[::-1], dz_all[::-1], dh[-2::-1]):
+        prev += w_hh_dot(multiply(dh_t, d_h_t, dz), db)
     np.matmul(dz_all.T, _shifted(ltape.h), out=grads.w_hh)
     np.matmul(dz_all.T, ltape.x, out=grads.w_hx)
     np.add.reduce(dz_all, 0, out=grads.b_h)

@@ -381,15 +381,11 @@ class Model:
         self.__init__(**state)
 
 
-def _dos_weight(order: int, j: int) -> float:
-    """Weight of s_{t-j} in the order-n backward difference at t."""
-    return (-1.0) ** j * math.comb(order, j)
-
-
 def dos(order: int, states: np.ndarray) -> np.ndarray:
     """Order-n backward finite differences of a (T, units) state sequence.
 
-    Row t is sum_j c(n, j) s_{t-j}; states before the first row are zero.
+    Row t is sum_j c(n, j) s_{t-j}, c(n, j) = (-1)^j C(n, j) (``_binomials``);
+    states before the first row are zero, so lags past T-1 add nothing.
     Order 0 returns the states; order 1 is s_t - s_{t-1}; order 2 is
     s_t - 2 s_{t-1} + s_{t-2}; higher orders iterate the differencing.  The
     result keeps the dtype of float states (float64, or longdouble in a
@@ -397,8 +393,9 @@ def dos(order: int, states: np.ndarray) -> np.ndarray:
     """
     states = np.asarray(states)
     out = states.astype(states.dtype if states.dtype.kind == "f" else np.float64)
-    for j in range(1, order + 1):
-        out[j:] += _dos_weight(order, j) * states[:-j]
+    col = _binomials(order, out.dtype, 1)
+    for j in range(1, min(order, len(out) - 1) + 1):
+        out[j:] += col[j] * states[:-j]
     return out
 
 
@@ -551,12 +548,12 @@ class Tape:
 
 @functools.cache
 def _binomials(order: int, dtype: np.dtype, ndim: int) -> np.ndarray:
-    """The weights ``_dos_weight(order, j)``, j = 0..order, in ``dtype``, as a
+    """The weights (-1)^j C(order, j), j = 0..order, in ``dtype``, as a
     column that broadcasts against ``ndim``-dimensional weights.  At most
     MAX_ORDER + 1 orders per dtype and rank, so the cache stays bounded."""
     col, c = [], 1
     for j in range(order + 1):
-        col.append((-1.0) ** j * c)     # as _dos_weight rounds C(order, j)
+        col.append((-1.0) ** j * c)     # c = C(order, j), rounded once
         c = c * (order - j) // (j + 1)
     col = np.array(col).astype(dtype).reshape(-1, *(1,) * ndim)
     col.flags.writeable = False     # every caller shares it
@@ -588,16 +585,22 @@ def lag_weights(params: CellParams, orders):
     return lags, cur
 
 
+def _mv(w: np.ndarray, n: int):
+    """``w`` times a step's vectors into the buffer its second argument
+    names: a bound ``dot`` for one row, a stacked matmul for many."""
+    return w.dot if n == 1 else functools.partial(np.matmul, w)
+
+
 def _layer_forward(params: CellParams, gates, kind: CellKind, tie: bool,
                    x: np.ndarray, rows: _Rows) -> LayerTape:
     """One gated layer over the packed input ``x`` of the sequences ``rows``
     steps together; ``gates`` are the layer's fused gate blocks
     (``Model.gates``).  Each run of steps with the same live rows prepares
-    its views once, and each step writes its activations straight into the
-    run's rows of the tape arrays.  Without DoS terms the o gate reads
-    nothing of the new state, so one ``sigmoid`` call writes the i, f and o
-    gates; a step of one row multiplies matrix by vector through a bound
-    ``dot``, of many through a stacked matmul."""
+    its per-step views once and iterates them: each step writes its
+    activations straight into the run's rows of the tape arrays, and its
+    products into buffers held across steps.  Without DoS terms the o gate
+    reads nothing of the new state, so one ``sigmoid`` call writes the i, f
+    and o gates."""
     u = params.units
     dt = x.dtype
     orders = kind.dos_orders
@@ -608,7 +611,7 @@ def _layer_forward(params: CellParams, gates, kind: CellKind, tie: bool,
     lags, cur = lag_weights(params, orders) if orders else (None, None)
     n_lags = len(lags) if orders else 1
     zx = _input_terms(x, wx, bias, rows)      # (rows, 4u) input-side gate terms
-    add, multiply, tanh = np.add, np.multiply, np.tanh
+    add, multiply, tanh, matmul, reduce = np.add, np.multiply, np.tanh, np.matmul, np.add.reduce
 
     h_a = np.empty((rows.size, u), dt)
     # each run's states start with the states before it, oldest first, and
@@ -622,7 +625,6 @@ def _layer_forward(params: CellParams, gates, kind: CellKind, tie: bool,
         acts = np.empty((steps, 5, n * u), dt)
         acts_r = acts if n == 1 else acts.reshape(steps, 5, n, u, 1)
         i_r, f_r, o_r, g_r, th_r = acts_r.swapaxes(0, 1)
-        ifo_r = acts_r[:, :3]
         past = np.zeros((n_lags + steps, n, u), dt)
         if t0:
             past[:n_lags] = hist[:, :n]
@@ -632,8 +634,20 @@ def _layer_forward(params: CellParams, gates, kind: CellKind, tie: bool,
         z = _steps(z_all.reshape(n, 4 * u), n)[0]
         gates_r = _steps(z_all.transpose(1, 0, 2), n)[:, 0]
         (z_i, z_f, z_o, z_g), z_ifo = gates_r, gates_r[:3]
-        wh_mv = wh.dot if n == 1 else wh.__matmul__
-        if orders:
+        # step buffers for the products wh h, i * g and cur s
+        zh, ig, zs = np.empty_like(z), np.empty_like(s_r[0]), np.empty_like(s_r[0])
+        wh_mv, h = _mv(wh, n), _steps(h_last[:n], n)[0]
+        if not orders:
+            for zx_k, ifo_k, g_k, th_k, sp_k, s_k, h_k in zip(
+                    zx_r, acts_r[:, :3], g_r, th_r, sp_r, s_r, h_r):
+                wh_mv(h, zh)
+                add(zx_k, zh, z)
+                i_t, f_t, o_t = sigmoid(z_ifo, ifo_k)
+                multiply(i_t, tanh(z_g, g_k), ig)
+                multiply(f_t, sp_k, s_k)
+                s_k += ig
+                h = multiply(o_t, tanh(s_k, th_k), h_k)
+        else:
             # the lag products take the states as column vectors even for
             # one row, and broadcast shared lag weights over the rows
             cols = past_r if n > 1 else past_r[..., None]
@@ -642,24 +656,20 @@ def _layer_forward(params: CellParams, gates, kind: CellKind, tie: bool,
             win_r = _lag_windows(past, cols, n_lags)
             if n_lags == 1:     # a single lag block: no sum over blocks
                 lag_r, win_r = lag_r[0], win_r[:, 0]
-            lag_mv, cur_mv = lag_r.__matmul__, cur.dot if n == 1 else cur.__matmul__
-        h = _steps(h_last[:n], n)[0]
-        for k in range(steps):
-            add(zx_r[k], wh_mv(h), z)
-            if orders:
-                lag = lag_mv(win_r[k])
-                z_lag += lag if n_lags == 1 else add.reduce(lag, 0)
-                i_t = sigmoid(z_i, i_r[k])
-                f_t = sigmoid(z_f, f_r[k])
-            else:
-                i_t, f_t, o_t = sigmoid(z_ifo, ifo_r[k])
-            g_t = tanh(z_g, g_r[k])
-            s = multiply(f_t, sp_r[k], s_r[k])
-            s += i_t * g_t
-            if orders:
-                z_o += cur_mv(s)
-                o_t = sigmoid(z_o, o_r[k])
-            h = multiply(o_t, tanh(s, th_r[k]), h_r[k])
+            lag = np.empty((*win_r.shape[1:-2], 4 * u, 1), dt)
+            lag_sum, cur_mv = np.empty_like(z_lag), _mv(cur, n)
+            for zx_k, win_k, i_k, f_k, o_k, g_k, th_k, sp_k, s_k, h_k in zip(
+                    zx_r, win_r, i_r, f_r, o_r, g_r, th_r, sp_r, s_r, h_r):
+                wh_mv(h, zh)
+                add(zx_k, zh, z)
+                matmul(lag_r, win_k, lag)
+                z_lag += reduce(lag, 0, None, lag_sum) if n_lags > 1 else lag
+                multiply(sigmoid(z_i, i_k), tanh(z_g, g_k), ig)
+                multiply(sigmoid(z_f, f_k), sp_k, s_k)
+                s_k += ig
+                cur_mv(s_k, zs)
+                z_o += zs
+                h = multiply(sigmoid(z_o, o_k), tanh(s_k, th_k), h_k)
         hist, h_last = past[steps:], h_a[stop - n:stop]
     if len(rows.index) > 1:
         return LayerTape(h=h_a)
@@ -675,10 +685,10 @@ def _rnn_layer_forward(params: RnnParams, x: np.ndarray, rows: _Rows) -> LayerTa
     add, tanh = np.add, np.tanh
     for t0, t1, n, start, stop in rows.runs:
         zx_r, h_r = _steps(zx[start:stop], n), _steps(h_a[start:stop], n)
-        h, w_hh_mv = _steps(h[:n], n)[0], params.w_hh.dot if n == 1 else params.w_hh.__matmul__
-        for k in range(t1 - t0):
-            h_k = h_r[k]
-            h = tanh(add(w_hh_mv(h), zx_r[k], h_k), h_k)
+        h, w_hh_mv, zh = _steps(h[:n], n)[0], _mv(params.w_hh, n), np.empty_like(zx_r[0])
+        for zx_k, h_k in zip(zx_r, h_r):
+            w_hh_mv(h, zh)
+            h = tanh(add(zh, zx_k, h_k), h_k)
         h = h_a[stop - n:stop]
     return LayerTape(h=h_a, x=x if len(rows.runs) == 1 else None)
 
@@ -765,11 +775,14 @@ def forward_set(model: Model, sequences) -> list[np.ndarray]:
 
 
 def forward_rows(model: Model, vectors: np.ndarray, x: np.ndarray, first: int = 0) -> np.ndarray:
-    """The last frame's logits ``stack_forward`` gives ``model`` run with
-    each row of ``vectors`` (rows >= 2, theta.size) as its parameter vector,
-    bitwise, row by row: the rows step together, each with its own weights.
-    ``x`` is the (T, in) input of layer ``first`` and serves every row, so
-    the rows must agree on the layers below it, which do not run."""
+    """The last frame's logits of ``model`` run with each row of ``vectors``
+    (rows >= 2, theta.size) as its parameter vector; the rows step together,
+    each with its own weights, through bitwise ``stack_forward``'s hidden
+    states.  Each row's logits are a matvec of its last frame: bitwise
+    ``stack_forward``'s in longdouble, not in float64, where its one gemm
+    over all frames rounds differently.  ``x`` is the (T, in) input of layer
+    ``first`` and serves every row, so the rows must agree on the layers
+    below it, which do not run."""
     n, steps = len(vectors), len(x)
     (*layers, output), gates = param_views(model.layout, vectors)
     x = np.repeat(x, n, axis=0)     # packed: every row's frame 0, then frame 1, ...

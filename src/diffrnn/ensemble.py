@@ -137,8 +137,7 @@ def ensemble_save(e: EnsembleModel, path) -> None:
                     for model, alpha in e.members],
     }
     with open(path, "w") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+        fh.write(json.dumps(doc) + "\n")     # see train.checkpoint_save
 
 
 def _alpha(value) -> float:

@@ -33,23 +33,28 @@ def as_vector(x) -> np.ndarray:
 
 
 # bound once: one name lookup a call where ``np.exp`` takes two
-_copysign, _exp, _sign, _maximum, _add, _divide = (
-    np.copysign, np.exp, np.sign, np.maximum, np.add, np.divide)
+_copysign, _exp, _sign, _fmax, _add, _divide = (
+    np.copysign, np.exp, np.sign, np.fmax, np.add, np.divide)
+# 0-d constants: a Python float operand takes numpy's slower weak-scalar
+# promotion on every call
+_MINUS_ONE, _ONE = np.array(-1.0), np.array(1.0)
 
 
 def sigmoid(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Numerically stable logistic function, elementwise over an array ``v``
-    of one or more dimensions, in its dtype, written into ``out`` if given.
-    exp only ever sees -|v| (``copysign(v, -1)``), so it cannot overflow:
-    1 / (1 + e) for v >= 0, e / (1 + e) below.  The numerator max(sign v, e)
-    picks between them without a branch, since e <= 1 and e = 1 at v = 0;
-    every non-NaN input gives bitwise the two-branch result.  ``out`` goes
-    positionally, cheaper than by keyword, but to ``maximum`` (deprecated)."""
-    e = _copysign(v, -1.0)
+    """Numerically stable logistic function, elementwise over a float64 or
+    longdouble array ``v`` of one or more dimensions, in its dtype, written
+    into ``out`` if given.  exp only ever sees -|v| (``copysign(v, -1)``),
+    so it cannot overflow: 1 / (1 + e) for v >= 0, e / (1 + e) below.  The
+    numerator max(sign v, e) picks between them without a branch, since
+    e <= 1 and e = 1 at v = 0; every non-NaN input gives bitwise the
+    two-branch result.  ``fmax`` serves as ``maximum`` (sign v and e are NaN
+    for the same inputs) and, unlike it, takes ``out`` positionally, which
+    is cheaper than by keyword."""
+    e = _copysign(v, _MINUS_ONE)
     _exp(e, e)
     num = _sign(v, out)
-    _maximum(num, e, out=num)
-    _add(e, 1.0, e)
+    _fmax(num, e, num)
+    _add(e, _ONE, e)
     return _divide(num, e, num)
 
 

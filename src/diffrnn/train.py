@@ -76,22 +76,25 @@ class Metrics:
 
 def loss_frame(logits: np.ndarray, labels) -> tuple[float, np.ndarray]:
     """Cross-entropy of the softmax read-out summed, in frame order, over the
-    last ``len(labels)`` frames, and its gradient at the (T, k) ``logits``:
-    softmax minus one-hot on those frames, zero before them.  Frame mode
-    passes a label per frame; sequence mode ``[label]``, the final frame."""
+    last ``len(labels)`` frames, and its float64 gradient at the (T, k)
+    ``logits``: softmax minus one-hot on those frames, zero before them.
+    Frame mode passes a label per frame; sequence mode ``[label]``, the
+    final frame.  The probabilities are read as Python floats once, and the
+    one-hot is subtracted there: the same float64 subtraction, without a
+    numpy subscript per frame."""
     T, k = logits.shape
     n = len(labels)
     if n > T:
         raise ValueError(f"{n} labels for {T} frames")
-    p = softmax(logits[T - n:])
+    rows = softmax(logits[T - n:]).tolist()
     total = 0.0
-    for j, c in enumerate(labels):
+    for row, c in zip(rows, labels):
         if not 0 <= c < k:
             raise IndexError(f"class index {c} out of range for {k} classes")
-        total -= math.log(max(float(p[j, c]), 1e-300))
-        p[j, c] -= 1.0
-    grad = np.zeros_like(logits)
-    grad[T - n:] = p
+        total -= math.log(max(row[c], 1e-300))
+        row[c] -= 1.0
+    grad = np.zeros(logits.shape)
+    grad[T - n:] = rows
     return total, grad
 
 
@@ -289,10 +292,11 @@ def model_from_doc(doc: dict) -> Model:
 
 def checkpoint_save(model: Model, path) -> None:
     """Write the model as one JSON document; floats are serialized with
-    Python's shortest round-trip repr, so loading is bitwise lossless."""
+    Python's shortest round-trip repr, so loading is bitwise lossless.
+    ``json.dumps`` encodes in C, where ``json.dump`` to a file takes the
+    pure-Python encoder: the same bytes in about half the time."""
     with open(path, "w") as fh:
-        json.dump(model_to_doc(model), fh)
-        fh.write("\n")
+        fh.write(json.dumps(model_to_doc(model)) + "\n")
 
 
 def checkpoint_load(path) -> Model:

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import diffrnn.cells as cells
-from diffrnn.backprop import map_params
+from diffrnn.backprop import backward, map_params
 from diffrnn.cells import (
     CellKind,
     StackConfig,
@@ -62,9 +62,9 @@ class TestCellKind:
 
     def test_weights_of_the_highest_order_are_finite(self):
         n = cells.MAX_ORDER
-        assert all(math.isfinite(cells._dos_weight(n, j)) for j in range(n + 1))
+        assert np.isfinite(cells._binomials(n, np.dtype(np.float64), 1)).all()
         with pytest.raises(OverflowError):
-            cells._dos_weight(n + 1, (n + 1) // 2)
+            cells._binomials(n + 1, np.dtype(np.float64), 1)
 
 
 class TestDos:
@@ -106,6 +106,21 @@ class TestDos:
         d = dos(order, states)[-1]
         expected = states[-1] if order == 0 else np.zeros(dim)
         assert np.array_equal(d, expected)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.longdouble], ids=["f64", "ld"])
+    @pytest.mark.parametrize("order", [*range(13), 100, cells.MAX_ORDER])
+    def test_equals_per_lag_loop(self, order, dtype):
+        # the reference: one math.comb weight and one add per lag, every lag
+        # to the order, even those reaching before the first state
+        def per_lag(states):
+            out = states.copy()
+            for j in range(1, order + 1):
+                out[j:] += (-1.0) ** j * math.comb(order, j) * states[:-j]
+            return out
+
+        for length in (1, 2, 3, 7, 13, 40):
+            states = seeded_rng(length).normal(size=(length, 3)).astype(dtype)
+            assert_bitwise(dos(order, states), per_lag(states))
 
     @given(st.integers(1, 4))
     def test_iterated_differencing(self, order):
@@ -467,6 +482,24 @@ class TestForwardRows:
         for y, other in zip(got, self.row_models(model, vectors)):
             assert_bitwise(y, stack_forward(other, frames).logits[-1])
 
+    @pytest.mark.parametrize("arch", ["lstm", "d2rnn3", "mixed"])
+    def test_float64_logits_are_a_matvec_of_the_last_frame(self, arch):
+        # the hidden states are stack_forward's, bitwise, in float64 too; the
+        # projection is each row's matvec of its last frame, not the gemm
+        # over all frames that stack_forward's logits come from
+        model = set_model(arch, seed=7)
+        rng = seeded_rng(8)
+        frames = random_frames(rng, 6, 3)
+        vectors = model.theta + rng.normal(scale=0.1, size=(4, model.theta.size))
+        got = cells.forward_rows(model, vectors, frames)
+        for y, v in zip(got, vectors):
+            other = replace(model)
+            other.theta[:] = v
+            tape = stack_forward(other, frames)
+            w_yh, b_y = other.output.w_yh, other.output.b_y
+            assert_bitwise(y, np.tanh((w_yh @ tape.layers[-1].h[-1][:, None])[:, 0] + b_y))
+            assert np.allclose(y, tape.logits[-1], rtol=0, atol=1e-15)
+
     @pytest.mark.parametrize("first", [1, 2, 3])
     def test_layers_below_first_do_not_run(self, first, monkeypatch):
         model = longdouble_copy(set_model("mixed", seed=4))
@@ -523,12 +556,23 @@ class TestLagWeights:
 
     def test_highest_drnn_order_runs(self):
         # a drnn:1029 layer has 1029 * 1030 / 2 (order, lag) pairs; its lag
-        # weights take one broadcast per order
-        model = small_model([(CellKind("drnn", cells.MAX_ORDER), 2)], input_units=2)
+        # weights take one broadcast per order, and the backward's per-order
+        # weight gradients and dos_energy one dos call per order, each
+        # stopping at the sequence's last lag
+        model = small_model([(CellKind("drnn", cells.MAX_ORDER), 5)], input_units=2)
+        frames = seeded_rng(0).normal(size=(3, 2))
         start = time.perf_counter()
-        logits = stack_forward(model, seeded_rng(0).normal(size=(3, 2))).logits
+        tape = stack_forward(model, frames)
         assert time.perf_counter() - start < 5.0
-        assert logits.shape == (3, 2) and np.isfinite(logits).all()
+        assert tape.logits.shape == (3, 2) and np.isfinite(tape.logits).all()
+        start = time.perf_counter()
+        grads = backward(model, tape, loss_frame(tape.logits, [1, 0, 1])[1], truncated=False)
+        assert time.perf_counter() - start < 5.0
+        assert np.isfinite(grads.vector).all() and grads.layers[0].w_od[cells.MAX_ORDER].any()
+        start = time.perf_counter()
+        energy = dos_energy(model, frames, 0)
+        assert time.perf_counter() - start < 5.0
+        assert energy.shape == (3, cells.MAX_ORDER + 1) and np.isfinite(energy).all()
 
 
 def _with_lstm_weights(lstm, dos0, vec):

@@ -20,7 +20,7 @@ from diffrnn.ensemble import (
     samme_round,
     vote,
 )
-from diffrnn.train import CheckpointError, TrainConfig, checkpoint_save, train
+from diffrnn.train import CheckpointError, TrainConfig, checkpoint_save, model_to_doc, train
 
 
 def constant_predictor(cls, classes=2, dim=2):
@@ -187,6 +187,15 @@ class TestFitErnn:
         frames = self._dataset().sequences[0].frames
         assert np.array_equal(predict_ensemble(e, frames)[1],
                               predict_ensemble(back, frames)[1])
+
+    def test_file_is_the_document_as_one_json_line(self, tmp_path):
+        e = fit_ernn(self._dataset(), max_order=1, config=self.CFG, state_units=3)
+        path = tmp_path / "ensemble.json"
+        ensemble_save(e, path)
+        doc = {"format_version": 1, "n_classes": e.n_classes,
+               "members": [{"alpha": alpha, "checkpoint": model_to_doc(model)}
+                           for model, alpha in e.members]}
+        assert path.read_text() == json.dumps(doc) + "\n"
 
     @pytest.mark.parametrize("drop", [None, "members", "n_classes"])
     def test_non_ensemble_document_rejected(self, tmp_path, drop):

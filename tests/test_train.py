@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import io
 import json
 import math
 import pickle
@@ -19,7 +20,7 @@ from diffrnn.cells import (
     stack_forward,
 )
 from diffrnn.data import Dataset, gen_synthetic
-from diffrnn.numerics import ShapeMismatchError, seeded_rng
+from diffrnn.numerics import ShapeMismatchError, seeded_rng, softmax
 from diffrnn.train import (
     CheckpointError,
     TrainConfig,
@@ -141,6 +142,42 @@ class TestLosses:
         tail_total, tail_grad = loss_frame(logits[2:], [1, 0])
         assert total == tail_total
         assert not np.any(grad[:2]) and np.array_equal(grad[2:], tail_grad)
+
+    @staticmethod
+    def per_frame(logits, labels):
+        """The reference: one softmax, then a numpy read and write per frame."""
+        T, k = logits.shape
+        n = len(labels)
+        p = softmax(logits[T - n:])
+        total = 0.0
+        for j, c in enumerate(labels):
+            if not 0 <= c < k:
+                raise IndexError(f"class index {c} out of range for {k} classes")
+            total -= math.log(max(float(p[j, c]), 1e-300))
+            p[j, c] -= 1.0
+        grad = np.zeros_like(logits)
+        grad[T - n:] = p
+        return total, grad
+
+    @pytest.mark.parametrize("T, n, k", [(1, 1, 2), (20, 1, 3), (5, 3, 4), (20, 20, 3),
+                                         (200, 200, 6)])
+    def test_equals_per_frame_loop(self, T, n, k):
+        rng = seeded_rng(T + n + k)
+        logits = rng.normal(scale=3.0, size=(T, k))
+        logits[-1, 0] = 800.0      # the other classes' probabilities underflow to 0
+        labels = [int(c) for c in rng.integers(k, size=n)]
+        labels[-1] = 1              # so the last frame's loss is clamped at 1e-300
+        total, grad = loss_frame(logits, labels)
+        ref_total, ref_grad = self.per_frame(logits, labels)
+        assert total == ref_total and grad.dtype == ref_grad.dtype
+        assert grad.tobytes() == ref_grad.tobytes()
+        assert total > 690.0        # -log(1e-300)
+        for bad in (k, -1, k + 5):
+            wrong = labels[:-1] + [bad]
+            with pytest.raises(IndexError, match=f"^class index {bad} out of range"):
+                loss_frame(logits, wrong)
+            with pytest.raises(IndexError, match=f"^class index {bad} out of range"):
+                self.per_frame(logits, wrong)
 
     def test_frame_labels_length_checked(self):
         with pytest.raises(ValueError):
@@ -433,6 +470,17 @@ class TestCheckpoint:
         frames = seeded_rng(10).normal(size=(5, 3))
         assert np.array_equal(stack_forward(model, frames).logits,
                               stack_forward(loaded, frames).logits)
+
+    def test_file_is_the_document_as_one_json_line(self, tmp_path):
+        model = build_model(d2rnn_config(3, 3, 4, 3), seed=11)
+        path = tmp_path / "model.json"
+        checkpoint_save(model, path)
+        doc = model_to_doc(model)
+        assert path.read_text() == json.dumps(doc) + "\n"
+        # json.dump to a file, the pure-Python encoder, writes the same bytes
+        written = io.StringIO()
+        json.dump(doc, written)
+        assert path.read_text() == written.getvalue() + "\n"
 
     def test_truncated_file_errors(self, tmp_path):
         model = tiny_model()
