@@ -5,7 +5,8 @@ Runs one fixed set of seeded ``diffrnn`` commands (synth; train in sequence
 and frame mode, with full and truncated backprop, gradient clipping, PCA and
 k-fold and Monte Carlo splits; ensemble; gradcheck; eval; dos-energy; and
 runs that must fail: a bad option value, a missing data file, a split too
-large for the data and an unknown config key) once under each tree, each
+large for the data, an unknown config key and ``eval`` of checkpoints that
+each carry one defect) once under each tree, each
 run in its own empty directory, and compares every exit code, stdout and
 stderr and every file and directory the commands leave:
 
@@ -18,6 +19,7 @@ it expects under either tree.
 Uses the standard library only and runs in well under a minute.
 """
 import argparse
+import json
 import os
 import subprocess
 import sys
@@ -26,8 +28,38 @@ import tempfile
 DATA = ["--data", "data.jsonl"]
 SMALL = ["--state-units", "6", "--lr", "0.05", "--epochs", "3", "--seed", "1"]
 CHECKPOINT = ["--checkpoint", "seq_full/checkpoint_split0.json"]
+
+
+def _misfit(path: tuple, value) -> str:
+    """A hand-written checkpoint of one dos:1 layer, 1 unit over the data's
+    5 dims, and 3 classes, whose document holds ``value`` at ``path``."""
+    cell = {"type": "cell"}
+    for g in "ifos":
+        cell |= {f"w_{g}x": [[0.1] * 5], f"w_{g}h": [[0.2]], f"b_{g}": [0.0]}
+    cell |= {f"w_{g}d": {"1": [[0.3]]} for g in "ifo"}
+    doc = {"format_version": 1, "seed": 0,
+           "config": {"layers": [["dos", 1, 1]], "input_units": 5, "output_classes": 3,
+                      "tie_gate_hidden_weights": False},
+           "layers": [cell], "output": {"w_yh": [[0.1]] * 3, "b_y": [0.0] * 3}}
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return json.dumps(doc) + "\n"
+
+
+# checkpoints with one defect each, which ``eval`` must refuse
+MISFITS = {
+    "misfit_shape.json": _misfit(("layers", 0, "w_fx"), [[0.1] * 4]),
+    "misfit_missing_order.json": _misfit(("layers", 0, "w_fd"), {}),
+    "misfit_dict_for_array.json": _misfit(("layers", 0, "w_ix"), {"1": [[0.1] * 5]}),
+    "misfit_order_key.json": _misfit(("layers", 0, "w_od"), {"01": [[0.3]]}),
+    "misfit_non_finite.json": _misfit(("layers", 0, "b_o"), [float("inf")]),
+    "misfit_missing_layer.json": _misfit(("config", "layers"), [["dos", 1, 1], ["lstm", 0, 1]]),
+    "misfit_inflated_units.json": _misfit(("config", "layers", 0, 2), 10 ** 6),
+}
 # written into each run's directory before its first command
-FILES = {"unknown_key.json": '{"epochs": 2, "no_such_option": 1}\n'}
+FILES = {"unknown_key.json": '{"epochs": 2, "no_such_option": 1}\n', **MISFITS}
 
 # (expected exit code, command); each command runs in the directory of the
 # one before it
@@ -57,7 +89,7 @@ COMMANDS = [(0, cmd) for cmd in [
     # 99 folds of 18 sequences: found after the config is echoed
     (2, ["ensemble", *DATA, *SMALL, "--split", "kfold:99", "--out", "k99"]),
     (1, ["train", *DATA, "--config", "unknown_key.json", "--out", "unknown"]),
-]
+] + [(2, ["eval", "--checkpoint", name, *DATA]) for name in MISFITS]
 
 
 def run_tree(src: str, work: str) -> list:

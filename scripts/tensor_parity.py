@@ -80,8 +80,9 @@ BENCH_ARCHS = ("lstm", "dos:2", "drnn:2", "d2rnn:3")
 def dump(path: str) -> None:
     """Write every result of the tree on ``sys.path`` to ``path`` (.npz)."""
     from diffrnn import cells
-    from diffrnn.backprop import backward, grad_check, model_param_items
-    from diffrnn.cells import CellKind, StackConfig, build_model, dos_energy, stack_forward
+    from diffrnn.backprop import backward, grad_check
+    from diffrnn.cells import (CellKind, StackConfig, build_model, dos_energy,
+                               model_param_items, stack_forward)
     from diffrnn.data import Dataset, Sequence, apply_preprocess, fit_preprocess, gen_synthetic
     from diffrnn.ensemble import fit_ernn
     from diffrnn.train import TrainConfig, evaluate, loss_frame, model_to_doc, train

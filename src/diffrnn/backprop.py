@@ -37,7 +37,6 @@ from .cells import (
     dos,
     forward_rows,
     lag_weights,
-    map_params,
     model_param_items,
     param_views,
     stack_forward,
@@ -304,11 +303,7 @@ def grad_check(model: Model, frames: np.ndarray, label: int,
     _, dlogits = loss_frame(tape.logits, [label])
     analytic = backward(model, tape, dlogits, truncated=False).vector
 
-    def to_ld(a):
-        return a.astype(np.longdouble)
-
-    ld_model = replace(model, layers=[map_params(to_ld, p) for p in model.layers],
-                       output=map_params(to_ld, model.output))
+    ld_model = replace(model, theta=model.theta.astype(np.longdouble))
     ld_tape = stack_forward(ld_model, frames)
     # the input of each layer and of the output projection, unperturbed
     inputs = [lt.x for lt in ld_tape.layers] + [ld_tape.layers[-1].h]

@@ -165,15 +165,6 @@ def param_items(p, prefix=""):
             yield prefix + name, value
 
 
-def map_params(fn, p):
-    """A container of ``p``'s type holding ``fn(array)`` for each array."""
-    kw = {}
-    for name, per_order, _ in param_fields(type(p)):
-        value = getattr(p, name)
-        kw[name] = {n: fn(m) for n, m in value.items()} if per_order else fn(value)
-    return type(p)(**kw)
-
-
 def model_param_items(obj):
     """Works for both Model and Gradients."""
     for li, p in enumerate(obj.layers):
@@ -183,8 +174,7 @@ def model_param_items(obj):
 
 class _Orders(dict):
     """The per-order matrices of a container whose arrays are views into one
-    vector: an entry can be written in place but not rebound or removed.
-    Copies and pickles are plain dicts, which the next packing wraps again."""
+    vector: an entry can be written in place but not rebound or removed."""
 
     def _refuse(self, *args, **kwargs):
         raise TypeError("per-order matrices are views into a parameter vector; "
@@ -192,9 +182,6 @@ class _Orders(dict):
 
     __setitem__ = __delitem__ = __ior__ = _refuse
     clear = pop = popitem = setdefault = update = _refuse
-
-    def __reduce__(self):
-        return dict, (dict(self),)
 
 
 # the first and last of the i, f, o, s fields of each fused gate block of a
@@ -243,47 +230,6 @@ def container_ends(lay) -> list[int]:
     """Where each container of a layout ends in its vector: where its last
     field, always a plain one, stops."""
     return [fields[-1][2][0][2] for _, fields, _ in lay]
-
-
-def _orders_text(orders) -> str:
-    """A sorted sequence of derivative orders in a few words, however long."""
-    if len(orders) <= 4:
-        return f"orders {list(orders)}"
-    return f"{len(orders)} orders {orders[0]}..{orders[-1]}"
-
-
-def _fitted(config: StackConfig, lay, containers) -> list[np.ndarray]:
-    """The arrays of ``containers``, the layers' and then the output's,
-    flattened in layout order once each fits ``lay``, the layout of
-    ``config``: each container is of the layout's class, and each per-order
-    field has its orders and each array its shape.  The first that does not
-    fit raises a ShapeMismatchError naming it."""
-    if len(containers) != len(lay):
-        raise ShapeMismatchError(f"config lists {len(config.layers)} layers, "
-                                 f"got {len(containers) - 1}")
-    arrays = []
-    for li, (p, (cls, fields, _)) in enumerate(zip(containers, lay)):
-        kind = config.layers[li][0] if li < len(config.layers) else None
-        if type(p) is not cls:
-            where = f"layer {li}: a {kind.kind} layer" if kind else "output: the output"
-            raise ShapeMismatchError(f"{where} cannot hold {type(p).__name__} weights")
-        prefix = f"layer{li}." if kind else "output."
-        for name, per_order, entries in fields:
-            value = getattr(p, name)
-            if per_order:
-                need = [n for n, *_ in entries]
-                if sorted(value) != need:
-                    raise ShapeMismatchError(
-                        f"layer {li}: {name} holds {_orders_text(sorted(value))}, "
-                        f"{kind.kind}:{kind.order} needs {_orders_text(need)}")
-            for n, _, _, shape in entries:
-                a = value if n is None else value[n]
-                if np.shape(a) != shape:
-                    where = prefix + name + ("" if n is None else f"[{n}]")
-                    raise ShapeMismatchError(f"{where} has shape {np.shape(a)}, "
-                                             f"expected {shape}")
-                arrays.append(np.ravel(a))
-    return arrays
 
 
 class _PerRow:
@@ -340,31 +286,32 @@ class StackConfig:
 
 @dataclass(frozen=True, eq=False)
 class Model:
-    """A stack's weights, all views into one parameter vector ``theta``.
+    """A stack's weights: one parameter vector ``theta``, laid out as
+    ``layout(config)`` places the arrays of ``layers`` and then ``output``.
 
-    ``theta`` lays out the arrays of ``layers`` and then ``output`` as
-    ``layout(config)`` places them, so an SGD step is one vector update and
-    each gated layer's fused gate blocks (``gates``) are views too.
-    Construction checks every given array against that layout (each
-    container's class, each per-order field's orders, each array's shape),
-    raising a ShapeMismatchError that names the first that does not fit,
-    then copies the arrays into a new vector and new containers and leaves
-    the given ones untouched; so a copy made by ``copy.deepcopy``,
-    ``dataclasses.replace`` or ``pickle`` owns a vector of its own (in the
-    dtype of its arrays: longdouble for gradient checks).
+    Construction copies ``theta``, in longdouble if it is longdouble (a
+    gradient check's copy) and else in float64, and raises a
+    ShapeMismatchError unless it is 1-D of the layout's size.  ``layers``,
+    ``output`` and each gated layer's fused gate blocks (``gates``) are
+    views into the copy, so an SGD step is one vector update, and a copy
+    made by ``copy.deepcopy``, ``dataclasses.replace`` or ``pickle`` owns a
+    vector of its own.
     """
 
     config: StackConfig
-    layers: tuple  # CellParams | RnnParams, parallel to config.layers
-    output: OutputParams
+    theta: np.ndarray = field(repr=False)
     seed: int = 0
-    theta: np.ndarray = field(init=False, repr=False, compare=False)
-    layout: tuple = field(init=False, repr=False, compare=False)
-    gates: tuple = field(init=False, repr=False, compare=False)
+    layout: tuple = field(init=False, repr=False)
+    layers: tuple = field(init=False, repr=False)  # CellParams | RnnParams, as config.layers
+    output: OutputParams = field(init=False, repr=False)
+    gates: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         lay = layout(self.config)
-        theta = np.concatenate(_fitted(self.config, lay, (*self.layers, self.output)))
+        theta, size = np.asarray(self.theta), container_ends(lay)[-1]
+        if theta.shape != (size,):
+            raise ShapeMismatchError(f"theta has shape {theta.shape}, expected {(size,)}")
+        theta = theta.astype(np.longdouble if theta.dtype == np.longdouble else np.float64)
         (*layers, output), gates = param_views(lay, theta)
         init = functools.partial(object.__setattr__, self)
         init("theta", theta)
@@ -374,8 +321,7 @@ class Model:
         init("gates", tuple(gates[:-1]))
 
     def __getstate__(self):
-        return {"config": self.config, "layers": self.layers, "output": self.output,
-                "seed": self.seed}
+        return {"config": self.config, "theta": self.theta, "seed": self.seed}
 
     def __setstate__(self, state):
         self.__init__(**state)
@@ -419,8 +365,7 @@ def build_model(config: StackConfig, seed: int = 0) -> Model:
                     # Forget bias starts at +1 so early memory is retained (keeps
                     # small-lr training from losing signal before the gates learn).
                     theta[a:b] = 1.0
-    (*layers, output), _ = param_views(lay, theta)
-    return Model(config=config, layers=layers, output=output, seed=seed)
+    return Model(config, theta, seed)
 
 
 def d2rnn_config(depth: int, input_units: int, units: int, classes: int) -> StackConfig:

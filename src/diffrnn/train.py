@@ -19,10 +19,10 @@ from .cells import (
     CellKind,
     CellParams,
     Model,
-    OutputParams,
     RnnParams,
     StackConfig,
     forward_set,
+    layout,
     model_param_items,
     param_fields,
     stack_forward,
@@ -217,27 +217,58 @@ def _typed(value, kind: type, what: str):
     return value
 
 
-def _params_from_json(cls, doc: dict):
-    """A ``cls`` container read from its JSON form; which fields are
-    per-order dicts comes from the declaration of ``cls``, not the JSON."""
-    kw = {}
-    for name, per_order, _ in param_fields(cls):
-        value = doc[name]
-        if isinstance(value, dict) != per_order:
-            raise CheckpointError(f"{name} must be " + (
-                "a dict of per-order matrices" if per_order else "an array"))
-        if per_order and any(n != str(int(n)) for n in value):
-            raise CheckpointError(f"{name} has keys {list(value)}, not all orders")
-        kw[name] = ({int(n): np.asarray(m, dtype=np.float64)
-                     for n, m in value.items()} if per_order
-                    else np.asarray(value, dtype=np.float64))
-    return cls(**kw)
+def _orders_text(orders) -> str:
+    """A sorted sequence of derivative orders in a few words, however long."""
+    if len(orders) <= 4:
+        return f"orders {list(orders)}"
+    return f"{len(orders)} orders {orders[0]}..{orders[-1]}"
 
 
-def _layer_from_json(doc: dict):
-    if doc["type"] not in _LAYER_TYPES:
-        raise CheckpointError(f"unknown layer type {doc['type']!r}")
-    return _params_from_json(_LAYER_TYPES[doc["type"]], doc)
+def _theta_from_doc(config: StackConfig, doc: dict) -> np.ndarray:
+    """The parameter vector of a ``config`` model read from checkpoint
+    ``doc``, in one walk over ``layout(config)``: per container its type
+    tag, per field its JSON type, its ``str(n)`` order keys and orders, and
+    per array its shape.  Every array is checked before the vector is
+    allocated.  A value that does not parse raises a CheckpointError, one
+    that does not fit the config a ShapeMismatchError naming it."""
+    lay = layout(config)
+    # every layer must be an object with a type tag before the count means much
+    tags = [d["type"] for d in doc["layers"]]
+    if len(tags) != len(config.layers):
+        raise ShapeMismatchError(f"config lists {len(config.layers)} layers, "
+                                 f"got {len(tags)}")
+    arrays = []
+    for li, (cls, fields, _) in enumerate(lay):
+        if li < len(tags):
+            (kind, _units), d, prefix = config.layers[li], doc["layers"][li], f"layer{li}."
+            tag = tags[li]
+            if tag not in _LAYER_TYPES:
+                raise CheckpointError(f"unknown layer type {tag!r}")
+            if _LAYER_TYPES[tag] is not cls:
+                raise ShapeMismatchError(f"layer {li}: a {kind.kind} layer cannot hold "
+                                         f"{_LAYER_TYPES[tag].__name__} weights")
+        else:
+            d, prefix = doc["output"], "output."
+        for name, per_order, entries in fields:
+            value = d[name]
+            if isinstance(value, dict) != per_order:
+                raise CheckpointError(f"{name} must be " + (
+                    "a dict of per-order matrices" if per_order else "an array"))
+            if per_order:
+                if any(n != str(int(n)) for n in value):
+                    raise CheckpointError(f"{name} has keys {list(value)}, not all orders")
+                have, need = sorted(map(int, value)), [n for n, *_ in entries]
+                if have != need:
+                    raise ShapeMismatchError(
+                        f"layer {li}: {name} holds {_orders_text(have)}, "
+                        f"{kind.kind}:{kind.order} needs {_orders_text(need)}")
+            for n, _, _, shape in entries:
+                a = np.asarray(value if n is None else value[str(n)], dtype=np.float64)
+                if a.shape != shape:
+                    where = prefix + name + ("" if n is None else f"[{n}]")
+                    raise ShapeMismatchError(f"{where} has shape {a.shape}, expected {shape}")
+                arrays.append(a.ravel())
+    return np.concatenate(arrays)
 
 
 def model_to_doc(model: Model) -> dict:
@@ -276,14 +307,12 @@ def model_from_doc(doc: dict) -> Model:
                                            "tie_gate_hidden_weights"),
         )
         seed = _typed(doc.get("seed", 0), int, "seed")
-        layers = [_layer_from_json(d) for d in doc["layers"]]
-        output = _params_from_json(OutputParams, doc["output"])
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise CheckpointError(f"malformed checkpoint: {exc}") from exc
-    try:
-        model = Model(config=config, layers=layers, output=output, seed=seed)
+        theta = _theta_from_doc(config, doc)
     except ShapeMismatchError as exc:   # it names the first array that does not fit
         raise CheckpointError(str(exc)) from exc
+    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
+        raise CheckpointError(f"malformed checkpoint: {exc}") from exc
+    model = Model(config, theta, seed)
     if not np.isfinite(model.theta).all():
         name = next(name for name, a in model_param_items(model) if not np.isfinite(a).all())
         raise CheckpointError(f"{name} holds a non-finite value")

@@ -13,13 +13,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from diffrnn.backprop import backward, grad_check, model_param_items
+from diffrnn.backprop import backward, grad_check
 from diffrnn.cells import (
     CellKind,
     StackConfig,
     build_model,
     d2rnn_config,
     dos,
+    model_param_items,
     stack_forward,
     stacked_lstm_config,
 )

@@ -8,19 +8,15 @@ import pytest
 
 import diffrnn.backprop as bp
 import diffrnn.cells as cells
-from diffrnn.backprop import (
-    Gradients,
-    backward,
-    grad_check,
-    map_params,
-    model_param_items,
-)
+from diffrnn.backprop import Gradients, backward, grad_check
 from diffrnn.cells import (
     CellKind,
     StackConfig,
     build_model,
     d2rnn_config,
     dos,
+    model_param_items,
+    param_views,
     stack_forward,
     stacked_lstm_config,
 )
@@ -49,8 +45,8 @@ def grads_bitwise_equal(a: Gradients, b: Gradients) -> bool:
 class TestContainers:
     def test_zeros_like_model_shapes(self):
         model = build_model(d2rnn_config(2, 3, 4, 2), seed=0)
-        z = types.SimpleNamespace(layers=[map_params(np.zeros_like, p) for p in model.layers],
-                                  output=map_params(np.zeros_like, model.output))
+        (*layers, output), _ = param_views(model.layout, np.zeros_like(model.theta))
+        z = types.SimpleNamespace(layers=layers, output=output)
         for (name, arr), (zname, zarr) in zip(model_param_items(model),
                                               model_param_items(z)):
             assert name == zname
@@ -261,9 +257,7 @@ def _per_entry_reference(model, frames, label, h=1e-5):
     tape = stack_forward(model, frames)
     _, dlogits = loss_frame(tape.logits, [label])
     analytic = backward(model, tape, dlogits, truncated=False).vector
-    ld_model = replace(model, layers=[map_params(lambda a: a.astype(np.longdouble), p)
-                                      for p in model.layers],
-                       output=map_params(lambda a: a.astype(np.longdouble), model.output))
+    ld_model = replace(model, theta=model.theta.astype(np.longdouble))
     ld_frames = frames.astype(np.longdouble)
     theta, hl = ld_model.theta, np.longdouble(h)
 
@@ -512,10 +506,10 @@ def _frozen_surrogate_loss(layers, output, config, kind, frames, label, frozen):
 def _fd_frozen_surrogate(model, kind, frames, label, frozen, h=1e-5):
     """Central differences of the frozen surrogate for every parameter entry.
     Returns a list of (param name, index, numeric gradient)."""
-    ld_layers = [map_params(lambda a: a.astype(np.longdouble), p) for p in model.layers]
-    ld_output = map_params(lambda a: a.astype(np.longdouble), model.output)
+    ld_model = replace(model, theta=model.theta.astype(np.longdouble))
+    ld_layers, ld_output = ld_model.layers, ld_model.output
     ld_frames = frames.astype(np.longdouble)
-    shadow = dict(model_param_items(types.SimpleNamespace(layers=ld_layers, output=ld_output)))
+    shadow = dict(model_param_items(ld_model))
     hl = np.longdouble(h)
 
     def loss():

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import diffrnn.cells as cells
-from diffrnn.backprop import backward, map_params
+from diffrnn.backprop import backward
 from diffrnn.cells import (
     CellKind,
     StackConfig,
@@ -206,12 +206,7 @@ class TestForwardAgainstReference:
     def test_longdouble_model_runs_in_longdouble(self, layers):
         # grad_check runs this forward on a longdouble copy of the model
         model = small_model(layers, seed=5)
-
-        def to_ld(a):
-            return a.astype(np.longdouble)
-
-        ld = replace(model, layers=[map_params(to_ld, p) for p in model.layers],
-                     output=map_params(to_ld, model.output))
+        ld = replace(model, theta=model.theta.astype(np.longdouble))
         frames = random_frames(seeded_rng(6), 6, 3)
         tape = stack_forward(ld, frames)
         assert tape.logits.dtype == np.longdouble
@@ -363,11 +358,7 @@ def set_model(arch, tie=False, seed=0):
 
 
 def longdouble_copy(model):
-    def to_ld(a):
-        return a.astype(np.longdouble)
-
-    return replace(model, layers=[map_params(to_ld, p) for p in model.layers],
-                   output=map_params(to_ld, model.output))
+    return replace(model, theta=model.theta.astype(np.longdouble))
 
 
 def assert_bitwise(a, b):

@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diffrnn.backprop import model_param_items
-from diffrnn.cells import CellKind, StackConfig, build_model, predict_sequence
+from diffrnn.cells import CellKind, StackConfig, build_model, model_param_items, predict_sequence
 from diffrnn.data import gen_synthetic
 from diffrnn.ensemble import (
     ALPHA_CAP,

@@ -9,14 +9,15 @@ import types
 import numpy as np
 import pytest
 
-from diffrnn.backprop import backward, map_params, model_param_items
+from diffrnn.backprop import backward
 from diffrnn.cells import (
     CellKind,
     Model,
     StackConfig,
     build_model,
     d2rnn_config,
-    param_items,
+    model_param_items,
+    param_views,
     stack_forward,
 )
 from diffrnn.data import Dataset, gen_synthetic
@@ -345,25 +346,35 @@ class TestParameterVector:
 
     def test_longdouble_copy_packs_in_longdouble(self):
         model = build_model(self.CONFIG, seed=3)
-        ld = dataclasses.replace(model, layers=[map_params(lambda a: a.astype(np.longdouble), p)
-                                                for p in model.layers],
-                                 output=map_params(lambda a: a.astype(np.longdouble),
-                                                   model.output))
+        ld = dataclasses.replace(model, theta=model.theta.astype(np.longdouble))
         assert ld.theta.dtype == np.longdouble
         self.assert_packed(ld)
 
-    def test_packing_leaves_the_given_containers_alone(self):
+    def test_copies_the_given_vector_and_leaves_it_alone(self):
         built = build_model(self.CONFIG, seed=3)
-        layers = [map_params(np.copy, p) for p in built.layers]
-        output = map_params(np.copy, built.output)
-        given = [a.copy() for p in (*layers, output) for _, a in param_items(p)]
-        model = Model(self.CONFIG, layers=layers, output=output, seed=3)
+        given = built.theta.copy()
+        model = Model(self.CONFIG, given, 3)
         self.assert_packed(model)
+        assert model.seed == 3 and not np.shares_memory(model.theta, given)
         sgd_epoch(model, tiny_dataset(), TrainConfig(epochs=1, learning_rate=0.5))
-        arrays = [a for p in (*layers, output) for _, a in param_items(p)]
-        assert not any(np.shares_memory(a, model.theta) for a in arrays)
-        assert all(np.array_equal(a, b) for a, b in zip(arrays, given))
-        assert all(type(p.w_id) is dict for p in layers[1:])
+        assert np.array_equal(given, built.theta)
+        assert not np.array_equal(model.theta, given)
+        # any other real dtype is copied into float64
+        assert Model(self.CONFIG, given.astype(np.float32)).theta.dtype == np.float64
+
+    @pytest.mark.parametrize("reshape", [
+        lambda v: v[:-1],
+        lambda v: np.append(v, 0.0),
+        lambda v: v[None],
+        lambda v: v.reshape(-1, 1),
+        lambda v: v[0],
+    ], ids=["short", "long", "row", "column", "scalar"])
+    def test_vector_of_another_size_or_rank_rejected(self, reshape):
+        theta = build_model(self.CONFIG, seed=3).theta
+        wrong = reshape(theta)
+        with pytest.raises(ShapeMismatchError) as err:
+            Model(self.CONFIG, wrong)
+        assert str(err.value) == f"theta has shape {np.shape(wrong)}, expected {theta.shape}"
 
     def test_rebinding_a_field_is_refused(self):
         model = build_model(self.CONFIG, seed=3)
@@ -375,7 +386,7 @@ class TestParameterVector:
         with pytest.raises(TypeError):
             p.w_od.pop(0)
         with pytest.raises(dataclasses.FrozenInstanceError):
-            model.output = map_params(np.copy, model.output)
+            model.output = param_views(model.layout, model.theta.copy())[0][-1]
         with pytest.raises(dataclasses.FrozenInstanceError):
             model.theta = model.theta.copy()
 
@@ -387,19 +398,26 @@ class TestParameterVector:
         assert not np.array_equal(stack_forward(model, frames).logits, before)
         assert not np.any(model.gates[1][0][:4])
 
+
+class TestCheckpointFit:
+    """A checkpoint is read straight into a parameter vector, each array
+    checked against the stored config; the first that does not fit is named."""
+
+    CONFIG = TestParameterVector.CONFIG
+
     @pytest.mark.parametrize("field, names", [
         ("w_fx", "w_ix, w_fx, w_ox, w_sx"),
         ("w_sh", "w_ih, w_fh, w_oh, w_sh"),
         ("b_o", "b_i, b_f, b_o, b_s"),
     ])
     def test_gate_parts_of_another_shape_rejected(self, field, names):
-        built = build_model(self.CONFIG, seed=3)
-        layers = [map_params(np.copy, p) for p in built.layers]
-        shape = getattr(layers[1], field).shape
+        model = build_model(self.CONFIG, seed=3)
+        doc = model_to_doc(model)
+        shape = getattr(model.layers[1], field).shape
         wrong = (shape[0] + 1, *shape[1:])
-        layers[1] = dataclasses.replace(layers[1], **{field: np.zeros(wrong)})
-        with pytest.raises(ShapeMismatchError) as err:
-            Model(self.CONFIG, layers=layers, output=built.output, seed=3)
+        doc["layers"][1][field] = np.zeros(wrong).tolist()
+        with pytest.raises(CheckpointError) as err:
+            model_from_doc(doc)
         # the message names the one field, not the fused block of ``names``
         assert str(err.value) == f"layer1.{field} has shape {wrong}, expected {shape}"
         assert all(name not in str(err.value) for name in names.split(", ") if name != field)
@@ -411,11 +429,50 @@ class TestParameterVector:
     ], ids=["rnn_params", "dos_orders", "input_width"])
     def test_arrays_that_do_not_fit_the_config_rejected(self, kind, inputs, message):
         # an lstm layer of 4 units over 5 inputs, given another layer's arrays
-        config = StackConfig(((CellKind("lstm"), 4),), 5, 2)
-        built = build_model(StackConfig(((kind, 4),), inputs, 2), seed=0)
-        with pytest.raises(ShapeMismatchError) as err:
-            Model(config, layers=built.layers, output=built.output)
+        doc = model_to_doc(build_model(StackConfig(((CellKind("lstm"), 4),), 5, 2), seed=0))
+        other = build_model(StackConfig(((kind, 4),), inputs, 2), seed=0)
+        doc["layers"] = model_to_doc(other)["layers"]
+        with pytest.raises(CheckpointError) as err:
+            model_from_doc(doc)
         assert str(err.value) == message
+
+    @pytest.mark.parametrize("kind, tag, message", [
+        ("lstm", "rnn", "layer 0: a lstm layer cannot hold RnnParams weights"),
+        ("rnn", "cell", "layer 0: a rnn layer cannot hold CellParams weights"),
+    ])
+    def test_type_tag_contradicting_the_kind_rejected(self, kind, tag, message):
+        # the tag alone contradicts the config: the fields are the kind's own
+        doc = model_to_doc(build_model(StackConfig(((CellKind(kind), 4),), 3, 2), seed=0))
+        doc["layers"][0]["type"] = tag
+        with pytest.raises(CheckpointError) as err:
+            model_from_doc(doc)
+        assert str(err.value) == message
+
+    def test_inflated_units_fail_short_and_small(self, tmp_path, capsys):
+        # a checkpoint whose config claims 10^6 units: the load must name the
+        # first array that does not fit before it allocates any vector
+        import tracemalloc
+
+        from diffrnn.cli import main
+        from diffrnn.data import save_jsonl
+
+        doc = model_to_doc(tiny_model())
+        doc["config"]["layers"][0][2] = 10 ** 6
+        tracemalloc.start()
+        try:
+            with pytest.raises(CheckpointError) as err:
+                model_from_doc(doc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+        assert str(err.value) == "layer0.w_ix has shape (4, 3), expected (1000000, 3)"
+        ckpt = tmp_path / "inflated.json"
+        ckpt.write_text(json.dumps(doc))
+        data = tmp_path / "data.jsonl"
+        save_jsonl(tiny_dataset(), data)
+        assert main(["eval", "--checkpoint", str(ckpt), "--data", str(data)]) == 2
+        assert capsys.readouterr().err == f"error: {err.value}\n"
 
 
 class TestClassCount:
@@ -624,9 +681,12 @@ class TestCheckpointSchema:
         (("format_version",), 1.0, "unsupported checkpoint version 1.0"),
         (("layers", 1, "w_id", "01"), ALIAS, r"w_id has keys \['1', '01'\], not all orders"),
         (("layers", 1, "w_od", "+1"), ALIAS, r"w_od has keys \['1', '\+1'\], not all orders"),
+        (("layers", 0, "b_f", 0), 10 ** 400, "int too large to convert to float"),
+        (("layers",), "ab", "string indices must be integers"),
     ], ids=["tie_str", "tie_int", "drnn_float_order", "bool_order", "int_kind",
             "float_units", "float_input_units", "float_classes", "str_seed", "bool_seed",
-            "bool_version", "float_version", "padded_order_key", "signed_order_key"])
+            "bool_version", "float_version", "padded_order_key", "signed_order_key",
+            "huge_int_weight", "layers_not_objects"])
     def test_config_field_types(self, tmp_path, capsys, path, value, message):
         from diffrnn.cli import main
         from diffrnn.data import save_jsonl
