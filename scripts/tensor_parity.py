@@ -17,12 +17,10 @@ tiny seeded models and compares them bit for bit:
 * per trained model, ``evaluate`` and every sequence's logits on a ragged,
   unsorted set (lengths 1..LENGTH, with repeats), where sequences of
   different lengths share a time loop: the logits come from the set-level
-  ``forward_set`` where the tree has one, else from one ``stack_forward``
-  per sequence;
+  ``forward_set``;
 * an ensemble ``fit_ernn`` fits on a ragged training set (its boosting scan
   runs on ragged sequences), with its member weights and parameters and
-  each member's decisions on the ragged set (from ``predict_set`` where the
-  tree has one, else ``predict_sequence``);
+  each member's decisions on the ragged set (from ``predict_set``);
 * per architecture, with and without tied gate hidden weights, the
   parameter vector of a freshly built model (``{arch}/tie={tie}/init``),
   which gates the initial draw order, and the bytes of its checkpoint
@@ -79,10 +77,9 @@ BENCH_ARCHS = ("lstm", "dos:2", "drnn:2", "d2rnn:3")
 
 def dump(path: str) -> None:
     """Write every result of the tree on ``sys.path`` to ``path`` (.npz)."""
-    from diffrnn import cells
     from diffrnn.backprop import backward, grad_check
-    from diffrnn.cells import (CellKind, StackConfig, build_model, dos_energy,
-                               model_param_items, stack_forward)
+    from diffrnn.cells import (CellKind, StackConfig, build_model, dos_energy, forward_set,
+                               predict_set, stack_forward)
     from diffrnn.data import Dataset, Sequence, apply_preprocess, fit_preprocess, gen_synthetic
     from diffrnn.ensemble import fit_ernn
     from diffrnn.train import TrainConfig, evaluate, loss_frame, model_to_doc, train
@@ -94,21 +91,12 @@ def dump(path: str) -> None:
     ragged = Dataset([Sequence(s.frames[:n], s.label, s.id)
                       for s, n in zip(data.sequences, RAGGED)], data.class_names)
     ragged_frames = [s.frames for s in ragged.sequences]
-
-    def set_logits(model):
-        if hasattr(cells, "forward_set"):
-            return cells.forward_set(model, ragged_frames)
-        return [stack_forward(model, f).logits for f in ragged_frames]
-
-    def set_decisions(model):
-        if hasattr(cells, "predict_set"):
-            return cells.predict_set(model, ragged_frames)
-        return [cells.predict_sequence(model, f)[0] for f in ragged_frames]
-
     out = {}
 
-    def flat(items):
-        return np.concatenate([np.ravel(a) for _, a in items])
+    def grad_vector(grads):
+        # ``backward`` returns the gradient vector, or, in older trees, an
+        # object holding it
+        return getattr(grads, "vector", grads)
 
     for ai, (arch, layers) in enumerate(ARCHS.items()):
         for tie in (False, True):
@@ -125,19 +113,20 @@ def dump(path: str) -> None:
                         out[key + "/history"] = np.array(
                             [[m.mean_loss, m.accuracy] for m in history])
                         out[key + "/confusion"] = np.array([m.confusion for m in history])
-                        out[key + "/params"] = flat(model_param_items(model))
+                        out[key + "/params"] = model.theta.copy()
                         tape = stack_forward(model, probe.frames)
                         out[key + "/logits"] = tape.logits
                         _, dlogits = loss_frame(tape.logits, probe.frame_labels)
                         grads = backward(model, tape, dlogits, truncation == "truncated")
-                        out[key + "/grads"] = flat(model_param_items(grads))
+                        out[key + "/grads"] = grad_vector(grads)
                         m = evaluate(model, holdout)
                         out[key + "/evaluate"] = np.array([m.mean_loss, m.accuracy])
                         out[key + "/evaluate_confusion"] = m.confusion
                         m = evaluate(model, ragged)
                         out[key + "/ragged_evaluate"] = np.array([m.mean_loss, m.accuracy])
                         out[key + "/ragged_evaluate_confusion"] = m.confusion
-                        out[key + "/ragged_logits"] = np.concatenate(set_logits(model))
+                        out[key + "/ragged_logits"] = np.concatenate(
+                            forward_set(model, ragged_frames))
                         for li, (kind, _units) in enumerate(config.layers):
                             if kind.kind != "rnn":
                                 out[f"{key}/dos_energy{li}"] = dos_energy(model, probe.frames, li)
@@ -156,8 +145,8 @@ def dump(path: str) -> None:
     ensemble = fit_ernn(ragged, 2, TrainConfig(learning_rate=0.1, epochs=2, seed=3), UNITS)
     out["ensemble/alphas"] = np.array([alpha for _, alpha in ensemble.members])
     for mi, (model, _alpha) in enumerate(ensemble.members):
-        out[f"ensemble/member{mi}/params"] = flat(model_param_items(model))
-        out[f"ensemble/member{mi}/decisions"] = np.array(set_decisions(model))
+        out[f"ensemble/member{mi}/params"] = model.theta.copy()
+        out[f"ensemble/member{mi}/decisions"] = np.array(predict_set(model, ragged_frames))
     noisy = gen_synthetic("mixed", CLASSES, 12, 20, 16, 1.0, seed=11)
     for energy in (0.9, 1.0):
         projected = apply_preprocess(fit_preprocess(noisy, energy), noisy)
@@ -176,12 +165,12 @@ def dump(path: str) -> None:
                 history = train(model, bench_train, TrainConfig(
                     learning_rate=0.05, epochs=3, mode="frame", truncation=truncation, seed=3))
                 out[key + "/history"] = np.array([[m.mean_loss, m.accuracy] for m in history])
-                out[key + "/params"] = flat(model_param_items(model))
+                out[key + "/params"] = model.theta.copy()
                 tape = stack_forward(model, bench_probe.frames)
                 out[key + "/logits"] = tape.logits
                 _, dlogits = loss_frame(tape.logits, bench_probe.frame_labels)
                 grads = backward(model, tape, dlogits, truncation == "truncated")
-                out[key + "/grads"] = flat(model_param_items(grads))
+                out[key + "/grads"] = grad_vector(grads)
     np.savez(path, **out)
 
 

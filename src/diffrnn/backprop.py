@@ -20,7 +20,6 @@ oracle.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, replace
 from types import SimpleNamespace
@@ -37,28 +36,10 @@ from .cells import (
     dos,
     forward_rows,
     lag_weights,
-    model_param_items,
-    param_views,
+    param_arrays,
     stack_forward,
 )
 from .numerics import softmax
-
-
-@dataclass
-class Gradients:
-    """Shape-congruent mirror of a model's parameters: ``vector`` laid out
-    like the model's ``theta``; ``layers`` and ``output`` are views into it,
-    made on first use."""
-
-    vector: np.ndarray
-    layout: tuple
-
-    @functools.cached_property
-    def _containers(self) -> list:
-        return param_views(self.layout, self.vector)[0]
-
-    layers = property(lambda self: self._containers[:-1])
-    output = property(lambda self: self._containers[-1])
 
 
 def _views(vec: np.ndarray, fields, names) -> SimpleNamespace:
@@ -206,11 +187,12 @@ def _rnn_backward(params: RnnParams, ltape, dh_in, grads):
     return dz_all @ params.w_hx
 
 
-def backward(model: Model, tape: Tape, dlogits: np.ndarray, truncated: bool) -> Gradients:
+def backward(model: Model, tape: Tape, dlogits: np.ndarray, truncated: bool) -> np.ndarray:
     """Gradient of the loss given its gradient at the post-tanh logits,
-    one row per frame (rows may be zero for frames that carry no loss).
-    The gradients fill one fresh vector laid out like ``model.theta``; only
-    the views written into are made here."""
+    one row per frame (rows may be zero for frames that carry no loss): a
+    fresh float64 vector laid out like ``model.theta``, whose named arrays
+    ``param_arrays(model.layout, grad)`` gives.  Only the views written
+    into are made here."""
     dlogits = np.asarray(dlogits, dtype=np.float64)
     if dlogits.shape != tape.logits.shape:
         raise ValueError(
@@ -236,18 +218,20 @@ def backward(model: Model, tape: Tape, dlogits: np.ndarray, truncated: bool) -> 
             gblocks = [vector[a:b].reshape(shape) for a, b, shape in fused]
             dh = _cell_backward(model.layers[li], kind, tape.layers[li], dh, truncated, tie,
                                 _views(vector, fields, ("w_id", "w_fd", "w_od")), gblocks)
-    grads = Gradients(vector, lay)
     if not np.isfinite(vector).all():
-        for name, arr in model_param_items(grads):
-            if not np.all(np.isfinite(arr)):
-                raise FloatingPointError(f"non-finite gradient in {name}")
-    return grads
+        name = next(name for name, a in param_arrays(lay, vector) if not np.isfinite(a).all())
+        raise FloatingPointError(f"non-finite gradient in {name}")
+    return vector
 
 
 # A chunk of grad_check rows holds at most MAX_ROWS perturbed models, and
 # fewer where their working set would pass this many bytes; never fewer than
 # one entry's two rows.
 CHUNK_BYTES = 8 << 20
+
+# grad_check's central-difference step and its pass bound on the relative error
+GRAD_CHECK_H = 1e-5
+GRAD_CHECK_TOL = 1e-4
 
 
 @dataclass
@@ -279,14 +263,14 @@ class GradCheckReport:
 # Finite-difference oracle
 
 
-def grad_check(model: Model, frames: np.ndarray, label: int,
-               h: float = 1e-5, tol: float = 1e-4) -> GradCheckReport:
+def grad_check(model: Model, frames: np.ndarray, label: int) -> GradCheckReport:
     """Central finite differences vs. the full backward pass, every parameter.
 
     The numeric side runs the production forward on a longdouble copy of
-    the model: central differences of a float64 loss at h=1e-5 carry ~1e-11
-    of cancellation noise, which would swamp honestly-tiny gradients deep in
-    a stack.  Each entry's two perturbed models (+h and -h) are two rows of
+    the model: central differences of a float64 loss at h=1e-5
+    (``GRAD_CHECK_H``) carry ~1e-11 of cancellation noise, which would
+    swamp honestly-tiny gradients deep in a stack.  Each entry's two
+    perturbed models (+h and -h) are two rows of
     ``cells.forward_rows``, and up to ``MAX_ROWS`` rows step together, fewer
     where their working set would pass ``CHUNK_BYTES``.  A
     perturbation leaves the layers below its own unchanged, so a batch of
@@ -295,13 +279,13 @@ def grad_check(model: Model, frames: np.ndarray, label: int,
     last frame's projection.  Each row's loss is bitwise the one a
     whole-stack ``stack_forward`` of its model gives.  Relative error is
     |g_a - g_n| / max(|g_a|, |g_n|, 1e-8); the check passes iff the maximum
-    over all parameters is below ``tol``.
+    over all parameters is below ``GRAD_CHECK_TOL``.
     """
     from .train import loss_frame   # train imports this module
 
     tape = stack_forward(model, frames)
     _, dlogits = loss_frame(tape.logits, [label])
-    analytic = backward(model, tape, dlogits, truncated=False).vector
+    analytic = backward(model, tape, dlogits, truncated=False)
 
     ld_model = replace(model, theta=model.theta.astype(np.longdouble))
     ld_tape = stack_forward(ld_model, frames)
@@ -310,11 +294,11 @@ def grad_check(model: Model, frames: np.ndarray, label: int,
     # entry k lies in the first container (layer, or the output) ending past k
     ends = container_ends(model.layout)
     theta = ld_model.theta
-    hl = np.longdouble(h)
+    hl = np.longdouble(GRAD_CHECK_H)
 
     # entry k of both vectors is the k-th entry in C order of the arrays in
-    # param_items order
-    names = (f"{name}{list(idx)}" for name, arr in model_param_items(model)
+    # vector order
+    names = (f"{name}{list(idx)}" for name, arr in param_arrays(model.layout, theta)
              for idx in np.ndindex(arr.shape))
     entries = []
     # a row's working set: its parameter vector, the per-row weight stacks
@@ -341,4 +325,4 @@ def grad_check(model: Model, frames: np.ndarray, label: int,
             entries.append(GradCheckEntry(name=name, analytic=ga, numeric=gn, rel_error=rel))
     worst = max(entries, key=lambda e: e.rel_error)
     return GradCheckReport(entries=entries, max_rel_error=worst.rel_error,
-                           worst=worst.name, passed=worst.rel_error < tol)
+                           worst=worst.name, passed=worst.rel_error < GRAD_CHECK_TOL)

@@ -153,25 +153,6 @@ def param_fields(cls) -> tuple[tuple[str, bool, tuple[str, ...]], ...]:
                  for f in dataclasses.fields(cls))
 
 
-def param_items(p, prefix=""):
-    """Yield (name, array) for every array of a parameter container, in field
-    order; a per-order dict field yields ``name[n]`` per order n, ascending."""
-    for name, per_order, _ in param_fields(type(p)):
-        value = getattr(p, name)
-        if per_order:
-            for n in sorted(value):
-                yield f"{prefix}{name}[{n}]", value[n]
-        else:
-            yield prefix + name, value
-
-
-def model_param_items(obj):
-    """Works for both Model and Gradients."""
-    for li, p in enumerate(obj.layers):
-        yield from param_items(p, f"layer{li}.")
-    yield from param_items(obj.output, "output.")
-
-
 class _Orders(dict):
     """The per-order matrices of a container whose arrays are views into one
     vector: an entry can be written in place but not rebound or removed."""
@@ -194,7 +175,7 @@ _FUSED = (("w_ix", "w_sx"), ("w_ih", "w_sh"), ("b_i", "b_s"))
 @functools.lru_cache(maxsize=64)
 def layout(config: StackConfig) -> tuple:
     """Where each array of a ``config`` model sits in its parameter vector:
-    the layers' arrays, then the output's, in ``param_items`` order.  Per
+    the layers' arrays, then the output's, in field order.  Per
     container (class, fields, fused); per field (name, per_order, entries);
     per array an entry (order, start, stop, shape), order None for a plain
     field, and a per-order field one entry per order of the layer's kind,
@@ -232,39 +213,50 @@ def container_ends(lay) -> list[int]:
     return [fields[-1][2][0][2] for _, fields, _ in lay]
 
 
-class _PerRow:
-    """A (rows, P) stack of parameter vectors that ``param_views`` slices as
-    it slices one vector: ``[a:b]`` keeps every row, and ``reshape`` shapes
-    each row's slice, behind a leading row axis."""
-
-    def __init__(self, stack: np.ndarray):
-        self.stack = stack
-
-    def __getitem__(self, cols):
-        return _PerRow(self.stack[:, cols])
-
-    def reshape(self, shape):
-        return self.stack.reshape(len(self.stack), *shape)
+def _slicer(vec: np.ndarray):
+    """A function of (a, b, shape) giving ``vec``'s entries a..b as a view
+    of ``shape``; of a (rows, P) stack of parameter vectors, a (rows,
+    *shape) stack of them."""
+    if vec.ndim == 1:
+        return lambda a, b, shape: vec[a:b].reshape(shape)
+    return lambda a, b, shape: vec[:, a:b].reshape(len(vec), *shape)
 
 
-def param_views(layout, vec: np.ndarray) -> tuple[list, list]:
-    """Containers as ``layout`` describes them, holding views into ``vec``,
-    and per container its fused gate blocks, views too (None but for a
-    gated layer).  A (rows, P) ``vec`` holds one parameter vector per row
-    and gives per-row weights: every array is a (rows, ...) stack."""
-    if vec.ndim > 1:
-        vec = _PerRow(vec)
+def param_arrays(lay, vec: np.ndarray):
+    """Yield (name, array) for every array of the parameter vector ``vec``
+    laid out as ``lay`` (``layout``), in vector order, as views: the
+    layers' arrays (``layer1.w_id[1]``, one per order of a per-order
+    field), then the output's (``output.b_y``).  A (rows, P) ``vec`` gives
+    every array as a (rows, ...) stack, one per row."""
+    view = _slicer(vec)
+    for li, (_, fields, _) in enumerate(lay):
+        prefix = "output." if li == len(lay) - 1 else f"layer{li}."
+        for name, per_order, entries in fields:
+            for n, a, b, shape in entries:
+                yield prefix + name + (f"[{n}]" if per_order else ""), view(a, b, shape)
+
+
+def param_views(lay, vec: np.ndarray) -> tuple[list, list]:
+    """Containers as ``lay`` (``layout``) describes them, holding views into
+    ``vec``, and per container its fused gate blocks, views too (None but
+    for a gated layer).  A (rows, P) ``vec`` holds one parameter vector per
+    row and gives per-row weights: every array is a (rows, ...) stack.
+    Each frozen container is filled through its ``__dict__``: its
+    ``__init__``'s per-field ``object.__setattr__`` costs more than the
+    slicing."""
+    view = _slicer(vec)
     containers, gates = [], []
-    for cls, fields, fused in layout:
-        kw = {}
+    for cls, fields, fused in lay:
+        container = object.__new__(cls)
+        kw = vars(container)
         for name, per_order, entries in fields:
             if per_order:
-                kw[name] = _Orders({n: vec[a:b].reshape(shape) for n, a, b, shape in entries})
+                kw[name] = _Orders({n: view(a, b, shape) for n, a, b, shape in entries})
             else:
                 (_, a, b, shape), = entries
-                kw[name] = vec[a:b].reshape(shape)
-        containers.append(cls(**kw))
-        gates.append(fused and tuple(vec[a:b].reshape(shape) for a, b, shape in fused))
+                kw[name] = view(a, b, shape)
+        containers.append(container)
+        gates.append(fused and tuple([view(a, b, shape) for a, b, shape in fused]))
     return containers, gates
 
 

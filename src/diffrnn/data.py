@@ -174,7 +174,7 @@ def load_jsonl(path) -> Dataset:
                            frame_labels=rec.get("frame_labels"),
                            group=rec.get("group"))
             _check_labels(seq, len(class_names))
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DataFormatError(f"line {lineno}: {exc}")
         if dim is None:
             dim = seq.frames.shape[1]

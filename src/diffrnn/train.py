@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backprop import Gradients, backward
+from .backprop import backward
 from .cells import (
     CellKind,
     CellParams,
@@ -23,7 +23,7 @@ from .cells import (
     StackConfig,
     forward_set,
     layout,
-    model_param_items,
+    param_arrays,
     param_fields,
     stack_forward,
 )
@@ -102,22 +102,18 @@ def loss_frame(logits: np.ndarray, labels) -> tuple[float, np.ndarray]:
 # Optimization
 
 
-def _grad_norm(grads: Gradients) -> float:
-    # a sum of per-array sums of squares, not one sum over the vector: the
-    # two round differently
-    return math.sqrt(sum(float(np.sum(a * a)) for _, a in model_param_items(grads)))
-
-
-def apply_sgd_step(model: Model, grads: Gradients, lr: float,
+def apply_sgd_step(model: Model, grad: np.ndarray, lr: float,
                    clip_norm: float | None = None) -> None:
-    """One step on the model's parameter vector; ``grads`` is left as it is."""
-    g = grads.vector
+    """One step on the model's parameter vector along ``grad``, a gradient
+    laid out like it, which is left as it is."""
     if clip_norm is not None:
-        norm = _grad_norm(grads)
+        # a sum of per-array sums of squares, not one sum over the vector:
+        # the two round differently
+        norm = math.sqrt(sum(float(np.sum(a * a)) for _, a in param_arrays(model.layout, grad)))
         if norm > clip_norm:
-            g = g * (clip_norm / norm)
+            grad = grad * (clip_norm / norm)
     theta = model.theta
-    theta -= lr * g
+    theta -= lr * grad
 
 
 def _zero_confusion(model: Model, dataset, verb: str) -> np.ndarray:
@@ -157,8 +153,8 @@ def sgd_epoch(model: Model, dataset, config: TrainConfig,
         total_loss += loss
         pred = int(np.argmax(tape.logits[-1]))
         confusion[seq.label, pred] += 1
-        grads = backward(model, tape, dlogits, truncated=truncated)
-        apply_sgd_step(model, grads, config.learning_rate, config.clip_norm)
+        grad = backward(model, tape, dlogits, truncated=truncated)
+        apply_sgd_step(model, grad, config.learning_rate, config.clip_norm)
     accuracy = float(np.trace(confusion)) / len(seqs)
     return Metrics(mean_loss=total_loss / len(seqs), accuracy=accuracy,
                    confusion=confusion)
@@ -314,7 +310,8 @@ def model_from_doc(doc: dict) -> Model:
         raise CheckpointError(f"malformed checkpoint: {exc}") from exc
     model = Model(config, theta, seed)
     if not np.isfinite(model.theta).all():
-        name = next(name for name, a in model_param_items(model) if not np.isfinite(a).all())
+        name = next(name for name, a in param_arrays(model.layout, model.theta)
+                    if not np.isfinite(a).all())
         raise CheckpointError(f"{name} holds a non-finite value")
     return model
 

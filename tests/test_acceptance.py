@@ -13,14 +13,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from diffrnn.backprop import backward, grad_check
+from diffrnn.backprop import GRAD_CHECK_H, GRAD_CHECK_TOL, backward, grad_check
 from diffrnn.cells import (
     CellKind,
     StackConfig,
     build_model,
     d2rnn_config,
     dos,
-    model_param_items,
+    param_arrays,
     stack_forward,
     stacked_lstm_config,
 )
@@ -48,6 +48,7 @@ def report(line):
 def test_criterion_1_gradient_correctness():
     """The full backward vs central differences (h=1e-5): max rel err < 1e-4
     for five architectures x three seeds, within one minute."""
+    assert (GRAD_CHECK_H, GRAD_CHECK_TOL) == (1e-5, 1e-4)
     archs = {
         "lstm": stacked_lstm_config(1, 4, 6, 3),
         "dos1": StackConfig(((CellKind("dos", 1), 6),), 4, 3),
@@ -61,7 +62,7 @@ def test_criterion_1_gradient_correctness():
         for seed in (0, 1, 2):
             model = build_model(cfg, seed=seed)
             frames = seeded_rng(100 + seed).normal(size=(5, 4))
-            rep = grad_check(model, frames, label=seed % 3, h=1e-5, tol=1e-4)
+            rep = grad_check(model, frames, label=seed % 3)
             assert rep.passed, (
                 f"ACCEPTANCE 1: FAIL — {name} seed {seed}: {rep.format()}")
             worst = max(worst, rep.max_rel_error)
@@ -136,8 +137,8 @@ def test_criterion_3_truncation_contract():
     frames = seeded_rng(9).normal(size=(5, 3))
     tape = stack_forward(model, frames)
     _, dlogits = loss_frame(tape.logits, [0])
-    full = dict(model_param_items(backward(model, tape, dlogits, truncated=False)))
-    trunc = dict(model_param_items(backward(model, tape, dlogits, truncated=True)))
+    full = dict(param_arrays(model.layout, backward(model, tape, dlogits, truncated=False)))
+    trunc = dict(param_arrays(model.layout, backward(model, tape, dlogits, truncated=True)))
     assert all(np.array_equal(full[k], trunc[k]) for k in full), \
         "ACCEPTANCE 3: FAIL — zero-DoS model: truncated != full bitwise"
 
@@ -146,9 +147,9 @@ def test_criterion_3_truncation_contract():
     frames = seeded_rng(9).normal(size=(4, 3))
     tape = stack_forward(model, frames)
     _, dlogits = loss_frame(tape.logits, [0])
-    g_full = backward(model, tape, dlogits, truncated=False)
-    g_trunc = backward(model, tape, dlogits, truncated=True)
-    diff = float(np.max(np.abs(g_full.layers[0].w_ix - g_trunc.layers[0].w_ix)))
+    g_full = dict(param_arrays(model.layout, backward(model, tape, dlogits, truncated=False)))
+    g_trunc = dict(param_arrays(model.layout, backward(model, tape, dlogits, truncated=True)))
+    diff = float(np.max(np.abs(g_full["layer0.w_ix"] - g_trunc["layer0.w_ix"])))
     assert diff > 1e-10, \
         "ACCEPTANCE 3: FAIL — full and truncated agree on order-1 instance"
 
@@ -158,7 +159,7 @@ def test_criterion_3_truncation_contract():
     frames = seeded_rng(15).normal(size=(5, 3))
     tape = stack_forward(model, frames)
     _, dlogits = loss_frame(tape.logits, [1])
-    trunc = dict(model_param_items(backward(model, tape, dlogits, truncated=True)))
+    trunc = dict(param_arrays(model.layout, backward(model, tape, dlogits, truncated=True)))
     frozen = {1: dos(1, tape.layers[0].s).astype(np.longdouble)}
     numeric = _fd_frozen_surrogate(model, kind, frames, 1, frozen)
     worst = max(abs(float(trunc[name][idx]) - gn) for name, idx, gn in numeric)
@@ -303,8 +304,9 @@ def test_criterion_7_ernn_hand_oracle():
     single = build_model(StackConfig(((CellKind("dos", 0), 4),), 3, 2),
                          seed=tc.seed)
     train(single, ds, tc)
-    for (name, a), (_, b) in zip(model_param_items(ens.members[0][0]),
-                                 model_param_items(single)):
+    member = ens.members[0][0]
+    for (name, a), (_, b) in zip(param_arrays(member.layout, member.theta),
+                                 param_arrays(single.layout, single.theta)):
         assert np.array_equal(a, b), \
             f"ACCEPTANCE 7: FAIL — N=0 ensemble differs from single model at {name}"
     for seq in ds.sequences:

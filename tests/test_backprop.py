@@ -1,6 +1,5 @@
 import math
 import tracemalloc
-import types
 from dataclasses import replace
 
 import numpy as np
@@ -8,14 +7,14 @@ import pytest
 
 import diffrnn.backprop as bp
 import diffrnn.cells as cells
-from diffrnn.backprop import Gradients, backward, grad_check
+from diffrnn.backprop import backward, grad_check
 from diffrnn.cells import (
     CellKind,
     StackConfig,
     build_model,
     d2rnn_config,
     dos,
-    model_param_items,
+    param_arrays,
     param_views,
     stack_forward,
     stacked_lstm_config,
@@ -31,40 +30,44 @@ def small_model(layers, input_units=3, classes=2, seed=0, tie=False):
     return build_model(cfg, seed=seed)
 
 
-def max_grad_diff(a: Gradients, b: Gradients) -> float:
-    da, db = dict(model_param_items(a)), dict(model_param_items(b))
-    return max(float(np.max(np.abs(da[k] - db[k]))) if da[k].size else 0.0
-               for k in da)
-
-
-def grads_bitwise_equal(a: Gradients, b: Gradients) -> bool:
-    da, db = dict(model_param_items(a)), dict(model_param_items(b))
-    return all(np.array_equal(da[k], db[k]) for k in da)
+def named(model, vec) -> dict:
+    """The arrays of ``vec``, laid out like ``model.theta``, by name."""
+    return dict(param_arrays(model.layout, vec))
 
 
 class TestContainers:
     def test_zeros_like_model_shapes(self):
         model = build_model(d2rnn_config(2, 3, 4, 2), seed=0)
-        (*layers, output), _ = param_views(model.layout, np.zeros_like(model.theta))
-        z = types.SimpleNamespace(layers=layers, output=output)
-        for (name, arr), (zname, zarr) in zip(model_param_items(model),
-                                              model_param_items(z)):
+        zeros = np.zeros_like(model.theta)
+        for (name, arr), (zname, zarr) in zip(param_arrays(model.layout, model.theta),
+                                              param_arrays(model.layout, zeros)):
             assert name == zname
             assert arr.shape == zarr.shape
-            assert not np.any(zarr)
+            assert zarr.base is zeros and not np.any(zarr)
 
-    def test_param_items_order_stable(self):
+    def test_param_arrays_order_stable(self):
         model = build_model(d2rnn_config(2, 3, 4, 2), seed=0)
-        names = [n for n, _ in model_param_items(model)]
-        assert names == [n for n, _ in model_param_items(model)]
+        names = [n for n, _ in param_arrays(model.layout, model.theta)]
+        assert names == [n for n, _ in param_arrays(model.layout, model.theta)]
         assert names[0] == "layer0.w_ix"
         assert names[-1] == "output.b_y"
         assert "layer1.w_id[1]" in names
 
+    def test_param_arrays_of_a_row_stack_are_per_row_views(self):
+        model = small_model([(CellKind("drnn", 1), 3), (CellKind("rnn"), 2)])
+        stack = model.theta + seeded_rng(0).normal(size=(3, model.theta.size))
+        rows = list(param_arrays(model.layout, stack))
+        assert [n for n, _ in rows] == [n for n, _ in param_arrays(model.layout, model.theta)]
+        for r, vec in enumerate(stack):
+            for (name, a), (_, b) in zip(rows, param_arrays(model.layout, vec)):
+                assert a.shape == (3, *b.shape) and a.base is stack, name
+                assert np.array_equal(a[r], b), name
+
     def test_param_names_pinned(self):
         cfg = StackConfig(((CellKind("rnn"), 3), (CellKind("drnn", 2), 3),
                            (CellKind("lstm"), 3)), 3, 2)
-        names = [n for n, _ in model_param_items(build_model(cfg, seed=0))]
+        model = build_model(cfg, seed=0)
+        names = [n for n, _ in param_arrays(model.layout, model.theta)]
         mats = ["w_ix", "w_fx", "w_ox", "w_sx", "w_ih", "w_fh", "w_oh", "w_sh"]
         biases = ["b_i", "b_f", "b_o", "b_s"]
         drnn = [f"{d}[{n}]" for d in ("w_id", "w_fd", "w_od") for n in range(3)]
@@ -80,43 +83,62 @@ class TestContainers:
                              (CellKind("dos", 1), 3)], tie=True)
         tape = stack_forward(model, seeded_rng(1).normal(size=(5, 3)))
         _, dlogits = loss_frame(tape.logits, [1])
-        grads = backward(model, tape, dlogits, truncated)
-        items = list(model_param_items(grads))
-        assert [n for n, _ in items] == [n for n, _ in model_param_items(model)]
-        assert all(a.base is grads.vector for _, a in items)
-        assert np.array_equal(np.concatenate([a.ravel() for _, a in items]), grads.vector)
+        grad = backward(model, tape, dlogits, truncated)
+        items = list(param_arrays(model.layout, grad))
+        assert [n for n, _ in items] == [n for n, _ in param_arrays(model.layout, model.theta)]
+        assert all(a.base is grad for _, a in items)
+        assert np.array_equal(np.concatenate([a.ravel() for _, a in items]), grad)
         again = backward(model, tape, dlogits, truncated)
-        assert not np.shares_memory(again.vector, grads.vector)
-        assert np.array_equal(again.vector, grads.vector)
+        assert not np.shares_memory(again, grad)
+        assert np.array_equal(again, grad)
 
-    def test_container_views_are_made_on_first_use(self):
+    @pytest.mark.parametrize("truncated", [False, True], ids=["full", "truncated"])
+    def test_backward_returns_a_fresh_float64_vector(self, truncated):
+        model = small_model([(CellKind("lstm"), 3), (CellKind("dos", 2), 4)])
+        tape = stack_forward(model, seeded_rng(4).normal(size=(5, 3)))
+        _, dlogits = loss_frame(tape.logits, [0])
+        grad = backward(model, tape, dlogits, truncated)
+        assert type(grad) is np.ndarray
+        assert grad.dtype == np.float64 and grad.shape == (model.theta.size,)
+        assert grad.flags.c_contiguous and grad.flags.owndata
+        assert not np.shares_memory(grad, model.theta)
+        assert not any(np.shares_memory(grad, a) for lt in tape.layers
+                       for a in vars(lt).values() if isinstance(a, np.ndarray))
+        assert not np.shares_memory(backward(model, tape, dlogits, truncated), grad)
+
+    def test_unclipped_step_leaves_the_gradient_untouched(self):
         model = small_model([(CellKind("rnn"), 3), (CellKind("drnn", 2), 4),
                              (CellKind("lstm"), 3)], tie=True)
         tape = stack_forward(model, seeded_rng(2).normal(size=(5, 3)))
         _, dlogits = loss_frame(tape.logits, [1])
-        grads = backward(model, tape, dlogits, truncated=False)
-        assert "_containers" not in vars(grads)
-        # an unclipped step reads the vector alone
-        apply_sgd_step(replace(model), grads, 0.1)
-        assert "_containers" not in vars(grads)
-        (*layers, output), _ = cells.param_views(model.layout, grads.vector)
-        for got, expected in zip([*grads.layers, grads.output], [*layers, output]):
-            for (name, a), (_, b) in zip(cells.param_items(got), cells.param_items(expected)):
-                assert a.base is grads.vector and np.array_equal(a, b), name
-                assert a.__array_interface__ == b.__array_interface__
-        assert grads.layers[0] is grads.layers[0]
+        grad = backward(model, tape, dlogits, truncated=False)
+        kept = grad.copy()
+        stepped = replace(model)
+        apply_sgd_step(stepped, grad, 0.1)
+        assert np.array_equal(grad, kept)
+        assert np.array_equal(stepped.theta, model.theta - 0.1 * kept)
+        # param_views gives the gradient's containers, their arrays in field
+        # order the views param_arrays names
+        (*layers, output), _ = cells.param_views(model.layout, grad)
+        fields = [a for p in (*layers, output) for v in vars(p).values()
+                  for a in (v.values() if isinstance(v, dict) else [v])]
+        assert all(a.base is grad for a in fields)
+        assert ([a.__array_interface__ for a in fields]
+                == [a.__array_interface__ for a in named(model, grad).values()])
 
     def test_clipped_step_scales_the_vector_by_the_norm(self):
         model = small_model([(CellKind("dos", 1), 4)])
         tape = stack_forward(model, seeded_rng(3).normal(size=(6, 3)))
         _, dlogits = loss_frame(tape.logits, [0])
-        grads = backward(model, tape, dlogits, truncated=False)
-        norm = math.sqrt(sum(float(np.sum(a * a)) for _, a in model_param_items(grads)))
+        grad = backward(model, tape, dlogits, truncated=False)
+        kept = grad.copy()
+        norm = math.sqrt(sum(float(np.sum(a * a)) for a in named(model, grad).values()))
         clip = 0.5 * norm
         stepped = replace(model)
-        apply_sgd_step(stepped, grads, 0.1, clip_norm=clip)
-        expected = model.theta - 0.1 * (grads.vector * (clip / norm))
+        apply_sgd_step(stepped, grad, 0.1, clip_norm=clip)
+        expected = model.theta - 0.1 * (grad * (clip / norm))
         assert np.array_equal(stepped.theta, expected)
+        assert np.array_equal(grad, kept)
 
     def test_non_finite_gradient_raises(self):
         model = build_model(d2rnn_config(1, 3, 4, 2), seed=0)
@@ -164,8 +186,9 @@ class TestOutputLayerClosedForm:
             du = dlogits[t] * (1.0 - tape.logits[t] ** 2)
             expected_w += np.outer(du, tape.layers[-1].h[t])
             expected_b += du
-        assert np.max(np.abs(grads.output.w_yh - expected_w)) < 1e-12
-        assert np.max(np.abs(grads.output.b_y - expected_b)) < 1e-12
+        g = named(model, grads)
+        assert np.max(np.abs(g["output.w_yh"] - expected_w)) < 1e-12
+        assert np.max(np.abs(g["output.b_y"] - expected_b)) < 1e-12
 
 
 class TestHandOneStepLstm:
@@ -206,7 +229,7 @@ class TestHandOneStepLstm:
         tape = stack_forward(model, frames)
         _, dlogits = loss_frame(tape.logits, [0])
         grads = backward(model, tape, dlogits, truncated=False)
-        gl = grads.layers[0]
+        gl = cells.param_views(model.layout, grads)[0][0]
         assert abs(gl.w_ox[0, 0] - exp_w_ox) < 1e-14
         assert abs(gl.w_ix[0, 0] - exp_w_ix) < 1e-14
         assert abs(gl.w_sx[0, 0] - exp_w_sx) < 1e-14
@@ -226,8 +249,9 @@ class TestLinearity:
         g1 = backward(model, tape, d1, truncated=False)
         g2 = backward(model, tape, d2, truncated=False)
         g12 = backward(model, tape, 2.0 * d1 + 3.0 * d2, truncated=False)
-        combo = dict(model_param_items(g12))
-        for (name, a), (_, b) in zip(model_param_items(g1), model_param_items(g2)):
+        combo = named(model, g12)
+        for (name, a), (_, b) in zip(param_arrays(model.layout, g1),
+                                     param_arrays(model.layout, g2)):
             lhs = combo[name]
             rhs = 2.0 * a + 3.0 * b
             scale = max(1.0, float(np.max(np.abs(rhs))) if rhs.size else 0.0)
@@ -256,7 +280,7 @@ def _per_entry_reference(model, frames, label, h=1e-5):
     two whole-stack longdouble ``stack_forward`` runs per entry."""
     tape = stack_forward(model, frames)
     _, dlogits = loss_frame(tape.logits, [label])
-    analytic = backward(model, tape, dlogits, truncated=False).vector
+    analytic = backward(model, tape, dlogits, truncated=False)
     ld_model = replace(model, theta=model.theta.astype(np.longdouble))
     ld_frames = frames.astype(np.longdouble)
     theta, hl = ld_model.theta, np.longdouble(h)
@@ -264,7 +288,7 @@ def _per_entry_reference(model, frames, label, h=1e-5):
     def loss():
         return -np.log(softmax(stack_forward(ld_model, ld_frames).logits[-1])[label])
 
-    names = [f"{name}{list(idx)}" for name, arr in model_param_items(model)
+    names = [f"{name}{list(idx)}" for name, arr in param_arrays(model.layout, model.theta)
              for idx in np.ndindex(arr.shape)]
     out = []
     for k, name in enumerate(names):
@@ -293,7 +317,8 @@ class TestGradCheck:
 
         def corrupted(model, tape, dlogits, truncated):
             g = real(model, tape, dlogits, truncated)
-            g.layers[0].w_ix[...] = g.layers[0].w_ix * 1.05 + 1e-6
+            w_ix = named(model, g)["layer0.w_ix"]
+            w_ix[...] = w_ix * 1.05 + 1e-6
             return g
 
         monkeypatch.setattr(bp, "backward", corrupted)
@@ -326,7 +351,7 @@ class TestGradCheck:
         # a chunk holds MAX_ROWS // 2 entries; every container here holds
         # more, and ends inside a chunk
         model = build_model(WIDE, seed=11)
-        sizes = [sum(a.size for _, a in cells.param_items(p)) for p in (*model.layers, model.output)]
+        sizes = np.diff([0, *cells.container_ends(model.layout)])
         per_chunk = cells.MAX_ROWS // 2
         assert min(sizes[:-1]) > per_chunk
         assert all(end % per_chunk for end in np.cumsum(sizes)[:-1])
@@ -412,16 +437,16 @@ class TestTruncationContract:
         frames = seeded_rng(9).normal(size=(5, 3))
         tape = stack_forward(model, frames)
         _, dlogits = loss_frame(tape.logits, [0])
-        assert grads_bitwise_equal(backward(model, tape, dlogits, truncated=False),
-                                   backward(model, tape, dlogits, truncated=True))
+        assert np.array_equal(backward(model, tape, dlogits, truncated=False),
+                              backward(model, tape, dlogits, truncated=True))
 
     def test_order0_cell_never_severed(self):
         model = small_model([(CellKind("dos", 0), 4)], seed=8)
         frames = seeded_rng(9).normal(size=(5, 3))
         tape = stack_forward(model, frames)
         _, dlogits = loss_frame(tape.logits, [0])
-        assert grads_bitwise_equal(backward(model, tape, dlogits, truncated=False),
-                                   backward(model, tape, dlogits, truncated=True))
+        assert np.array_equal(backward(model, tape, dlogits, truncated=False),
+                              backward(model, tape, dlogits, truncated=True))
 
     @pytest.mark.parametrize("layers,builds", [
         # layer 0 keeps its whole order-0 flow, layers 1-2 keep none
@@ -443,9 +468,9 @@ class TestTruncationContract:
         frames = seeded_rng(9).normal(size=(4, 3))
         tape = stack_forward(model, frames)
         _, dlogits = loss_frame(tape.logits, [0])
-        full = backward(model, tape, dlogits, truncated=False)
-        trunc = backward(model, tape, dlogits, truncated=True)
-        assert np.max(np.abs(full.layers[0].w_ix - trunc.layers[0].w_ix)) > 1e-10
+        full = named(model, backward(model, tape, dlogits, truncated=False))
+        trunc = named(model, backward(model, tape, dlogits, truncated=True))
+        assert np.max(np.abs(full["layer0.w_ix"] - trunc["layer0.w_ix"])) > 1e-10
 
     @pytest.mark.parametrize("kind", [CellKind("dos", 1), CellKind("drnn", 1),
                                       CellKind("dos", 2), CellKind("drnn", 3)],
@@ -458,7 +483,7 @@ class TestTruncationContract:
         label = 1
         tape = stack_forward(model, frames)
         _, dlogits = loss_frame(tape.logits, [label])
-        trunc = dict(model_param_items(backward(model, tape, dlogits, truncated=True)))
+        trunc = named(model, backward(model, tape, dlogits, truncated=True))
 
         frozen = {n: dos(n, tape.layers[0].s).astype(np.longdouble)
                   for n in kind.dos_orders if n >= 1}
@@ -509,7 +534,7 @@ def _fd_frozen_surrogate(model, kind, frames, label, frozen, h=1e-5):
     ld_model = replace(model, theta=model.theta.astype(np.longdouble))
     ld_layers, ld_output = ld_model.layers, ld_model.output
     ld_frames = frames.astype(np.longdouble)
-    shadow = dict(model_param_items(ld_model))
+    shadow = named(ld_model, ld_model.theta)
     hl = np.longdouble(h)
 
     def loss():

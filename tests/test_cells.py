@@ -1,7 +1,6 @@
 import math
 import time
 from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -498,7 +497,7 @@ class TestForwardRows:
         tape = stack_forward(model, frames)
         x = tape.layers[first].x if first < 3 else tape.layers[-1].h
         # the rows agree below layer ``first`` and differ from it on
-        start = sum(a.size for p in model.layers[:first] for _, a in cells.param_items(p))
+        start = cells.container_ends(model.layout)[first - 1]
         vectors = np.repeat(model.theta[None], 4, axis=0)
         vectors[:, start:] += seeded_rng(6).normal(scale=0.1, size=(4, model.theta.size - start))
         expected = [stack_forward(m, frames).logits[-1] for m in self.row_models(model, vectors)]
@@ -557,9 +556,10 @@ class TestLagWeights:
         assert time.perf_counter() - start < 5.0
         assert tape.logits.shape == (3, 2) and np.isfinite(tape.logits).all()
         start = time.perf_counter()
-        grads = backward(model, tape, loss_frame(tape.logits, [1, 0, 1])[1], truncated=False)
+        grad = backward(model, tape, loss_frame(tape.logits, [1, 0, 1])[1], truncated=False)
         assert time.perf_counter() - start < 5.0
-        assert np.isfinite(grads.vector).all() and grads.layers[0].w_od[cells.MAX_ORDER].any()
+        w_od = dict(cells.param_arrays(model.layout, grad))[f"layer0.w_od[{cells.MAX_ORDER}]"]
+        assert np.isfinite(grad).all() and w_od.any()
         start = time.perf_counter()
         energy = dos_energy(model, frames, 0)
         assert time.perf_counter() - start < 5.0
@@ -569,13 +569,9 @@ class TestLagWeights:
 def _with_lstm_weights(lstm, dos0, vec):
     """A ``dos0`` parameter vector holding the arrays ``vec`` gives ``lstm``
     (a one-layer lstm model) and zero DoS matrices: the same equations."""
-    def items(model, v):
-        (*layers, output), _ = cells.param_views(model.layout, v)
-        return cells.model_param_items(SimpleNamespace(layers=layers, output=output))
-
     out = np.zeros(dos0.theta.size, vec.dtype)
-    src = dict(items(lstm, vec))
-    for name, arr in items(dos0, out):
+    src = dict(cells.param_arrays(lstm.layout, vec))
+    for name, arr in cells.param_arrays(dos0.layout, out):
         if name in src:
             arr[...] = src[name]
     return out

@@ -9,7 +9,7 @@ from diffrnn.cells import build_model, dos_energy
 from diffrnn.cli import build_config, main, parse_split
 from diffrnn.data import KFold, MonteCarlo, load_jsonl
 from diffrnn.ensemble import ensemble_load
-from diffrnn.train import CheckpointError, checkpoint_load, model_to_doc
+from diffrnn.train import CheckpointError, checkpoint_load, checkpoint_save, model_to_doc
 
 
 def make_data(tmp_path, name="data.jsonl", count=12, length=6, dim=4, seed=0):
@@ -163,6 +163,21 @@ class TestTrain:
         assert "line 2: frame label 5" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_frame_too_large_for_float64_is_data_error(self, tmp_path, capsys, command):
+        bad = tmp_path / "big.jsonl"
+        bad.write_text('{"classes": ["a", "b"]}\n'
+                       '{"id": "x", "label": 0, "frames": [[1%s]]}\n' % ("0" * 400))
+        checkpoint = tmp_path / "ck.json"
+        checkpoint_save(build_model(build_config("lstm", 1, 3, 2)), checkpoint)
+        rest = ([*FAST, "--out", str(tmp_path / "run")] if command == "train"
+                else ["--checkpoint", str(checkpoint)])
+        rc = main([command, "--data", str(bad), *rest])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.count("\n") == 1 and "line 2: int too large" in err
+
+
 class TestEval:
     def test_eval_trained_checkpoint(self, tmp_path, capsys):
         data = make_data(tmp_path)
@@ -191,7 +206,7 @@ class TestGradcheck:
         assert "PASS" in capsys.readouterr().out
 
     def test_fail_exit_three(self, monkeypatch, capsys):
-        def failing(model, frames, label, h=1e-5, tol=1e-4):
+        def failing(model, frames, label):
             return GradCheckReport(entries=[], max_rel_error=1.0,
                                    worst="layer0.w_ix[0, 0]", passed=False)
 

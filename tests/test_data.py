@@ -216,6 +216,17 @@ class TestJsonl:
         with pytest.raises(DataFormatError, match="line 3: frames hold a non-finite"):
             load_jsonl(path)
 
+    def test_frame_too_large_for_float64_rejected_with_line(self, tmp_path):
+        # json reads an integer of any size; float64 cannot hold 1e400
+        path = tmp_path / "big.jsonl"
+        path.write_text("\n".join([
+            '{"classes": ["a", "b"]}',
+            '{"id": "x", "label": 0, "frames": [[1.0, 2.0]]}',
+            '{"id": "y", "label": 1, "frames": [[1.0, 1%s]]}' % ("0" * 400),
+        ]) + "\n")
+        with pytest.raises(DataFormatError, match="line 3: int too large"):
+            load_jsonl(path)
+
     @pytest.mark.parametrize("label", ["1.7", "1.0", "true", '"1"'])
     def test_non_integer_label_rejected_with_line(self, tmp_path, label):
         path = tmp_path / "lab.jsonl"

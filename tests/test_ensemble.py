@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diffrnn.cells import CellKind, StackConfig, build_model, model_param_items, predict_sequence
+from diffrnn.cells import CellKind, StackConfig, build_model, param_arrays, predict_sequence
 from diffrnn.data import gen_synthetic
 from diffrnn.ensemble import (
     ALPHA_CAP,
@@ -155,8 +155,9 @@ class TestFitErnn:
                           output_classes=2)
         single = build_model(cfg, seed=self.CFG.seed)
         train(single, ds, self.CFG)
-        for (name, a), (_, b) in zip(model_param_items(e.members[0][0]),
-                                     model_param_items(single)):
+        member = e.members[0][0]
+        for (name, a), (_, b) in zip(param_arrays(member.layout, member.theta),
+                                     param_arrays(single.layout, single.theta)):
             assert np.array_equal(a, b), name
         for seq in ds.sequences:
             assert predict_ensemble(e, seq.frames)[0] == \
@@ -180,8 +181,8 @@ class TestFitErnn:
         assert back.n_classes == e.n_classes
         assert [a for _, a in back.members] == [a for _, a in e.members]
         for (ma, _), (mb, _) in zip(e.members, back.members):
-            for (name, x), (_, y) in zip(model_param_items(ma),
-                                         model_param_items(mb)):
+            for (name, x), (_, y) in zip(param_arrays(ma.layout, ma.theta),
+                                         param_arrays(ma.layout, mb.theta)):
                 assert np.array_equal(x, y), name
         frames = self._dataset().sequences[0].frames
         assert np.array_equal(predict_ensemble(e, frames)[1],

@@ -16,7 +16,7 @@ from diffrnn.cells import (
     StackConfig,
     build_model,
     d2rnn_config,
-    model_param_items,
+    param_arrays,
     param_views,
     stack_forward,
 )
@@ -49,7 +49,7 @@ def tiny_model(seed=0, dim=3, classes=2):
 
 
 def params_snapshot(model):
-    return {name: arr.copy() for name, arr in model_param_items(model)}
+    return {name: arr.copy() for name, arr in param_arrays(model.layout, model.theta)}
 
 
 class TestTrainConfig:
@@ -190,7 +190,7 @@ class TestSgd:
         model = tiny_model()
         before = params_snapshot(model)
         sgd_epoch(model, tiny_dataset(), TrainConfig(learning_rate=0.0, epochs=1))
-        for name, arr in model_param_items(model):
+        for name, arr in param_arrays(model.layout, model.theta):
             assert np.array_equal(arr, before[name]), name
 
     def test_step_equals_backward_output(self):
@@ -200,13 +200,13 @@ class TestSgd:
         tape = stack_forward(model, seq.frames)
         expected = copy.deepcopy(model)
         loss, dlogits = loss_frame(tape.logits, [seq.label])
-        grads = backward(expected, stack_forward(expected, seq.frames), dlogits,
-                         truncated=False)
+        grad = backward(expected, stack_forward(expected, seq.frames), dlogits,
+                        truncated=False)
         lr = 0.01
-        apply_sgd_step(expected, grads, lr)
+        apply_sgd_step(expected, grad, lr)
         sgd_epoch(model, ds, TrainConfig(learning_rate=lr, epochs=1, shuffle=False))
-        for (name, a), (_, b) in zip(model_param_items(model),
-                                     model_param_items(expected)):
+        for (name, a), (_, b) in zip(param_arrays(model.layout, model.theta),
+                                     param_arrays(model.layout, expected.theta)):
             assert np.array_equal(a, b), name
 
     def test_single_example_loss_non_increasing(self):
@@ -251,7 +251,7 @@ class TestSgd:
         sgd_epoch(model, ds, TrainConfig(learning_rate=lr, epochs=1,
                                          clip_norm=clip, shuffle=False))
         delta = math.sqrt(sum(float(np.sum((arr - before[name]) ** 2))
-                              for name, arr in model_param_items(model)))
+                              for name, arr in param_arrays(model.layout, model.theta)))
         assert delta <= lr * clip + 1e-12
 
     def test_truncated_mode_runs_and_differs(self):
@@ -317,7 +317,7 @@ class TestParameterVector:
                           (CellKind("dos", 1), 3)), 3, 2, tie_gate_hidden_weights=True)
 
     def assert_packed(self, model):
-        items = list(model_param_items(model))
+        items = list(param_arrays(model.layout, model.theta))
         assert all(np.shares_memory(a, model.theta) for _, a in items)
         assert np.array_equal(np.concatenate([a.ravel() for _, a in items]), model.theta)
         for p, gates in zip(model.layers, model.gates):
@@ -338,7 +338,7 @@ class TestParameterVector:
         assert not np.shares_memory(clone.theta, model.theta)
         before = params_snapshot(model)
         m_clone = sgd_epoch(clone, ds, cfg)
-        for name, arr in model_param_items(model):
+        for name, arr in param_arrays(model.layout, model.theta):
             assert np.array_equal(arr, before[name]), name
         m_model = sgd_epoch(model, ds, cfg)
         assert m_clone.mean_loss == m_model.mean_loss
@@ -519,8 +519,8 @@ class TestCheckpoint:
         path = tmp_path / "model.json"
         checkpoint_save(model, path)
         loaded = checkpoint_load(path)
-        for (name, a), (_, b) in zip(model_param_items(model),
-                                     model_param_items(loaded)):
+        for (name, a), (_, b) in zip(param_arrays(model.layout, model.theta),
+                                     param_arrays(model.layout, loaded.theta)):
             assert np.array_equal(a, b), name
         assert loaded.config == model.config
         assert loaded.seed == model.seed
