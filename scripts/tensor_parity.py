@@ -26,6 +26,11 @@ tiny seeded models and compares them bit for bit:
   which gates the initial draw order, and the bytes of its checkpoint
   document, ``json.dumps(model_to_doc(model))`` as uint8
   (``{arch}/tie={tie}/checkpoint``);
+* per architecture, with and without tied gate hidden weights, the float64
+  last-frame logits ``forward_rows`` gives for three perturbed parameter
+  vectors of that fresh model stepped together as rows, each with its own
+  weights (``{arch}/tie={tie}/rows``): the per-row weight path, lag weights
+  and tied hidden blocks included, compared bitwise in float64;
 * one ``grad_check`` report per architecture, with and without tied gate
   hidden weights (``{arch}/grad_check*`` and ``{arch}/tie=True/grad_check*``);
 * the PCA projection ``apply_preprocess`` gives on noisy 16-dim data, fitted
@@ -78,8 +83,8 @@ BENCH_ARCHS = ("lstm", "dos:2", "drnn:2", "d2rnn:3")
 def dump(path: str) -> None:
     """Write every result of the tree on ``sys.path`` to ``path`` (.npz)."""
     from diffrnn.backprop import backward, grad_check
-    from diffrnn.cells import (CellKind, StackConfig, build_model, dos_energy, forward_set,
-                               predict_set, stack_forward)
+    from diffrnn.cells import (CellKind, StackConfig, build_model, dos_energy, forward_rows,
+                               forward_set, predict_set, stack_forward)
     from diffrnn.data import Dataset, Sequence, apply_preprocess, fit_preprocess, gen_synthetic
     from diffrnn.ensemble import fit_ernn
     from diffrnn.train import TrainConfig, evaluate, loss_frame, model_to_doc, train
@@ -92,11 +97,6 @@ def dump(path: str) -> None:
                       for s, n in zip(data.sequences, RAGGED)], data.class_names)
     ragged_frames = [s.frames for s in ragged.sequences]
     out = {}
-
-    def grad_vector(grads):
-        # ``backward`` returns the gradient vector, or, in older trees, an
-        # object holding it
-        return getattr(grads, "vector", grads)
 
     for ai, (arch, layers) in enumerate(ARCHS.items()):
         for tie in (False, True):
@@ -117,8 +117,8 @@ def dump(path: str) -> None:
                         tape = stack_forward(model, probe.frames)
                         out[key + "/logits"] = tape.logits
                         _, dlogits = loss_frame(tape.logits, probe.frame_labels)
-                        grads = backward(model, tape, dlogits, truncation == "truncated")
-                        out[key + "/grads"] = grad_vector(grads)
+                        out[key + "/grads"] = backward(model, tape, dlogits,
+                                                       truncation == "truncated")
                         m = evaluate(model, holdout)
                         out[key + "/evaluate"] = np.array([m.mean_loss, m.accuracy])
                         out[key + "/evaluate_confusion"] = m.confusion
@@ -136,6 +136,9 @@ def dump(path: str) -> None:
             out[f"{arch}/tie={tie}/init"] = model.theta.copy()
             out[f"{arch}/tie={tie}/checkpoint"] = np.frombuffer(
                 json.dumps(model_to_doc(model)).encode(), dtype=np.uint8)
+            noise = np.random.default_rng(ai).normal(scale=0.1, size=(3, model.theta.size))
+            out[f"{arch}/tie={tie}/rows"] = forward_rows(model, model.theta + noise,
+                                                         probe.frames)
             report = grad_check(model, probe.frames[:4], probe.label)
             key = f"{arch}/tie=True" if tie else arch
             out[f"{key}/grad_check"] = np.array(
@@ -169,8 +172,7 @@ def dump(path: str) -> None:
                 tape = stack_forward(model, bench_probe.frames)
                 out[key + "/logits"] = tape.logits
                 _, dlogits = loss_frame(tape.logits, bench_probe.frame_labels)
-                grads = backward(model, tape, dlogits, truncation == "truncated")
-                out[key + "/grads"] = grad_vector(grads)
+                out[key + "/grads"] = backward(model, tape, dlogits, truncation == "truncated")
     np.savez(path, **out)
 
 

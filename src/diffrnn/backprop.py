@@ -22,36 +22,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from types import SimpleNamespace
 
 import numpy as np
 
 from .cells import (
     MAX_ROWS,
-    CellParams,
     Model,
-    RnnParams,
     Tape,
     container_ends,
     dos,
     forward_rows,
     lag_weights,
     param_arrays,
+    param_blocks,
     stack_forward,
 )
 from .numerics import softmax
-
-
-def _views(vec: np.ndarray, fields, names) -> SimpleNamespace:
-    """Views into ``vec`` of the fields ``names`` of a container laid out as
-    ``fields`` (``cells.layout``), by name: an array per plain field, a dict
-    of arrays by order per per-order field."""
-    out = SimpleNamespace()
-    for name, per_order, entries in fields:
-        if name in names:
-            views = {n: vec[a:b].reshape(shape) for n, a, b, shape in entries}
-            setattr(out, name, views if per_order else views[None])
-    return out
 
 
 def _shifted(rows: np.ndarray) -> np.ndarray:
@@ -61,12 +47,11 @@ def _shifted(rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def _cell_backward(params: CellParams, kind, ltape, dh_in, truncated, tie, grads, gblocks):
-    """Backward through one gated layer.  ``dh_in`` is (T, units) gradient at
-    the layer's hidden outputs; writes the weight gradients into ``grads``,
-    the views (``_views``) of the layer's per-order fields, and ``gblocks``,
-    its fused gate blocks, all in one gradient vector, and returns dx
-    (T, input_units).
+def _cell_backward(wd, kind, ltape, dh_in, truncated, tie, gblocks):
+    """Backward through one gated layer, whose derivative block is ``wd``.
+    ``dh_in`` is (T, units) gradient at the layer's hidden outputs; writes
+    the weight gradients into ``gblocks``, the layer's blocks (``layout``)
+    in the gradient vector, and returns dx (T, input_units).
 
     The time loop only carries the recurrences (state and hidden gradients);
     the gate derivative factors are formed for all T before it, as blocks
@@ -78,12 +63,12 @@ def _cell_backward(params: CellParams, kind, ltape, dh_in, truncated, tie, grads
     weights the state gradient flows through; otherwise the forward's lag
     weights serve, and with no DoS path left none are built.
     """
-    T = ltape.s.shape[0]
-    u = params.units
+    T, u = ltape.s.shape
+    # either every order or a prefix of them: order 0, or none
     flow = tuple(n for n in kind.dos_orders if not truncated or n == 0)
     if flow:
         lags, cur = ((ltape.lags, ltape.cur) if flow == kind.dos_orders
-                     else lag_weights(params, flow))
+                     else lag_weights(wd, flow))
         n_lags, cur_dot = len(lags), cur.T.dot
         # one product per step gives both dh[t-1] (block 0) and the lagged
         # state gradients (blocks 1..)
@@ -153,7 +138,7 @@ def _cell_backward(params: CellParams, kind, ltape, dh_in, truncated, tie, grads
             nxt += sb_s
             prev += wh_dot(dz_t, db)
 
-    gwx, gwh, gb = gblocks
+    gwx, gwh, gwd, gb = gblocks
     np.matmul(dz_all.T, ltape.x, out=gwx)
     np.matmul(dz_all.T, _shifted(ltape.h), out=gwh)
     if tie:
@@ -163,36 +148,38 @@ def _cell_backward(params: CellParams, kind, ltape, dh_in, truncated, tie, grads
         gwh[:u] += gwh[2 * u:3 * u]
         gwh[u:3 * u] = 0.0
     dzo_a = dz_gates[:, 2]
-    for n in kind.dos_orders:
+    for k, n in enumerate(kind.dos_orders):
         d = dos(n, ltape.s)         # row t-1 is what the i/f gates see at t
-        grads.w_id[n][...], grads.w_fd[n][...] = (dz_all[1:, :2 * u].T @ d[:-1]).reshape(2, u, u)
-        np.matmul(dzo_a.T, d, out=grads.w_od[n])
+        gwd[:2, k] = (dz_all[1:, :2 * u].T @ d[:-1]).reshape(2, u, u)
+        np.matmul(dzo_a.T, d, out=gwd[2, k])
     np.add.reduce(dz_all, 0, out=gb)
     return dz_all @ ltape.wx
 
 
-def _rnn_backward(params: RnnParams, ltape, dh_in, grads):
-    T = ltape.h.shape[0]
+def _rnn_backward(blocks, ltape, dh_in, gblocks):
+    T, u = ltape.h.shape
+    w_hh, w_hx, _ = blocks
     d_h = 1.0 - ltape.h * ltape.h
-    w_hh_dot = params.w_hh.T.dot
-    dh = np.concatenate([np.zeros((1, params.units)), dh_in])    # row 0: what t = 0 sends back
-    dz_all = np.empty((T, params.units))
-    db = np.empty(params.units)
+    w_hh_dot = w_hh.T.dot
+    dh = np.concatenate([np.zeros((1, u)), dh_in])    # row 0: what t = 0 sends back
+    dz_all = np.empty((T, u))
+    db = np.empty(u)
     multiply = np.multiply
     for dh_t, d_h_t, dz, prev in zip(dh[:0:-1], d_h[::-1], dz_all[::-1], dh[-2::-1]):
         prev += w_hh_dot(multiply(dh_t, d_h_t, dz), db)
-    np.matmul(dz_all.T, _shifted(ltape.h), out=grads.w_hh)
-    np.matmul(dz_all.T, ltape.x, out=grads.w_hx)
-    np.add.reduce(dz_all, 0, out=grads.b_h)
-    return dz_all @ params.w_hx
+    g_hh, g_hx, g_h = gblocks
+    np.matmul(dz_all.T, _shifted(ltape.h), out=g_hh)
+    np.matmul(dz_all.T, ltape.x, out=g_hx)
+    np.add.reduce(dz_all, 0, out=g_h)
+    return dz_all @ w_hx
 
 
 def backward(model: Model, tape: Tape, dlogits: np.ndarray, truncated: bool) -> np.ndarray:
     """Gradient of the loss given its gradient at the post-tanh logits,
     one row per frame (rows may be zero for frames that carry no loss): a
     fresh float64 vector laid out like ``model.theta``, whose named arrays
-    ``param_arrays(model.layout, grad)`` gives.  Only the views written
-    into are made here."""
+    ``param_arrays(model.layout, grad)`` gives.  Each layer writes into its
+    blocks (``param_blocks``) of the vector."""
     dlogits = np.asarray(dlogits, dtype=np.float64)
     if dlogits.shape != tape.logits.shape:
         raise ValueError(
@@ -201,23 +188,20 @@ def backward(model: Model, tape: Tape, dlogits: np.ndarray, truncated: bool) -> 
         )
     lay = model.layout
     vector = np.empty(model.theta.size)
-    output = _views(vector, lay[-1][1], ("w_yh", "b_y"))
+    *grads, (g_yh, g_y) = param_blocks(lay, vector)
     du_all = dlogits * (1.0 - tape.logits ** 2)
-    np.matmul(du_all.T, tape.layers[-1].h, out=output.w_yh)
-    np.add.reduce(du_all, 0, out=output.b_y)
-    dh = du_all @ model.output.w_yh
+    np.matmul(du_all.T, tape.layers[-1].h, out=g_yh)
+    np.add.reduce(du_all, 0, out=g_y)
+    dh = du_all @ model.blocks[-1][0]
 
     tie = model.config.tie_gate_hidden_weights
-    for li in range(len(model.layers) - 1, -1, -1):
+    for li in range(len(grads) - 1, -1, -1):
         kind, _units = model.config.layers[li]
-        _, fields, fused = lay[li]
         if kind.kind == "rnn":
-            dh = _rnn_backward(model.layers[li], tape.layers[li], dh,
-                               _views(vector, fields, ("w_hh", "w_hx", "b_h")))
+            dh = _rnn_backward(model.blocks[li], tape.layers[li], dh, grads[li])
         else:
-            gblocks = [vector[a:b].reshape(shape) for a, b, shape in fused]
-            dh = _cell_backward(model.layers[li], kind, tape.layers[li], dh, truncated, tie,
-                                _views(vector, fields, ("w_id", "w_fd", "w_od")), gblocks)
+            dh = _cell_backward(model.blocks[li][2], kind, tape.layers[li], dh, truncated,
+                                tie, grads[li])
     if not np.isfinite(vector).all():
         name = next(name for name, a in param_arrays(lay, vector) if not np.isfinite(a).all())
         raise FloatingPointError(f"non-finite gradient in {name}")

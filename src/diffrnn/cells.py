@@ -95,7 +95,9 @@ class CellParams:
     The ``w_*d`` dicts map a derivative order to its gate modulation matrix;
     they are empty for a plain LSTM.  The fields of each gate group are
     declared in the fused i, f, o, s order, so in a parameter vector the
-    (4u, in), (4u, u) and (4u,) blocks of the fused gate matmuls are slices.
+    (4u, in), (4u, u) and (4u,) blocks of the fused gate matmuls are slices,
+    and so is the (3, K, u, u) block of the i, f and o gates' matrices of
+    the K orders (``layout``).
     """
 
     w_ix: np.ndarray = _param("out", "in")
@@ -114,28 +116,12 @@ class CellParams:
     b_o: np.ndarray = _param("out")
     b_s: np.ndarray = _param("out")
 
-    @property
-    def units(self) -> int:
-        return self.b_i.shape[-1]
-
-    @property
-    def input_units(self) -> int:
-        return self.w_ix.shape[-1]
-
 
 @dataclass(frozen=True, eq=False)
 class RnnParams:
     w_hh: np.ndarray = _param("out", "out")
     w_hx: np.ndarray = _param("out", "in")
     b_h: np.ndarray = _param("out")
-
-    @property
-    def units(self) -> int:
-        return self.b_h.shape[-1]
-
-    @property
-    def input_units(self) -> int:
-        return self.w_hx.shape[-1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,24 +151,23 @@ class _Orders(dict):
     clear = pop = popitem = setdefault = update = _refuse
 
 
-# the first and last of the i, f, o, s fields of each fused gate block of a
-# gated layer
-_FUSED = (("w_ix", "w_sx"), ("w_ih", "w_sh"), ("b_i", "b_s"))
-
-
 # every model built or loaded computes its layout: a gradient check builds
 # one per call, and the layout of a small stack costs a third of that build
 @functools.lru_cache(maxsize=64)
 def layout(config: StackConfig) -> tuple:
     """Where each array of a ``config`` model sits in its parameter vector:
     the layers' arrays, then the output's, in field order.  Per
-    container (class, fields, fused); per field (name, per_order, entries);
+    container (class, fields, blocks); per field (name, per_order, entries);
     per array an entry (order, start, stop, shape), order None for a plain
     field, and a per-order field one entry per order of the layer's kind,
-    ascending.  ``fused`` is None but for a gated layer, where it holds the
-    (start, stop, shape) of the fused input-side (4u, in), hidden-side
-    (4u, u) and bias (4u,) gate blocks: slices, since each block's i, f, o,
-    s parts are laid out in turn."""
+    ascending.  Each run of consecutive fields of the same dims and kind
+    (plain or per-order) is one block (start, stop, shape), and the blocks
+    tile their container: m plain fields of shape (a, ...) make an
+    (m a, ...) block, m per-order fields of shape (u, u) over K orders an
+    (m, K, u, u) one.  So a gated layer's blocks are the fused gate blocks
+    (4u, in), (4u, u), the derivative block (3, K, u, u) of its w_id, w_fd
+    and w_od (empty for an LSTM) and the biases (4u,); every other
+    container's blocks are its fields."""
     specs = [(RnnParams if kind.kind == "rnn" else CellParams, units, kind.dos_orders)
              for kind, units in config.layers]
     specs.append((OutputParams, config.output_classes, ()))
@@ -190,27 +175,27 @@ def layout(config: StackConfig) -> tuple:
     containers, at = [], 0
     for (cls, out, orders), width in zip(specs, widths):
         size = {"out": out, "in": width}
-        fields = []
-        for name, per_order, dims in param_fields(cls):
-            shape = tuple(size[d] for d in dims)
-            entries = []
-            for n in orders if per_order else (None,):
-                entries.append((n, at, at + math.prod(shape), shape))
-                at += math.prod(shape)
-            fields.append((name, per_order, tuple(entries)))
-        fused = None
-        if cls is CellParams:
-            plain = {name: entries[0] for name, per_order, entries in fields if not per_order}
-            fused = tuple((plain[first][1], plain[last][2], (4 * out, *plain[first][3][1:]))
-                          for first, last in _FUSED)
-        containers.append((cls, tuple(fields), fused))
+        fields, blocks = [], []
+        for (per_order, dims), run in itertools.groupby(param_fields(cls), lambda f: f[1:]):
+            shape, start = tuple(size[d] for d in dims), at
+            names = [name for name, _, _ in run]
+            for name in names:
+                entries = []
+                for n in orders if per_order else (None,):
+                    entries.append((n, at, at + math.prod(shape), shape))
+                    at += math.prod(shape)
+                fields.append((name, per_order, tuple(entries)))
+            m = len(names)
+            blocks.append((start, at, (m, len(orders), *shape) if per_order
+                           else (m * shape[0], *shape[1:])))
+        containers.append((cls, tuple(fields), tuple(blocks)))
     return tuple(containers)
 
 
 def container_ends(lay) -> list[int]:
     """Where each container of a layout ends in its vector: where its last
-    field, always a plain one, stops."""
-    return [fields[-1][2][0][2] for _, fields, _ in lay]
+    block stops."""
+    return [blocks[-1][1] for _, _, blocks in lay]
 
 
 def _slicer(vec: np.ndarray):
@@ -236,17 +221,23 @@ def param_arrays(lay, vec: np.ndarray):
                 yield prefix + name + (f"[{n}]" if per_order else ""), view(a, b, shape)
 
 
-def param_views(lay, vec: np.ndarray) -> tuple[list, list]:
-    """Containers as ``lay`` (``layout``) describes them, holding views into
-    ``vec``, and per container its fused gate blocks, views too (None but
-    for a gated layer).  A (rows, P) ``vec`` holds one parameter vector per
-    row and gives per-row weights: every array is a (rows, ...) stack.
-    Each frozen container is filled through its ``__dict__``: its
-    ``__init__``'s per-field ``object.__setattr__`` costs more than the
-    slicing."""
+def param_blocks(lay, vec: np.ndarray) -> list[tuple]:
+    """Per container of ``lay`` (``layout``), views of its blocks in the
+    parameter vector ``vec``; of a (rows, P) stack of parameter vectors,
+    (rows, ...) stacks of them, per-row weights."""
     view = _slicer(vec)
-    containers, gates = [], []
-    for cls, fields, fused in lay:
+    return [tuple([view(*block) for block in blocks]) for _, _, blocks in lay]
+
+
+def param_views(lay, vec: np.ndarray) -> list:
+    """Containers as ``lay`` (``layout``) describes them, holding views into
+    ``vec``.  A (rows, P) ``vec`` holds one parameter vector per row and
+    gives per-row weights: every array is a (rows, ...) stack.  Each frozen
+    container is filled through its ``__dict__``: its ``__init__``'s
+    per-field ``object.__setattr__`` costs more than the slicing."""
+    view = _slicer(vec)
+    containers = []
+    for cls, fields, _ in lay:
         container = object.__new__(cls)
         kw = vars(container)
         for name, per_order, entries in fields:
@@ -256,8 +247,7 @@ def param_views(lay, vec: np.ndarray) -> tuple[list, list]:
                 (_, a, b, shape), = entries
                 kw[name] = view(a, b, shape)
         containers.append(container)
-        gates.append(fused and tuple([view(a, b, shape) for a, b, shape in fused]))
-    return containers, gates
+    return containers
 
 
 @dataclass(frozen=True)
@@ -283,20 +273,19 @@ class Model:
 
     Construction copies ``theta``, in longdouble if it is longdouble (a
     gradient check's copy) and else in float64, and raises a
-    ShapeMismatchError unless it is 1-D of the layout's size.  ``layers``,
-    ``output`` and each gated layer's fused gate blocks (``gates``) are
-    views into the copy, so an SGD step is one vector update, and a copy
-    made by ``copy.deepcopy``, ``dataclasses.replace`` or ``pickle`` owns a
-    vector of its own.
+    ShapeMismatchError unless it is 1-D of the layout's size.  Every
+    container's blocks (``blocks``, ``param_blocks``), which the forward and
+    backward read, and the containers ``layers`` and ``output``, the named
+    view of the weights made on first use, are views into the copy, so an
+    SGD step is one vector update, and a copy made by ``copy.deepcopy``,
+    ``dataclasses.replace`` or ``pickle`` owns a vector of its own.
     """
 
     config: StackConfig
     theta: np.ndarray = field(repr=False)
     seed: int = 0
     layout: tuple = field(init=False, repr=False)
-    layers: tuple = field(init=False, repr=False)  # CellParams | RnnParams, as config.layers
-    output: OutputParams = field(init=False, repr=False)
-    gates: tuple = field(init=False, repr=False)
+    blocks: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         lay = layout(self.config)
@@ -304,13 +293,19 @@ class Model:
         if theta.shape != (size,):
             raise ShapeMismatchError(f"theta has shape {theta.shape}, expected {(size,)}")
         theta = theta.astype(np.longdouble if theta.dtype == np.longdouble else np.float64)
-        (*layers, output), gates = param_views(lay, theta)
         init = functools.partial(object.__setattr__, self)
         init("theta", theta)
         init("layout", lay)
-        init("layers", tuple(layers))
-        init("output", output)
-        init("gates", tuple(gates[:-1]))
+        init("blocks", tuple(param_blocks(lay, theta)))
+
+    @functools.cached_property
+    def layers(self) -> tuple:
+        """The layers' containers, CellParams | RnnParams as config.layers."""
+        return tuple(param_views(self.layout[:-1], self.theta))
+
+    @functools.cached_property
+    def output(self) -> OutputParams:
+        return param_views(self.layout[-1:], self.theta)[0]
 
     def __getstate__(self):
         return {"config": self.config, "theta": self.theta, "seed": self.seed}
@@ -347,16 +342,14 @@ def build_model(config: StackConfig, seed: int = 0) -> Model:
     rng = seeded_rng(seed)
     lay = layout(config)
     theta = np.zeros(container_ends(lay)[-1])
-    for _, fields, _ in lay:
-        for name, _, entries in fields:
-            for _, a, b, shape in entries:
-                if len(shape) == 2:
-                    r = 1.0 / math.sqrt(shape[1])
-                    theta[a:b] = rng.uniform(-r, r, size=b - a)
-                elif name == "b_f":
-                    # Forget bias starts at +1 so early memory is retained (keeps
-                    # small-lr training from losing signal before the gates learn).
-                    theta[a:b] = 1.0
+    for name, a in param_arrays(lay, theta):
+        if a.ndim == 2:
+            r = 1.0 / math.sqrt(a.shape[1])
+            a[...] = rng.uniform(-r, r, size=a.shape)
+        elif name.endswith(".b_f"):
+            # Forget bias starts at +1 so early memory is retained (keeps
+            # small-lr training from losing signal before the gates learn).
+            a[...] = 1.0
     return Model(config, theta, seed)
 
 
@@ -497,28 +490,34 @@ def _binomials(order: int, dtype: np.dtype, ndim: int) -> np.ndarray:
     return col
 
 
-def lag_weights(params: CellParams, orders):
+def lag_weights(wd: np.ndarray, orders):
     """The DoS gate terms of ``orders`` as weights on past states.
 
-    An order-n derivative is sum_j c(n, j) s_{t-j}, so the terms fold into a
-    (K+1, 4u, u) stack whose block j weighs s_{t-1-j}, K the highest order:
-    i and f rows hold lags 0..K of the previous state's derivatives, o rows
-    lags 1..K of the current state's, s rows zeros.  Also returns the o
-    gate's (u, u) weight on s_t itself.  Per-row weights give a
-    (K+1, rows, 4u, u) stack and a (rows, u, u) weight.  Each order adds
-    its binomial column times its matrices to all its lags in one broadcast,
-    so every lag sums its terms in ascending order."""
-    w = params.w_ih
-    u = w.shape[-1]
-    lags = np.zeros((max(orders, default=0) + 1, *w.shape[:-2], 4 * u, u), w.dtype)
-    cur = np.zeros(w.shape, w.dtype)
-    for n in orders:
-        col, w_od = _binomials(n, w.dtype, w.ndim), params.w_od[n]
+    ``wd`` is a gated layer's derivative block, its (3, K, u, u) w_id, w_fd
+    and w_od matrices of its K orders, and ``orders`` a prefix of those
+    orders.  An order-n derivative is sum_j c(n, j) s_{t-j}, so the terms
+    fold into a (K+1, 4u, u) stack whose block j weighs s_{t-1-j}, K the
+    highest order: i and f rows hold lags 0..K of the previous state's
+    derivatives, o rows lags 1..K of the current state's, s rows zeros.
+    Also returns the o gate's (u, u) weight on s_t itself.  Per-row weights,
+    a (rows, 3, K, u, u) block, give a (K+1, rows, 4u, u) stack and a
+    (rows, u, u) weight.  Each order adds its binomial column times its
+    i and f matrices, and then times its o matrix, to all its lags in one
+    broadcast each, so every lag sums its terms in ascending order."""
+    # the orders' axis first: per order, (3, u, u) matrices, or (rows, 3, u, u)
+    wd = wd.transpose(1, 0, 2, 3) if wd.ndim == 4 else wd.transpose(2, 0, 1, 3, 4)
+    u, dt, lead = wd.shape[-1], wd.dtype, wd.shape[1:-3]
+    lags = np.zeros((max(orders, default=0) + 1, *lead, 4 * u, u), dt)
+    cur = np.zeros((*lead, u, u), dt)
+    # the i and f rows of each lag block, as (2, u, u) like an order's w_id, w_fd
+    lags_if = lags[..., :2 * u, :].reshape(*lags.shape[:-2], 2, u, u)
+    for n, w in zip(orders, wd):
+        col, w_od = _binomials(n, dt, w.ndim), w[..., 2, :, :]
         cur += w_od
-        lags[:n + 1, ..., :u, :] += col * params.w_id[n]
-        lags[:n + 1, ..., u:2 * u, :] += col * params.w_fd[n]
+        lags_if[:n + 1] += col * w[..., :2, :, :]
         if n:
-            lags[:n, ..., 2 * u:3 * u, :] += col[1:] * w_od
+            # col[1:, 0]: a rank less, for the o gate's (u, u) matrices
+            lags[:n, ..., 2 * u:3 * u, :] += col[1:, 0] * w_od
     return lags, cur
 
 
@@ -528,24 +527,25 @@ def _mv(w: np.ndarray, n: int):
     return w.dot if n == 1 else functools.partial(np.matmul, w)
 
 
-def _layer_forward(params: CellParams, gates, kind: CellKind, tie: bool,
-                   x: np.ndarray, rows: _Rows) -> LayerTape:
+def _layer_forward(blocks, kind: CellKind, tie: bool, x: np.ndarray,
+                   rows: _Rows) -> LayerTape:
     """One gated layer over the packed input ``x`` of the sequences ``rows``
-    steps together; ``gates`` are the layer's fused gate blocks
-    (``Model.gates``).  Each run of steps with the same live rows prepares
+    steps together; ``blocks`` are the layer's weight blocks (``layout``).
+    Each run of steps with the same live rows prepares
     its per-step views once and iterates them: each step writes its
     activations straight into the run's rows of the tape arrays, and its
     products into buffers held across steps.  Without DoS terms the o gate
     reads nothing of the new state, so one ``sigmoid`` call writes the i, f
     and o gates."""
-    u = params.units
+    wx, wh, wd, bias = blocks
+    u = wh.shape[-1]
     dt = x.dtype
     orders = kind.dos_orders
-    wx, wh, bias = gates
     if tie:
         # the i, f and o gates all read the hidden state through w_ih
-        wh = np.concatenate([params.w_ih, params.w_ih, params.w_ih, params.w_sh], axis=-2)
-    lags, cur = lag_weights(params, orders) if orders else (None, None)
+        w_ih = wh[..., :u, :]
+        wh = np.concatenate([w_ih, w_ih, w_ih, wh[..., 3 * u:, :]], axis=-2)
+    lags, cur = lag_weights(wd, orders) if orders else (None, None)
     n_lags = len(lags) if orders else 1
     zx = _input_terms(x, wx, bias, rows)      # (rows, 4u) input-side gate terms
     add, multiply, tanh, matmul, reduce = np.add, np.multiply, np.tanh, np.matmul, np.add.reduce
@@ -614,15 +614,16 @@ def _layer_forward(params: CellParams, gates, kind: CellKind, tie: bool,
                      h=h_a, tanh_s=th_r, wx=wx, wh=wh, lags=lags, cur=cur)
 
 
-def _rnn_layer_forward(params: RnnParams, x: np.ndarray, rows: _Rows) -> LayerTape:
-    u = params.units
-    zx = _input_terms(x, params.w_hx, params.b_h, rows)
+def _rnn_layer_forward(blocks, x: np.ndarray, rows: _Rows) -> LayerTape:
+    w_hh, w_hx, b_h = blocks
+    u = b_h.shape[-1]
+    zx = _input_terms(x, w_hx, b_h, rows)
     h_a = np.empty((rows.size, u), x.dtype)
     h = np.zeros((rows.runs[0][2], u), x.dtype)    # the hidden state before a run
     add, tanh = np.add, np.tanh
     for t0, t1, n, start, stop in rows.runs:
         zx_r, h_r = _steps(zx[start:stop], n), _steps(h_a[start:stop], n)
-        h, w_hh_mv, zh = _steps(h[:n], n)[0], _mv(params.w_hh, n), np.empty_like(zx_r[0])
+        h, w_hh_mv, zh = _steps(h[:n], n)[0], _mv(w_hh, n), np.empty_like(zx_r[0])
         for zx_k, h_k in zip(zx_r, h_r):
             w_hh_mv(h, zh)
             h = tanh(add(zh, zx_k, h_k), h_k)
@@ -645,30 +646,30 @@ def _frames(model: Model, frames) -> np.ndarray:
     return frames
 
 
-def _layer_tapes(model: Model, x: np.ndarray, rows: _Rows, weights=None, first: int = 0):
+def _layer_tapes(model: Model, x: np.ndarray, rows: _Rows, blocks=None, first: int = 0):
     """Run the stack over the packed frames ``x`` of the sequences ``rows``
     steps together, yielding each layer's tape in turn: layer k consumes
-    layer k-1's hidden states.  ``weights``, the layer containers and fused
-    gate blocks ``param_views`` gives, replace the model's own, and then
-    only the layers from ``first`` on run, ``x`` being the input of layer
+    layer k-1's hidden states.  ``blocks``, per container the blocks
+    ``param_blocks`` gives, replace the model's own, and then only the
+    layers from ``first`` on run, ``x`` being the input of layer
     ``first``."""
     tie = model.config.tie_gate_hidden_weights
-    stack = zip(model.config.layers, model.layers, model.gates)
-    if weights:
-        stack = itertools.islice(zip(model.config.layers, *weights), first, None)
-    for (kind, _units), params, gates in stack:
+    stack = zip(model.config.layers, blocks or model.blocks)
+    for (kind, _units), layer in itertools.islice(stack, first, None):
         if kind.kind == "rnn":
-            tape = _rnn_layer_forward(params, x, rows)
+            tape = _rnn_layer_forward(layer, x, rows)
         else:
-            tape = _layer_forward(params, gates, kind, tie, x, rows)
+            tape = _layer_forward(layer, kind, tie, x, rows)
         x = tape.h
         yield tape
 
 
-def _logits(model: Model, h: np.ndarray, idx) -> np.ndarray:
-    """The tanh output projection of one sequence's final-layer hidden states,
-    its rows ``idx`` of the packed ``h``."""
-    return np.tanh(np.ascontiguousarray(h[idx]) @ model.output.w_yh.T + model.output.b_y)
+def _logits(blocks, h: np.ndarray, idx) -> np.ndarray:
+    """The tanh output projection, through the output's ``blocks``, of one
+    sequence's final-layer hidden states, its rows ``idx`` of the packed
+    ``h``."""
+    w_yh, b_y = blocks
+    return np.tanh(np.ascontiguousarray(h[idx]) @ w_yh.T + b_y)
 
 
 def stack_forward(model: Model, frames: np.ndarray) -> Tape:
@@ -681,7 +682,8 @@ def stack_forward(model: Model, frames: np.ndarray) -> Tape:
     frames = _frames(model, frames)
     rows = _one_sequence(len(frames))
     layer_tapes = list(_layer_tapes(model, frames, rows))
-    return Tape(layers=layer_tapes, logits=_logits(model, layer_tapes[-1].h, rows.index[0]))
+    logits = _logits(model.blocks[-1], layer_tapes[-1].h, rows.index[0])
+    return Tape(layers=layer_tapes, logits=logits)
 
 
 def _pack(seqs, rows: _Rows) -> np.ndarray:
@@ -707,7 +709,7 @@ def forward_set(model: Model, sequences) -> list[np.ndarray]:
         for tape in _layer_tapes(model, _pack([seqs[i] for i in chunk], rows), rows):
             pass
         for i, idx in zip(chunk, rows.index):
-            logits[i] = _logits(model, tape.h, idx)
+            logits[i] = _logits(model.blocks[-1], tape.h, idx)
     return logits
 
 
@@ -721,11 +723,12 @@ def forward_rows(model: Model, vectors: np.ndarray, x: np.ndarray, first: int = 
     ``first`` and serves every row, so the rows must agree on the layers
     below it, which do not run."""
     n, steps = len(vectors), len(x)
-    (*layers, output), gates = param_views(model.layout, vectors)
+    blocks = param_blocks(model.layout, vectors)
     x = np.repeat(x, n, axis=0)     # packed: every row's frame 0, then frame 1, ...
-    for tape in _layer_tapes(model, x, _Rows((steps,) * n), (layers, gates), first):
+    for tape in _layer_tapes(model, x, _Rows((steps,) * n), blocks, first):
         x = tape.h
-    return np.tanh((output.w_yh @ x[-n:, :, None])[..., 0] + output.b_y)
+    w_yh, b_y = blocks[-1]
+    return np.tanh((w_yh @ x[-n:, :, None])[..., 0] + b_y)
 
 
 def _read_out(logits: np.ndarray) -> tuple[int, np.ndarray]:

@@ -79,7 +79,7 @@ def _config_defaults(path: str, parser: argparse.ArgumentParser) -> dict:
     try:
         with open(path) as fh:
             file_cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:  # see train.checkpoint_load
         raise DataFormatError(f"cannot read config {path}: {exc}")
     if not isinstance(file_cfg, dict):
         raise UsageError(f"config {path} is not a JSON object")

@@ -155,7 +155,7 @@ def load_jsonl(path) -> Dataset:
         if not (isinstance(class_names, list)
                 and all(isinstance(c, str) for c in class_names)):
             raise TypeError(f"classes must be a list of strings, got {class_names!r}")
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (json.JSONDecodeError, RecursionError, KeyError, TypeError) as exc:
         raise DataFormatError(f"line 1: bad header, expected {{\"classes\": [...]}}: {exc}")
     sequences = []
     dim = None
@@ -174,7 +174,8 @@ def load_jsonl(path) -> Dataset:
                            frame_labels=rec.get("frame_labels"),
                            group=rec.get("group"))
             _check_labels(seq, len(class_names))
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (json.JSONDecodeError, RecursionError, KeyError, TypeError, ValueError,
+                OverflowError) as exc:
             raise DataFormatError(f"line {lineno}: {exc}")
         if dim is None:
             dim = seq.frames.shape[1]

@@ -150,7 +150,7 @@ def ensemble_load(path) -> EnsembleModel:
     try:
         with open(path) as fh:
             doc = json.load(fh)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:    # see train.checkpoint_load
         raise CheckpointError(f"cannot read ensemble {path}: {exc}") from exc
     try:
         members = [(m["checkpoint"], _alpha(m["alpha"])) for m in doc["members"]]

@@ -85,7 +85,6 @@ class PcaTransform:
 
     mean: np.ndarray
     basis: np.ndarray
-    energy_retained: float
 
     @property
     def n_components(self) -> int:
@@ -121,8 +120,7 @@ def pca_fit(samples, energy: float = 0.9) -> PcaTransform:
     for row in basis:
         if row[np.argmax(np.abs(row))] < 0:
             row *= -1.0
-    retained = float(np.sum(eigvals[:k]) / total)
-    return PcaTransform(mean=mean, basis=basis, energy_retained=retained)
+    return PcaTransform(mean=mean, basis=basis)
 
 
 def pca_apply(t: PcaTransform, v: np.ndarray) -> np.ndarray:

@@ -24,7 +24,6 @@ from .cells import (
     forward_set,
     layout,
     param_arrays,
-    param_fields,
     stack_forward,
 )
 from .numerics import ShapeMismatchError, seeded_rng, softmax
@@ -195,13 +194,14 @@ _LAYER_TYPES = {"cell": CellParams, "rnn": RnnParams}
 _LAYER_TAGS = {cls: tag for tag, cls in _LAYER_TYPES.items()}
 
 
-def _params_to_json(p) -> dict:
-    """Plain arrays first, then the per-order dicts keyed by str(order)."""
+def _container_doc(theta: np.ndarray, fields) -> dict:
+    """The arrays in ``theta`` of a container laid out as ``fields``
+    (``layout``): plain arrays first, then the per-order dicts keyed by
+    str(order)."""
     doc = {}
-    for name, per_order, _ in sorted(param_fields(type(p)), key=lambda f: f[1]):
-        value = getattr(p, name)
-        doc[name] = ({str(n): m.tolist() for n, m in value.items()} if per_order
-                     else value.tolist())
+    for name, per_order, entries in sorted(fields, key=lambda f: f[1]):
+        arrays = {n: theta[a:b].reshape(shape).tolist() for n, a, b, shape in entries}
+        doc[name] = {str(n): m for n, m in arrays.items()} if per_order else arrays[None]
     return doc
 
 
@@ -278,9 +278,9 @@ def model_to_doc(model: Model) -> dict:
             "output_classes": model.config.output_classes,
             "tie_gate_hidden_weights": model.config.tie_gate_hidden_weights,
         },
-        "layers": [{"type": _LAYER_TAGS[type(p)], **_params_to_json(p)}
-                   for p in model.layers],
-        "output": _params_to_json(model.output),
+        "layers": [{"type": _LAYER_TAGS[cls], **_container_doc(model.theta, fields)}
+                   for cls, fields, _ in model.layout[:-1]],
+        "output": _container_doc(model.theta, model.layout[-1][1]),
     }
 
 
@@ -329,6 +329,6 @@ def checkpoint_load(path) -> Model:
     try:
         with open(path) as fh:
             doc = json.load(fh)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:    # RecursionError: nested too deep
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
     return model_from_doc(doc)

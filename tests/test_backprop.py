@@ -119,7 +119,7 @@ class TestContainers:
         assert np.array_equal(stepped.theta, model.theta - 0.1 * kept)
         # param_views gives the gradient's containers, their arrays in field
         # order the views param_arrays names
-        (*layers, output), _ = cells.param_views(model.layout, grad)
+        *layers, output = cells.param_views(model.layout, grad)
         fields = [a for p in (*layers, output) for v in vars(p).values()
                   for a in (v.values() if isinstance(v, dict) else [v])]
         assert all(a.base is grad for a in fields)
@@ -229,7 +229,7 @@ class TestHandOneStepLstm:
         tape = stack_forward(model, frames)
         _, dlogits = loss_frame(tape.logits, [0])
         grads = backward(model, tape, dlogits, truncated=False)
-        gl = cells.param_views(model.layout, grads)[0][0]
+        gl = cells.param_views(model.layout, grads)[0]
         assert abs(gl.w_ox[0, 0] - exp_w_ox) < 1e-14
         assert abs(gl.w_ix[0, 0] - exp_w_ix) < 1e-14
         assert abs(gl.w_sx[0, 0] - exp_w_sx) < 1e-14

@@ -285,6 +285,53 @@ class TestBuildersAndShapes:
             stack_forward(model, np.zeros((0, 3)))
 
 
+LAYOUT_ARCHS = {
+    "rnn": [CellKind("rnn")],
+    "lstm": [CellKind("lstm")],
+    "dos2": [CellKind("dos", 2)],
+    "drnn3": [CellKind("drnn", 3)],
+    "d2rnn3": [CellKind("dos", k) for k in range(3)],
+    "mixed": [CellKind("rnn"), CellKind("drnn", 1), CellKind("lstm")],
+}
+
+
+class TestLayout:
+    @pytest.mark.parametrize("arch", list(LAYOUT_ARCHS))
+    def test_blocks_tile_each_container(self, arch):
+        kinds = LAYOUT_ARCHS[arch]
+        model = small_model([(kind, 4) for kind in kinds], input_units=3)
+        at = 0
+        for li, (_, fields, blocks) in enumerate(model.layout):
+            width = 3 if li == 0 else 4
+            if li == len(kinds):
+                want = [(2, 4), (2,)]
+            elif kinds[li].kind == "rnn":
+                want = [(4, 4), (4, width), (4,)]
+            else:   # an lstm's derivative block is empty
+                want = [(16, width), (16, 4), (3, len(kinds[li].dos_orders), 4, 4), (16,)]
+            assert [shape for _, _, shape in blocks] == want
+            # contiguous, each the size of its shape, from where the last
+            # container ended to where its fields' arrays end
+            for a, b, shape in blocks:
+                assert a == at and b - a == math.prod(shape)
+                at = b
+            assert at == max(b for _, _, entries in fields for _, _, b, _ in entries)
+        assert at == model.theta.size == cells.container_ends(model.layout)[-1]
+
+    @pytest.mark.parametrize("arch", list(LAYOUT_ARCHS))
+    def test_param_blocks_of_a_row_stack_are_per_row_views(self, arch):
+        model = small_model([(kind, 4) for kind in LAYOUT_ARCHS[arch]], input_units=3)
+        stack = model.theta + seeded_rng(0).normal(size=(2, model.theta.size))
+        per_row = cells.param_blocks(model.layout, stack)
+        assert len(per_row) == len(model.blocks) == len(model.layout)
+        for views, (_, _, blocks) in zip(per_row, model.layout):
+            assert len(views) == len(blocks)
+            for v, (a, b, shape) in zip(views, blocks):
+                assert v.shape == (2, *shape) and v.base is stack
+                for r in range(2):
+                    assert np.array_equal(v[r].ravel(), stack[r, a:b])
+
+
 class TestPredictAndEnergy:
     def test_predict_probabilities(self):
         model = build_model(d2rnn_config(2, 3, 4, 3), seed=4)
@@ -453,10 +500,8 @@ class TestForwardRows:
     def test_param_views_of_rows(self):
         model = set_model("drnn2", tie=True)
         vectors = np.stack([model.theta, 2.0 * model.theta, -model.theta])
-        (layer, output), (gates, _) = cells.param_views(model.layout, vectors)
+        layer, output = cells.param_views(model.layout, vectors)
         assert layer.w_id[2].shape == (3, 3, 3) and output.b_y.shape == (3, 3)
-        assert [g.shape for g in gates] == [(3, 12, 3), (3, 12, 3), (3, 12)]
-        assert layer.units == 3 and layer.input_units == 3
         assert np.shares_memory(layer.w_ix, vectors)
         assert np.array_equal(layer.w_fd[1][1], 2.0 * model.layers[0].w_fd[1])
 
@@ -538,9 +583,10 @@ class TestLagWeights:
         if rows:
             noise = seeded_rng(order).normal(scale=0.3, size=(rows, theta.size))
             theta = theta + noise.astype(dtype)
-        (layer, _), _ = cells.param_views(model.layout, theta)
+        layer, _ = cells.param_views(model.layout, theta)
+        (_, _, wd, _), _ = cells.param_blocks(model.layout, theta)
         orders = CellKind(kind, order).dos_orders
-        got, expected = cells.lag_weights(layer, orders), _lag_weights_per_pair(layer, orders)
+        got, expected = cells.lag_weights(wd, orders), _lag_weights_per_pair(layer, orders)
         for a, b in zip(got, expected):
             assert_bitwise(a, b)
 

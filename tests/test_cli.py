@@ -23,6 +23,9 @@ def make_data(tmp_path, name="data.jsonl", count=12, length=6, dim=4, seed=0):
 
 FAST = ["--epochs", "2", "--lr", "0.01", "--state-units", "4"]
 
+# JSON nested deeper than the decoder's recursion limit
+TOO_DEEP = "[" * 10_000 + "]" * 10_000
+
 
 class TestParsers:
     def test_arch_strings(self):
@@ -319,11 +322,12 @@ class TestBadValues:
         ("ensemble_load", _ensemble_text("x")),
         ("ensemble_load", _ensemble_text(True)),
         ("ensemble_load", _ensemble_text(float("nan"))),
+        ("ensemble_load", '{"members": %s}' % TOO_DEEP),
     ], ids=["not_object", "list", "str_for_int", "int_for_str", "float_for_int",
             "bool_for_int", "str_for_float", "bool_for_float", "int_for_bool",
             "removed_key", "float_for_int_ensemble", "ensemble_missing",
             "ensemble_not_json", "ensemble_not_utf8", "alpha_str", "alpha_bool",
-            "alpha_nan"])
+            "alpha_nan", "ensemble_nested_too_deep"])
     def test_bad_config_or_ensemble_file(self, tmp_path, capsys, reader, body):
         path = tmp_path / "file.json"
         if body is not None:
@@ -338,6 +342,31 @@ class TestBadValues:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("kind, message", [
+        ("record", "error: line 2: maximum recursion depth exceeded"),
+        ("header", "error: line 1: bad header"),
+        ("checkpoint", "error: cannot read checkpoint"),
+        ("config", "error: cannot read config"),
+    ], ids=["record", "header", "checkpoint", "config"])
+    def test_json_nested_too_deep_is_data_error(self, tmp_path, capsys, kind, message):
+        data, bad = make_data(tmp_path), tmp_path / "deep.json"
+        argv = {
+            "record": ["train", "--data", str(bad), *FAST, "--out", str(tmp_path / "run")],
+            "header": ["train", "--data", str(bad), *FAST, "--out", str(tmp_path / "run")],
+            "checkpoint": ["eval", "--checkpoint", str(bad), "--data", str(data)],
+            "config": ["synth", "--config", str(bad), "--out", str(tmp_path / "s.jsonl")],
+        }[kind]
+        bad.write_text({
+            "record": '{"classes": ["a", "b"]}\n{"label": 0, "frames": %s}\n' % TOO_DEEP,
+            "header": '{"classes": %s}\n{"label": 0, "frames": [[1.0]]}\n' % TOO_DEEP,
+            "checkpoint": '{"format_version": 1, "config": %s}' % TOO_DEEP,
+            "config": '{"seed": %s}' % TOO_DEEP,
+        }[kind])
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(message) and err.count("\n") == 1
 
     def test_config_accepts_int_for_float_and_null_for_unset(self, tmp_path):
         data = make_data(tmp_path)

@@ -9,13 +9,16 @@ import types
 import numpy as np
 import pytest
 
-from diffrnn.backprop import backward
+from diffrnn.backprop import backward, grad_check
 from diffrnn.cells import (
     CellKind,
+    CellParams,
     Model,
     StackConfig,
     build_model,
     d2rnn_config,
+    dos_energy,
+    forward_rows,
     param_arrays,
     param_views,
     stack_forward,
@@ -320,13 +323,21 @@ class TestParameterVector:
         items = list(param_arrays(model.layout, model.theta))
         assert all(np.shares_memory(a, model.theta) for _, a in items)
         assert np.array_equal(np.concatenate([a.ravel() for _, a in items]), model.theta)
-        for p, gates in zip(model.layers, model.gates):
-            if gates is not None:
-                wx, wh, bias = gates
-                assert np.shares_memory(wx, model.theta)
+        # every block is a view of its container's fields, laid out in turn
+        for p, blocks in zip((*model.layers, model.output), model.blocks):
+            assert all(np.shares_memory(b, model.theta) for b in blocks)
+            if isinstance(p, CellParams):
+                wx, wh, wd, bias = blocks
                 assert np.array_equal(wx, np.vstack([p.w_ix, p.w_fx, p.w_ox, p.w_sx]))
                 assert np.array_equal(wh, np.vstack([p.w_ih, p.w_fh, p.w_oh, p.w_sh]))
                 assert np.array_equal(bias, np.concatenate([p.b_i, p.b_f, p.b_o, p.b_s]))
+                assert wd.shape[:2] == (3, len(p.w_id))
+                for k, n in enumerate(p.w_id):
+                    assert np.array_equal(wd[:, k], np.stack([p.w_id[n], p.w_fd[n], p.w_od[n]]))
+            else:
+                fields = list(vars(p).values())
+                assert len(blocks) == len(fields)
+                assert all(np.array_equal(b, a) for b, a in zip(blocks, fields))
 
     @pytest.mark.parametrize("make_copy", [_deepcopied, _replaced, _pickled, _checkpointed])
     def test_copies_own_a_vector_and_train_like_the_original(self, make_copy, tmp_path):
@@ -386,9 +397,27 @@ class TestParameterVector:
         with pytest.raises(TypeError):
             p.w_od.pop(0)
         with pytest.raises(dataclasses.FrozenInstanceError):
-            model.output = param_views(model.layout, model.theta.copy())[0][-1]
+            model.output = param_views(model.layout, model.theta.copy())[-1]
         with pytest.raises(dataclasses.FrozenInstanceError):
             model.theta = model.theta.copy()
+
+    def test_library_paths_never_make_the_containers(self, tmp_path):
+        # training, evaluation, gradient checks, the per-row forward, the
+        # energies and the checkpoint writer reach the vector through its
+        # layout alone; the containers are made on first use, once
+        model = build_model(self.CONFIG, seed=3)
+        ds = tiny_dataset()
+        frames, label = ds.sequences[0].frames, ds.sequences[0].label
+        sgd_epoch(model, ds, TrainConfig(epochs=1, learning_rate=0.1, mode="frame",
+                                         truncation="truncated", clip_norm=0.5))
+        evaluate(model, ds)
+        grad_check(model, frames[:3], label)
+        forward_rows(model, np.stack([model.theta, -model.theta]), frames)
+        dos_energy(model, frames, 2)
+        checkpoint_save(model, tmp_path / "m.json")
+        assert "layers" not in vars(model) and "output" not in vars(model)
+        assert model.layers is model.layers and model.output is model.output
+        self.assert_packed(model)
 
     def test_writes_in_place_reach_the_forward(self):
         model = build_model(self.CONFIG, seed=3)
@@ -396,7 +425,7 @@ class TestParameterVector:
         before = stack_forward(model, frames).logits
         model.layers[1].w_ix[...] = 0.0
         assert not np.array_equal(stack_forward(model, frames).logits, before)
-        assert not np.any(model.gates[1][0][:4])
+        assert not np.any(model.blocks[1][0][:4])
 
 
 class TestCheckpointFit:
