@@ -5,7 +5,6 @@ a boosted per-order ensemble."""
 
 from .cells import (
     CellKind,
-    CellParams,
     Model,
     StackConfig,
     build_model,

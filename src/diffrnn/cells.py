@@ -31,12 +31,11 @@ bitwise the same results, row by row.
 """
 from __future__ import annotations
 
-import dataclasses
 import functools
 import itertools
 import math
-import typing
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -76,67 +75,35 @@ class CellKind:
         return max(self.dos_orders, default=0)
 
 
-# The parameter containers are frozen: a model's arrays are views into its
-# parameter vector, so they are written in place and never rebound.  They
-# compare by identity, as arrays have no single truth value.
+# Per container key, its blocks in vector order: a block's fields, whether
+# each is a dict of per-order matrices, and their dims, "out" the container's
+# output width (a layer's units, the class count) and "in" its input width.
+# So a gated layer's blocks are its fused i|f|o|s gate matrices (4u, in) and
+# (4u, u), its w_id, w_fd and w_od over K orders (3, K, u, u) and its biases.
+CONTAINERS = {
+    "cell": ((("w_ix", "w_fx", "w_ox", "w_sx"), False, ("out", "in")),
+             (("w_ih", "w_fh", "w_oh", "w_sh"), False, ("out", "out")),
+             (("w_id", "w_fd", "w_od"), True, ("out", "out")),
+             (("b_i", "b_f", "b_o", "b_s"), False, ("out",))),
+    "rnn": ((("w_hh",), False, ("out", "out")),
+            (("w_hx",), False, ("out", "in")),
+            (("b_h",), False, ("out",))),
+    "output": ((("w_yh",), False, ("out", "in")),
+               (("b_y",), False, ("out",))),
+}
 
 
-def _param(*dims):
-    """A parameter field whose arrays have shape ``dims``, where "out" is
-    the container's output width (a layer's units, the class count) and
-    "in" its input width."""
-    return field(metadata={"dims": dims})
+class Params(SimpleNamespace):
+    """The named arrays of one container (``param_views``): views into a
+    parameter vector, so they are written in place and never rebound.  It
+    compares by identity, as arrays have no single truth value."""
 
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
-@dataclass(frozen=True, eq=False)
-class CellParams:
-    """All weights of one gated recurrent layer.
+    def __setattr__(self, name, *value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
-    The ``w_*d`` dicts map a derivative order to its gate modulation matrix;
-    they are empty for a plain LSTM.  The fields of each gate group are
-    declared in the fused i, f, o, s order, so in a parameter vector the
-    (4u, in), (4u, u) and (4u,) blocks of the fused gate matmuls are slices,
-    and so is the (3, K, u, u) block of the i, f and o gates' matrices of
-    the K orders (``layout``).
-    """
-
-    w_ix: np.ndarray = _param("out", "in")
-    w_fx: np.ndarray = _param("out", "in")
-    w_ox: np.ndarray = _param("out", "in")
-    w_sx: np.ndarray = _param("out", "in")
-    w_ih: np.ndarray = _param("out", "out")
-    w_fh: np.ndarray = _param("out", "out")
-    w_oh: np.ndarray = _param("out", "out")
-    w_sh: np.ndarray = _param("out", "out")
-    w_id: dict[int, np.ndarray] = _param("out", "out")
-    w_fd: dict[int, np.ndarray] = _param("out", "out")
-    w_od: dict[int, np.ndarray] = _param("out", "out")
-    b_i: np.ndarray = _param("out")
-    b_f: np.ndarray = _param("out")
-    b_o: np.ndarray = _param("out")
-    b_s: np.ndarray = _param("out")
-
-
-@dataclass(frozen=True, eq=False)
-class RnnParams:
-    w_hh: np.ndarray = _param("out", "out")
-    w_hx: np.ndarray = _param("out", "in")
-    b_h: np.ndarray = _param("out")
-
-
-@dataclass(frozen=True, eq=False)
-class OutputParams:
-    w_yh: np.ndarray = _param("out", "in")
-    b_y: np.ndarray = _param("out")
-
-
-@functools.cache
-def param_fields(cls) -> tuple[tuple[str, bool, tuple[str, ...]], ...]:
-    """(name, declared a per-order dict?, dims) for each field of a parameter
-    dataclass, in declaration order: the order of gradients and checkpoints."""
-    hints = typing.get_type_hints(cls)
-    return tuple((f.name, typing.get_origin(hints[f.name]) is dict, f.metadata["dims"])
-                 for f in dataclasses.fields(cls))
+    __delattr__ = __setattr__
 
 
 class _Orders(dict):
@@ -156,39 +123,32 @@ class _Orders(dict):
 @functools.lru_cache(maxsize=64)
 def layout(config: StackConfig) -> tuple:
     """Where each array of a ``config`` model sits in its parameter vector:
-    the layers' arrays, then the output's, in field order.  Per
-    container (class, fields, blocks); per field (name, per_order, entries);
-    per array an entry (order, start, stop, shape), order None for a plain
-    field, and a per-order field one entry per order of the layer's kind,
-    ascending.  Each run of consecutive fields of the same dims and kind
-    (plain or per-order) is one block (start, stop, shape), and the blocks
-    tile their container: m plain fields of shape (a, ...) make an
-    (m a, ...) block, m per-order fields of shape (u, u) over K orders an
-    (m, K, u, u) one.  So a gated layer's blocks are the fused gate blocks
-    (4u, in), (4u, u), the derivative block (3, K, u, u) of its w_id, w_fd
-    and w_od (empty for an LSTM) and the biases (4u,); every other
-    container's blocks are its fields."""
-    specs = [(RnnParams if kind.kind == "rnn" else CellParams, units, kind.dos_orders)
+    the layers' arrays, then the output's, each container's in
+    ``CONTAINERS`` order.  Per container (key, fields, blocks); per field
+    (name, per_order, entries); per array an entry (order, start, stop,
+    shape), order None for a plain field, and a per-order field one entry
+    per order of the layer's kind, ascending.  Per block (start, stop,
+    shape): m plain fields of shape (a, ...) make an (m a, ...) block, m
+    per-order fields of shape (u, u) over K orders an (m, K, u, u) one."""
+    specs = [("rnn" if kind.kind == "rnn" else "cell", units, kind.dos_orders)
              for kind, units in config.layers]
-    specs.append((OutputParams, config.output_classes, ()))
+    specs.append(("output", config.output_classes, ()))
     widths = [config.input_units] + [units for _, units in config.layers]
     containers, at = [], 0
-    for (cls, out, orders), width in zip(specs, widths):
+    for (key, out, orders), width in zip(specs, widths):
         size = {"out": out, "in": width}
         fields, blocks = [], []
-        for (per_order, dims), run in itertools.groupby(param_fields(cls), lambda f: f[1:]):
+        for names, per_order, dims in CONTAINERS[key]:
             shape, start = tuple(size[d] for d in dims), at
-            names = [name for name, _, _ in run]
             for name in names:
                 entries = []
                 for n in orders if per_order else (None,):
                     entries.append((n, at, at + math.prod(shape), shape))
                     at += math.prod(shape)
                 fields.append((name, per_order, tuple(entries)))
-            m = len(names)
-            blocks.append((start, at, (m, len(orders), *shape) if per_order
-                           else (m * shape[0], *shape[1:])))
-        containers.append((cls, tuple(fields), tuple(blocks)))
+            blocks.append((start, at, (len(names), len(orders), *shape) if per_order
+                           else (len(names) * shape[0], *shape[1:])))
+        containers.append((key, tuple(fields), tuple(blocks)))
     return tuple(containers)
 
 
@@ -229,24 +189,20 @@ def param_blocks(lay, vec: np.ndarray) -> list[tuple]:
     return [tuple([view(*block) for block in blocks]) for _, _, blocks in lay]
 
 
-def param_views(lay, vec: np.ndarray) -> list:
-    """Containers as ``lay`` (``layout``) describes them, holding views into
-    ``vec``.  A (rows, P) ``vec`` holds one parameter vector per row and
-    gives per-row weights: every array is a (rows, ...) stack.  Each frozen
-    container is filled through its ``__dict__``: its ``__init__``'s
-    per-field ``object.__setattr__`` costs more than the slicing."""
+def param_views(lay, vec: np.ndarray) -> list[Params]:
+    """Per container of ``lay`` (``layout``), a ``Params`` of its fields'
+    views into ``vec``: an array per plain field, a read-only dict of them
+    by order per per-order field.  A (rows, P) ``vec`` holds one parameter
+    vector per row and gives per-row weights: every array is a (rows, ...)
+    stack."""
     view = _slicer(vec)
     containers = []
-    for cls, fields, _ in lay:
-        container = object.__new__(cls)
-        kw = vars(container)
+    for _, fields, _ in lay:
+        arrays = {}
         for name, per_order, entries in fields:
-            if per_order:
-                kw[name] = _Orders({n: view(a, b, shape) for n, a, b, shape in entries})
-            else:
-                (_, a, b, shape), = entries
-                kw[name] = view(a, b, shape)
-        containers.append(container)
+            views = {n: view(a, b, shape) for n, a, b, shape in entries}
+            arrays[name] = _Orders(views) if per_order else views[None]
+        containers.append(Params(**arrays))
     return containers
 
 
@@ -299,12 +255,13 @@ class Model:
         init("blocks", tuple(param_blocks(lay, theta)))
 
     @functools.cached_property
-    def layers(self) -> tuple:
-        """The layers' containers, CellParams | RnnParams as config.layers."""
+    def layers(self) -> tuple[Params, ...]:
+        """The layers' named arrays, of the fields of each one's key in
+        ``CONTAINERS``."""
         return tuple(param_views(self.layout[:-1], self.theta))
 
     @functools.cached_property
-    def output(self) -> OutputParams:
+    def output(self) -> Params:
         return param_views(self.layout[-1:], self.theta)[0]
 
     def __getstate__(self):

@@ -38,8 +38,11 @@ class Sequence:
 
     def __post_init__(self):
         self.frames = np.asarray(self.frames, dtype=np.float64)
-        if self.frames.ndim != 2 or self.frames.shape[0] < 1:
-            raise ValueError("a sequence needs at least one frame of fixed dim")
+        shape = self.frames.shape
+        if not shape or not shape[0]:
+            raise ValueError("a sequence needs at least one frame")
+        if len(shape) != 2 or not shape[1]:
+            raise ValueError("each frame must be a list of at least one number")
         if self.frame_labels is not None and len(self.frame_labels) != len(self.frames):
             raise ValueError("frame_labels length must match frame count")
 
@@ -164,15 +167,12 @@ def load_jsonl(path) -> Dataset:
             continue
         try:
             rec = json.loads(line)
-            frames = np.asarray(rec["frames"], dtype=np.float64)
-            if frames.ndim != 2:
-                raise ValueError("frames of differing dimensions")
-            if not np.all(np.isfinite(frames)):
-                raise ValueError("frames hold a non-finite value")
-            seq = Sequence(frames=frames, label=rec["label"],
+            seq = Sequence(frames=rec["frames"], label=rec["label"],
                            id=str(rec.get("id", f"seq-{lineno}")),
                            frame_labels=rec.get("frame_labels"),
                            group=rec.get("group"))
+            if not np.all(np.isfinite(seq.frames)):
+                raise ValueError("frames hold a non-finite value")
             _check_labels(seq, len(class_names))
         except (json.JSONDecodeError, RecursionError, KeyError, TypeError, ValueError,
                 OverflowError) as exc:

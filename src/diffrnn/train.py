@@ -17,9 +17,7 @@ import numpy as np
 from .backprop import backward
 from .cells import (
     CellKind,
-    CellParams,
     Model,
-    RnnParams,
     StackConfig,
     forward_set,
     layout,
@@ -189,11 +187,6 @@ def evaluate(model: Model, dataset) -> Metrics:
 CHECKPOINT_VERSION = 1
 
 
-# layer "type" tag in a checkpoint -> parameter class
-_LAYER_TYPES = {"cell": CellParams, "rnn": RnnParams}
-_LAYER_TAGS = {cls: tag for tag, cls in _LAYER_TYPES.items()}
-
-
 def _container_doc(theta: np.ndarray, fields) -> dict:
     """The arrays in ``theta`` of a container laid out as ``fields``
     (``layout``): plain arrays first, then the per-order dicts keyed by
@@ -222,11 +215,12 @@ def _orders_text(orders) -> str:
 
 def _theta_from_doc(config: StackConfig, doc: dict) -> np.ndarray:
     """The parameter vector of a ``config`` model read from checkpoint
-    ``doc``, in one walk over ``layout(config)``: per container its type
-    tag, per field its JSON type, its ``str(n)`` order keys and orders, and
-    per array its shape.  Every array is checked before the vector is
-    allocated.  A value that does not parse raises a CheckpointError, one
-    that does not fit the config a ShapeMismatchError naming it."""
+    ``doc``, in one walk over ``layout(config)``: per layer its type tag
+    against its key in the layout, per field its JSON type, its ``str(n)``
+    order keys and orders, and per array its shape.  Every array is checked
+    before the vector is allocated.  A value that does not parse raises a
+    CheckpointError, one that does not fit the config a ShapeMismatchError
+    naming it."""
     lay = layout(config)
     # every layer must be an object with a type tag before the count means much
     tags = [d["type"] for d in doc["layers"]]
@@ -234,15 +228,15 @@ def _theta_from_doc(config: StackConfig, doc: dict) -> np.ndarray:
         raise ShapeMismatchError(f"config lists {len(config.layers)} layers, "
                                  f"got {len(tags)}")
     arrays = []
-    for li, (cls, fields, _) in enumerate(lay):
+    for li, (key, fields, _) in enumerate(lay):
         if li < len(tags):
             (kind, _units), d, prefix = config.layers[li], doc["layers"][li], f"layer{li}."
             tag = tags[li]
-            if tag not in _LAYER_TYPES:
+            if tag not in ("cell", "rnn"):     # the layout keys of layers
                 raise CheckpointError(f"unknown layer type {tag!r}")
-            if _LAYER_TYPES[tag] is not cls:
+            if tag != key:
                 raise ShapeMismatchError(f"layer {li}: a {kind.kind} layer cannot hold "
-                                         f"{_LAYER_TYPES[tag].__name__} weights")
+                                         f"{tag!r} weights")
         else:
             d, prefix = doc["output"], "output."
         for name, per_order, entries in fields:
@@ -278,8 +272,8 @@ def model_to_doc(model: Model) -> dict:
             "output_classes": model.config.output_classes,
             "tie_gate_hidden_weights": model.config.tie_gate_hidden_weights,
         },
-        "layers": [{"type": _LAYER_TAGS[cls], **_container_doc(model.theta, fields)}
-                   for cls, fields, _ in model.layout[:-1]],
+        "layers": [{"type": key, **_container_doc(model.theta, fields)}
+                   for key, fields, _ in model.layout[:-1]],
         "output": _container_doc(model.theta, model.layout[-1][1]),
     }
 

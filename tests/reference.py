@@ -26,7 +26,8 @@ def ref_dos(order, states, t):
 
 def ref_cell_sequence(p, x_seq, orders, tie=False):
     """Run a gated cell over a sequence, returning lists of all
-    intermediates.  ``p`` is a CellParams; ``orders`` the derivative orders
+    intermediates.  ``p`` holds the layer's named arrays (``model.layers[k]``:
+    ``p.w_ix``, ``p.w_id[n]``, ...); ``orders`` the derivative orders
     feeding the gates (empty list = conventional LSTM)."""
     u = p.b_i.shape[0]
     s_hist = []      # s_1..s_t as computed

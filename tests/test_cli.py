@@ -180,6 +180,25 @@ class TestTrain:
         assert rc == 2
         assert err.count("\n") == 1 and "line 2: int too large" in err
 
+    @pytest.mark.parametrize("command", ["train", "eval", "dos-energy"])
+    @pytest.mark.parametrize("frames, message", [
+        ("[[]]", "each frame must be a list of at least one number"),
+        ("[]", "a sequence needs at least one frame"),
+        ("[1, 2]", "each frame must be a list of at least one number"),
+    ])
+    def test_frames_lacking_a_frame_or_number_are_data_errors(self, tmp_path, capsys,
+                                                              command, frames, message):
+        bad = tmp_path / "empty.jsonl"
+        bad.write_text('{"classes": ["a", "b"]}\n'
+                       '{"id": "x", "label": 0, "frames": %s}\n' % frames)
+        checkpoint = tmp_path / "ck.json"
+        checkpoint_save(build_model(build_config("lstm", 3, 3, 2)), checkpoint)
+        rest = ([*FAST, "--out", str(tmp_path / "run")] if command == "train"
+                else ["--checkpoint", str(checkpoint)])
+        rc = main([command, "--data", str(bad), *rest])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: line 2: {message}\n"
+
 
 class TestEval:
     def test_eval_trained_checkpoint(self, tmp_path, capsys):
@@ -199,6 +218,18 @@ class TestEval:
         bad = tmp_path / "ckpt.json"
         bad.write_text("{}")
         assert main(["eval", "--checkpoint", str(bad), "--data", str(data)]) == 2
+
+    @pytest.mark.parametrize("tag", ["output", "lstm", 7, ["cell"]])
+    def test_unknown_layer_tag_fails_with_one_line(self, tmp_path, capsys, tag):
+        data = make_data(tmp_path, dim=3)
+        doc = model_to_doc(build_model(build_config("lstm", 3, 3, 2)))
+        doc["layers"][0]["type"] = tag
+        checkpoint = tmp_path / "ck.json"
+        checkpoint.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(checkpoint), "--data", str(data)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: malformed checkpoint: unknown layer type {tag!r}\n"
 
 
 class TestGradcheck:

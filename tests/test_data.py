@@ -26,6 +26,8 @@ class TestContainers:
             Sequence(frames=np.zeros((0, 3)), label=0)
         with pytest.raises(ValueError):
             Sequence(frames=np.zeros(4), label=0)
+        with pytest.raises(ValueError, match="at least one number"):
+            Sequence(frames=np.zeros((2, 0)), label=0)
 
     def test_frame_labels_length_checked(self):
         with pytest.raises(ValueError):
@@ -195,6 +197,24 @@ class TestJsonl:
         ]) + "\n")
         with pytest.raises(DataFormatError, match="line 3"):
             load_jsonl(path)
+
+    @pytest.mark.parametrize("frames, message", [
+        ("[[]]", "each frame must be a list of at least one number"),
+        ("[[], []]", "each frame must be a list of at least one number"),
+        ("[]", "a sequence needs at least one frame"),
+        ("[1, 2]", "each frame must be a list of at least one number"),
+        ("[[[1.0, 2.0]]]", "each frame must be a list of at least one number"),
+    ])
+    def test_frames_lacking_a_frame_or_number_rejected_with_line(self, tmp_path, frames, message):
+        path = tmp_path / "empty.jsonl"
+        path.write_text("\n".join([
+            '{"classes": ["a", "b"]}',
+            '{"id": "x", "label": 0, "frames": [[1.0, 2.0]]}',
+            '{"id": "y", "label": 1, "frames": %s}' % frames,
+        ]) + "\n")
+        with pytest.raises(DataFormatError) as err:
+            load_jsonl(path)
+        assert str(err.value) == f"line 3: {message}"
 
     def test_label_out_of_range(self, tmp_path):
         path = tmp_path / "lab.jsonl"

@@ -12,7 +12,6 @@ import pytest
 from diffrnn.backprop import backward, grad_check
 from diffrnn.cells import (
     CellKind,
-    CellParams,
     Model,
     StackConfig,
     build_model,
@@ -324,9 +323,10 @@ class TestParameterVector:
         assert all(np.shares_memory(a, model.theta) for _, a in items)
         assert np.array_equal(np.concatenate([a.ravel() for _, a in items]), model.theta)
         # every block is a view of its container's fields, laid out in turn
-        for p, blocks in zip((*model.layers, model.output), model.blocks):
+        for (key, _, _), p, blocks in zip(model.layout, (*model.layers, model.output),
+                                          model.blocks):
             assert all(np.shares_memory(b, model.theta) for b in blocks)
-            if isinstance(p, CellParams):
+            if key == "cell":
                 wx, wh, wd, bias = blocks
                 assert np.array_equal(wx, np.vstack([p.w_ix, p.w_fx, p.w_ox, p.w_sx]))
                 assert np.array_equal(wh, np.vstack([p.w_ih, p.w_fh, p.w_oh, p.w_sh]))
@@ -452,7 +452,7 @@ class TestCheckpointFit:
         assert all(name not in str(err.value) for name in names.split(", ") if name != field)
 
     @pytest.mark.parametrize("kind, inputs, message", [
-        (CellKind("rnn"), 5, "layer 0: a lstm layer cannot hold RnnParams weights"),
+        (CellKind("rnn"), 5, "layer 0: a lstm layer cannot hold 'rnn' weights"),
         (CellKind("dos", 1), 5, "layer 0: w_id holds orders [1], lstm:0 needs orders []"),
         (CellKind("lstm"), 4, "layer0.w_ix has shape (4, 4), expected (4, 5)"),
     ], ids=["rnn_params", "dos_orders", "input_width"])
@@ -466,8 +466,14 @@ class TestCheckpointFit:
         assert str(err.value) == message
 
     @pytest.mark.parametrize("kind, tag, message", [
-        ("lstm", "rnn", "layer 0: a lstm layer cannot hold RnnParams weights"),
-        ("rnn", "cell", "layer 0: a rnn layer cannot hold CellParams weights"),
+        ("lstm", "rnn", "layer 0: a lstm layer cannot hold 'rnn' weights"),
+        ("rnn", "cell", "layer 0: a rnn layer cannot hold 'cell' weights"),
+        # only the layout's layer keys are layer tags: not "output", nor a
+        # cell kind, nor any other JSON value
+        ("lstm", "output", "malformed checkpoint: unknown layer type 'output'"),
+        ("lstm", "lstm", "malformed checkpoint: unknown layer type 'lstm'"),
+        ("lstm", 7, "malformed checkpoint: unknown layer type 7"),
+        ("lstm", ["cell"], "malformed checkpoint: unknown layer type ['cell']"),
     ])
     def test_type_tag_contradicting_the_kind_rejected(self, kind, tag, message):
         # the tag alone contradicts the config: the fields are the kind's own
