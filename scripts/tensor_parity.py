@@ -13,7 +13,9 @@ tiny seeded models and compares them bit for bit:
   with no clipping and with clip norm 0.5;
 * per trained model, the logits, the gradients ``backward`` gives on a
   held-out sequence, ``evaluate`` on the held-out set and ``dos_energy`` of
-  every gated layer;
+  every gated layer, bottom up, then top down (``.../descending``), then top
+  down again after one in-place SGD step of the same model along those
+  gradients (``.../stepped``);
 * per trained model, ``evaluate`` and every sequence's logits on a ragged,
   unsorted set (lengths 1..LENGTH, with repeats), where sequences of
   different lengths share a time loop: the logits come from the set-level
@@ -87,7 +89,8 @@ def dump(path: str) -> None:
                                forward_set, predict_set, stack_forward)
     from diffrnn.data import Dataset, Sequence, apply_preprocess, fit_preprocess, gen_synthetic
     from diffrnn.ensemble import fit_ernn
-    from diffrnn.train import TrainConfig, evaluate, loss_frame, model_to_doc, train
+    from diffrnn.train import (TrainConfig, apply_sgd_step, evaluate, loss_frame,
+                               model_to_doc, train)
 
     data = gen_synthetic("mixed", CLASSES, COUNT + CLASSES, LENGTH, DIM, 0.3, seed=7)
     train_set = Dataset(data.sequences[:COUNT], data.class_names)
@@ -127,9 +130,20 @@ def dump(path: str) -> None:
                         out[key + "/ragged_evaluate_confusion"] = m.confusion
                         out[key + "/ragged_logits"] = np.concatenate(
                             forward_set(model, ragged_frames))
-                        for li, (kind, _units) in enumerate(config.layers):
-                            if kind.kind != "rnn":
-                                out[f"{key}/dos_energy{li}"] = dos_energy(model, probe.frames, li)
+                        gated = [li for li, (kind, _units) in enumerate(config.layers)
+                                 if kind.kind != "rnn"]
+                        for li in gated:
+                            out[f"{key}/dos_energy{li}"] = dos_energy(model, probe.frames, li)
+                        # again top down, then after an in-place step of the
+                        # same model object: what a model keeps of the last
+                        # sequence's layers must never be served stale
+                        for li in gated[::-1]:
+                            out[f"{key}/dos_energy{li}/descending"] = dos_energy(
+                                model, probe.frames, li)
+                        apply_sgd_step(model, out[key + "/grads"], 0.1, clip)
+                        for li in gated[::-1]:
+                            out[f"{key}/dos_energy{li}/stepped"] = dos_energy(
+                                model, probe.frames, li)
         for tie in (False, True):
             model = build_model(StackConfig(tuple((CellKind(k, n), UNITS) for k, n in layers),
                                             DIM, CLASSES, tie_gate_hidden_weights=tie), seed=ai)

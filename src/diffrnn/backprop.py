@@ -258,12 +258,12 @@ def grad_check(model: Model, frames: np.ndarray, label: int) -> GradCheckReport:
     ``cells.forward_rows``, and up to ``MAX_ROWS`` rows step together, fewer
     where their working set would pass ``CHUNK_BYTES``.  A
     perturbation leaves the layers below its own unchanged, so a batch of
-    rows starts at the layer of its first entry, from that layer's input in
-    one unperturbed longdouble forward; output-layer entries cost only the
-    last frame's projection.  Each row's loss is bitwise the one a
-    whole-stack ``stack_forward`` of its model gives.  Relative error is
-    |g_a - g_n| / max(|g_a|, |g_n|, 1e-8); the check passes iff the maximum
-    over all parameters is below ``GRAD_CHECK_TOL``.
+    rows holds entries of one container and starts at its layer, from that
+    layer's input in one unperturbed longdouble forward; output-layer
+    entries cost only the last frame's projection.  Each row's loss is
+    bitwise the one a whole-stack ``stack_forward`` of its model gives.
+    Relative error is |g_a - g_n| / max(|g_a|, |g_n|, 1e-8); the check
+    passes iff the maximum over all parameters is below ``GRAD_CHECK_TOL``.
     """
     from .train import loss_frame   # train imports this module
 
@@ -275,7 +275,6 @@ def grad_check(model: Model, frames: np.ndarray, label: int) -> GradCheckReport:
     ld_tape = stack_forward(ld_model, frames)
     # the input of each layer and of the output projection, unperturbed
     inputs = [lt.x for lt in ld_tape.layers] + [ld_tape.layers[-1].h]
-    # entry k lies in the first container (layer, or the output) ending past k
     ends = container_ends(model.layout)
     theta = ld_model.theta
     hl = np.longdouble(GRAD_CHECK_H)
@@ -291,13 +290,17 @@ def grad_check(model: Model, frames: np.ndarray, label: int) -> GradCheckReport:
     units = sum(u for _, u in model.config.layers)
     row_bytes = theta.itemsize * (4 * theta.size + 12 * len(frames) * units)
     per_call = max(1, min(MAX_ROWS, CHUNK_BYTES // row_bytes) // 2)
-    for k0 in range(0, theta.size, per_call):
-        ks = np.arange(k0, min(k0 + per_call, theta.size))
+    # chunks stop at container ends: container ``first`` (a layer, or the
+    # output) holds entries start..end-1
+    chunks = ((first, k0, min(k0 + per_call, end))
+              for first, (start, end) in enumerate(zip([0, *ends], ends))
+              for k0 in range(start, end, per_call))
+    for first, k0, k1 in chunks:
+        ks = np.arange(k0, k1)
         plus = 2 * np.arange(len(ks))       # row 2i is entry ks[i] + h, row 2i+1 - h
         vectors = np.repeat(theta[None], 2 * len(ks), axis=0)
         vectors[plus, ks] = theta[ks] + hl
         vectors[plus + 1, ks] = theta[ks] - hl
-        first = int(np.searchsorted(ends, k0, side="right"))
         logits = forward_rows(ld_model, vectors, inputs[first], first)
         loss = -np.log(softmax(logits)[:, label])
         numeric = (loss[plus] - loss[plus + 1]) / (2.0 * hl)

@@ -31,6 +31,7 @@ bitwise the same results, row by row.
 """
 from __future__ import annotations
 
+import copy
 import functools
 import itertools
 import math
@@ -116,6 +117,10 @@ class _Orders(dict):
 
     __setitem__ = __delitem__ = __ior__ = _refuse
     clear = pop = popitem = setdefault = update = _refuse
+
+    def __deepcopy__(self, memo):
+        # deepcopy's default rebuild would go through __setitem__
+        return _Orders({n: copy.deepcopy(a, memo) for n, a in self.items()})
 
 
 # every model built or loaded computes its layout: a gradient check builds
@@ -263,6 +268,12 @@ class Model:
     @functools.cached_property
     def output(self) -> Params:
         return param_views(self.layout[-1:], self.theta)[0]
+
+    @functools.cached_property
+    def _energy_memo(self) -> dict:
+        """``dos_energy``'s states of the last sequence it ran on this model
+        (``frames``, ``theta``, ``states``, ``h``); never pickled or copied."""
+        return {}
 
     def __getstate__(self):
         return {"config": self.config, "theta": self.theta, "seed": self.seed}
@@ -705,12 +716,21 @@ def predict_set(model: Model, sequences) -> list[int]:
     return [_read_out(logits)[0] for logits in forward_set(model, sequences)]
 
 
+def _same_bytes(a, b: np.ndarray) -> bool:
+    """Whether ``a``, an array or None, has ``b``'s shape and bytes."""
+    return a is not None and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def dos_energy(model: Model, frames: np.ndarray, layer: int) -> np.ndarray:
     """Per-frame L2 norms of the state derivatives of one layer.
 
     Returns (T, max_order+1): column k is |d^(k) s_t| for orders 0..max_order
     of the chosen layer (a plain LSTM layer reports order 0 only).  Only the
-    layers up to the chosen one run.
+    layers up to the chosen one run, and each at most once per sequence:
+    the model keeps the states of every layer run on the last sequence, and
+    the top one's hidden states, so a call for a layer already run reads
+    its states and one for a higher layer runs only the layers missing.
+    Any change to the frames or to ``theta``, in any byte, starts over.
     """
     if not 0 <= layer < len(model.config.layers):
         raise IndexError(f"layer index {layer} out of range")
@@ -718,7 +738,18 @@ def dos_energy(model: Model, frames: np.ndarray, layer: int) -> np.ndarray:
     if kind.kind == "rnn":
         raise ValueError("classical RNN layers have no internal state derivatives")
     frames = _frames(model, frames)
-    tapes = _layer_tapes(model, frames, _one_sequence(len(frames)))
-    s = next(itertools.islice(tapes, layer, None)).s
+    memo = model._energy_memo
+    if not (_same_bytes(memo.get("frames"), frames)
+            and _same_bytes(memo.get("theta"), model.theta)):
+        frames = frames.copy()
+        memo.update(frames=frames, theta=model.theta.copy(), states=[], h=frames)
+    states = memo["states"]
+    if len(states) <= layer:
+        first = len(states)
+        tapes = _layer_tapes(model, memo["h"], _one_sequence(len(frames)), None, first)
+        for tape in itertools.islice(tapes, layer + 1 - first):
+            states.append(tape.s)
+            memo["h"] = tape.h
+    s = states[layer]
     return np.stack([np.linalg.norm(dos(k, s), axis=1)
                      for k in range(kind.max_order + 1)], axis=1)

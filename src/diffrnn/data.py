@@ -37,7 +37,16 @@ class Sequence:
     group: str | None = None           # optional source-group id for grouped folds
 
     def __post_init__(self):
-        self.frames = np.asarray(self.frames, dtype=np.float64)
+        try:
+            self.frames = np.asarray(self.frames, dtype=np.float64)
+        except ValueError:
+            # numpy's text for a ragged list names no frame; -1: not a list
+            lengths = ({len(f) if isinstance(f, list) else -1 for f in self.frames}
+                       if isinstance(self.frames, list) else set())
+            if len(lengths) > 1:
+                raise ValueError("each frame must be a list of at least one number"
+                                 if -1 in lengths else "frames of differing lengths") from None
+            raise
         shape = self.frames.shape
         if not shape or not shape[0]:
             raise ValueError("a sequence needs at least one frame")

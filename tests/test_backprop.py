@@ -347,14 +347,29 @@ class TestGradCheck:
         got = [(e.name, e.analytic, e.numeric, e.rel_error) for e in report.entries]
         assert got == _per_entry_reference(model, frames, label=1)
 
-    def test_wide_model_chunks_straddle_layers(self):
+    def test_wide_model_chunks_stop_at_container_ends(self, monkeypatch):
         # a chunk holds MAX_ROWS // 2 entries; every container here holds
-        # more, and ends inside a chunk
+        # more, and would end inside a chunk counted from entry 0
         model = build_model(WIDE, seed=11)
-        sizes = np.diff([0, *cells.container_ends(model.layout)])
+        ends = cells.container_ends(model.layout)
+        sizes = np.diff([0, *ends])
         per_chunk = cells.MAX_ROWS // 2
         assert min(sizes[:-1]) > per_chunk
-        assert all(end % per_chunk for end in np.cumsum(sizes)[:-1])
+        assert all(end % per_chunk for end in ends[:-1])
+        # yet each forward_rows call perturbs entries of one container, and
+        # starts at its layer
+        calls = []
+        real = bp.forward_rows
+
+        def spy(ld_model, vectors, x, first=0):
+            ks = np.flatnonzero((vectors != ld_model.theta).any(axis=0))
+            calls.append((first, set(np.searchsorted(ends, ks, side="right"))))
+            return real(ld_model, vectors, x, first)
+
+        monkeypatch.setattr(bp, "forward_rows", spy)
+        bp.grad_check(model, seeded_rng(12).normal(size=(5, 3)), label=1)
+        assert all(containers == {first} for first, containers in calls)
+        assert sorted({first for first, _ in calls}) == list(range(len(ends)))
 
     def test_wide_chunks_stay_within_the_byte_budget(self, monkeypatch):
         # MAX_ROWS rows of this model would take several times the budget;

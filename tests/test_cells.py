@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import time
 from dataclasses import replace
 
@@ -24,7 +26,7 @@ from diffrnn.cells import (
 )
 from diffrnn.data import Dataset, Sequence
 from diffrnn.numerics import ShapeMismatchError, seeded_rng, sigmoid
-from diffrnn.train import evaluate, loss_frame
+from diffrnn.train import apply_sgd_step, evaluate, loss_frame
 from reference import ref_dos, ref_stack_logits
 
 
@@ -379,6 +381,118 @@ class TestPredictAndEnergy:
         model = build_model(d2rnn_config(1, 3, 4, 2), seed=0)
         with pytest.raises(IndexError):
             dos_energy(model, np.zeros((3, 3)), layer=5)
+
+
+# stacks whose every layer has internal states
+MEMO_ARCHS = {
+    "d2rnn3": [("dos", 0), ("dos", 1), ("dos", 2)],
+    "drnn2+lstm": [("drnn", 2), ("lstm", 0)],
+}
+MEMO_ORDERS = {"ascending": lambda n: list(range(n)),
+               "descending": lambda n: list(range(n))[::-1],
+               "mixed": lambda n: [1, 0, n - 1, 1, 0]}
+
+
+class TestEnergyMemo:
+    """A model keeps the layer states of the last sequence ``dos_energy``
+    ran on it: each layer runs once per sequence, and nothing stale is
+    ever served."""
+
+    @staticmethod
+    def memo_model(arch, seed=4):
+        return small_model([(CellKind(k, n), 4) for k, n in MEMO_ARCHS[arch]], seed=seed)
+
+    @staticmethod
+    def cold(model, frames, layer):
+        # a copy made by replace starts with no memo
+        return dos_energy(replace(model), frames, layer)
+
+    @staticmethod
+    def count_runs(monkeypatch):
+        runs = []
+        real = cells._layer_forward
+        monkeypatch.setattr(cells, "_layer_forward", lambda *a: runs.append(1) or real(*a))
+        return runs
+
+    @pytest.mark.parametrize("order", list(MEMO_ORDERS))
+    @pytest.mark.parametrize("arch", list(MEMO_ARCHS))
+    def test_any_call_order_gives_cold_energies(self, arch, order):
+        model = self.memo_model(arch)
+        frames = random_frames(seeded_rng(6), 7, 3)
+        for layer in MEMO_ORDERS[order](len(MEMO_ARCHS[arch])):
+            assert_bitwise(dos_energy(model, frames, layer), self.cold(model, frames, layer))
+
+    @pytest.mark.parametrize("arch", list(MEMO_ARCHS))
+    def test_each_layer_runs_once_per_sequence(self, monkeypatch, arch):
+        n = len(MEMO_ARCHS[arch])
+        frames = random_frames(seeded_rng(6), 7, 3)
+        runs = self.count_runs(monkeypatch)
+        for layer in range(n - 1):
+            model = self.memo_model(arch)
+            dos_energy(model, frames, layer)
+            assert len(runs) == layer + 1      # cold: the layers up to it
+            dos_energy(model, frames, layer + 1)
+            assert len(runs) == layer + 2      # warm: the one above
+            for below in range(layer + 2):
+                dos_energy(model, frames, below)
+            assert len(runs) == layer + 2      # read from the memo
+            runs.clear()
+
+    @pytest.mark.parametrize("arch", list(MEMO_ARCHS))
+    def test_an_sgd_step_starts_over(self, arch):
+        model = self.memo_model(arch)
+        frames = random_frames(seeded_rng(6), 7, 3)
+        top = len(MEMO_ARCHS[arch]) - 1
+        dos_energy(model, frames, top)
+        grad = seeded_rng(7).normal(size=model.theta.size)
+        apply_sgd_step(model, grad, 0.1, None)
+        for layer in range(top, -1, -1):
+            assert_bitwise(dos_energy(model, frames, layer), self.cold(model, frames, layer))
+
+    @pytest.mark.parametrize("arch", list(MEMO_ARCHS))
+    def test_an_edited_frame_starts_over(self, arch):
+        model = self.memo_model(arch)
+        frames = random_frames(seeded_rng(6), 7, 3)
+        dos_energy(model, frames, 0)
+        frames[3, 1] += 0.5     # in place, in the caller's array
+        for layer in range(len(MEMO_ARCHS[arch])):
+            assert_bitwise(dos_energy(model, frames, layer), self.cold(model, frames, layer))
+
+    @pytest.mark.parametrize("arch", list(MEMO_ARCHS))
+    def test_a_longdouble_copy_runs_in_longdouble(self, arch):
+        model = self.memo_model(arch)
+        frames = random_frames(seeded_rng(6), 7, 3)
+        top = len(MEMO_ARCHS[arch]) - 1
+        dos_energy(model, frames, top)
+        ld = longdouble_copy(model)
+        for layer in range(top, -1, -1):
+            got = dos_energy(ld, frames, layer)
+            assert_bitwise(got, dos_energy(longdouble_copy(model), frames, layer))
+
+    def test_models_with_equal_theta_share_no_states(self, monkeypatch):
+        frames = random_frames(seeded_rng(6), 7, 3)
+        a, b = self.memo_model("d2rnn3"), self.memo_model("d2rnn3")
+        assert np.array_equal(a.theta, b.theta)
+        want = dos_energy(a, frames, 2)
+        runs = self.count_runs(monkeypatch)
+        dos_energy(b, frames, 2)
+        assert len(runs) == 3       # b runs every layer of its own
+        b.theta[0] += 0.5
+        assert_bitwise(dos_energy(a, frames, 2), want)
+        assert len(runs) == 3       # a still holds its states
+
+    @pytest.mark.parametrize("make_copy", [lambda m: pickle.loads(pickle.dumps(m)),
+                                           copy.deepcopy, replace],
+                             ids=["pickle", "deepcopy", "replace"])
+    def test_copies_carry_no_memo(self, monkeypatch, make_copy):
+        model = self.memo_model("d2rnn3")
+        frames = random_frames(seeded_rng(6), 7, 3)
+        want = dos_energy(model, frames, 2)
+        clone = make_copy(model)
+        assert "_energy_memo" not in vars(clone)
+        runs = self.count_runs(monkeypatch)
+        assert_bitwise(dos_energy(clone, frames, 2), want)
+        assert len(runs) == 3
 
 
 # every cell kind, stacked, and a mixed stack; (kind, order) per layer

@@ -200,6 +200,20 @@ class TestTrain:
         assert capsys.readouterr().err == f"error: line 2: {message}\n"
 
 
+    @pytest.mark.parametrize("command", ["train", "eval", "dos-energy"])
+    def test_ragged_frames_are_data_errors(self, tmp_path, capsys, command):
+        bad = tmp_path / "ragged.jsonl"
+        bad.write_text('{"classes": ["a", "b"]}\n'
+                       '{"id": "x", "label": 0, "frames": [[1, 2], [3]]}\n')
+        checkpoint = tmp_path / "ck.json"
+        checkpoint_save(build_model(build_config("lstm", 2, 3, 2)), checkpoint)
+        rest = ([*FAST, "--out", str(tmp_path / "run")] if command == "train"
+                else ["--checkpoint", str(checkpoint)])
+        rc = main([command, "--data", str(bad), *rest])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: line 2: frames of differing lengths\n"
+
+
 class TestEval:
     def test_eval_trained_checkpoint(self, tmp_path, capsys):
         data = make_data(tmp_path)

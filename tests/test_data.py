@@ -216,6 +216,22 @@ class TestJsonl:
             load_jsonl(path)
         assert str(err.value) == f"line 3: {message}"
 
+    @pytest.mark.parametrize("frames, message", [
+        ("[[1, 2], [3]]", "frames of differing lengths"),
+        ("[[1], [2, 3], [4]]", "frames of differing lengths"),
+        ("[[1, 2], 3]", "each frame must be a list of at least one number"),
+    ])
+    def test_ragged_frames_rejected_with_line(self, tmp_path, frames, message):
+        path = tmp_path / "ragged.jsonl"
+        path.write_text("\n".join([
+            '{"classes": ["a", "b"]}',
+            '{"id": "x", "label": 0, "frames": [[1.0, 2.0]]}',
+            '{"id": "y", "label": 1, "frames": %s}' % frames,
+        ]) + "\n")
+        with pytest.raises(DataFormatError) as err:
+            load_jsonl(path)
+        assert str(err.value) == f"line 3: {message}"
+
     def test_label_out_of_range(self, tmp_path):
         path = tmp_path / "lab.jsonl"
         path.write_text("\n".join([

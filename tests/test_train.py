@@ -401,6 +401,22 @@ class TestParameterVector:
         with pytest.raises(dataclasses.FrozenInstanceError):
             model.theta = model.theta.copy()
 
+    def test_deepcopy_of_a_gated_layer_owns_its_arrays(self):
+        model = build_model(self.CONFIG, seed=3)
+        p = model.layers[1]
+        clone = copy.deepcopy(p)
+        assert type(clone.w_id) is type(p.w_id)
+        for name, arr in vars(p).items():
+            got = vars(clone)[name]
+            pairs = zip(got.values(), arr.values()) if isinstance(arr, dict) else [(got, arr)]
+            for a, b in pairs:
+                assert np.array_equal(a, b) and a.base is None
+                assert not np.shares_memory(a, model.theta)
+        with pytest.raises(TypeError, match="write them in place"):
+            clone.w_id[1] = np.zeros_like(clone.w_id[1])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            clone.w_ix = np.zeros_like(clone.w_ix)
+
     def test_library_paths_never_make_the_containers(self, tmp_path):
         # training, evaluation, gradient checks, the per-row forward, the
         # energies and the checkpoint writer reach the vector through its
