@@ -3,7 +3,8 @@
 
 Runs one fixed set of seeded ``diffrnn`` commands (synth; train in sequence
 and frame mode, with full and truncated backprop, gradient clipping, PCA and
-k-fold and Monte Carlo splits; ensemble; gradcheck; eval; dos-energy; and
+k-fold and Monte Carlo splits, and once from a config file that a flag
+overrides; ensemble; gradcheck; eval; dos-energy; and
 runs that must fail: a bad option value, a missing data file, a split too
 large for the data, an unknown config key and ``eval`` of checkpoints that
 each carry one defect) once under each tree, each
@@ -59,7 +60,9 @@ MISFITS = {
     "misfit_inflated_units.json": _misfit(("config", "layers", 0, 2), 10 ** 6),
 }
 # written into each run's directory before its first command
-FILES = {"unknown_key.json": '{"epochs": 2, "no_such_option": 1}\n', **MISFITS}
+FILES = {"unknown_key.json": '{"epochs": 2, "no_such_option": 1}\n',
+         "train_config.json": '{"arch": "dos:1", "mode": "frame", "epochs": 9}\n',
+         **MISFITS}
 
 # (expected exit code, command); each command runs in the directory of the
 # one before it
@@ -75,6 +78,8 @@ COMMANDS = [(0, cmd) for cmd in [
     ["train", *DATA, *SMALL, "--arch", "drnn:2", "--mode", "frame",
      "--truncation", "truncated", "--clip-norm", "0.5", "--split", "kfold:2",
      "--out", "frame_trunc"],
+    # the file sets arch, mode and epochs; SMALL's --epochs flag wins
+    ["train", *DATA, "--config", "train_config.json", *SMALL, "--out", "from_config"],
     ["ensemble", *DATA, *SMALL, "--max-order", "2", "--mode", "frame",
      "--split", "kfold:2", "--out", "ensemble"],
     ["gradcheck", "--arch", "d2rnn:2", "--seed", "4"],

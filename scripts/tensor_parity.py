@@ -13,9 +13,11 @@ tiny seeded models and compares them bit for bit:
   with no clipping and with clip norm 0.5;
 * per trained model, the logits, the gradients ``backward`` gives on a
   held-out sequence, ``evaluate`` on the held-out set and ``dos_energy`` of
-  every gated layer, bottom up, then top down (``.../descending``), then top
-  down again after one in-place SGD step of the same model along those
-  gradients (``.../stepped``);
+  every gated layer, bottom up, then top down (``.../descending``), then
+  bottom up and top down on a longdouble copy of the model, both calls of
+  each layer under one key (``.../longdouble``), then top down again after
+  one in-place SGD step of the same model along those gradients
+  (``.../stepped``);
 * per trained model, ``evaluate`` and every sequence's logits on a ragged,
   unsorted set (lengths 1..LENGTH, with repeats), where sequences of
   different lengths share a time loop: the logits come from the set-level
@@ -57,6 +59,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 
@@ -80,6 +83,14 @@ RAGGED = (3, 6, 1, 4, 6, 2, 5, 3, 1, 6, 4, 2)
 # the benchmark's training shapes: input dim, units, frames, sequences
 BENCH_DIM, BENCH_UNITS, BENCH_LENGTH, BENCH_COUNT = 16, 16, 20, 8
 BENCH_ARCHS = ("lstm", "dos:2", "drnn:2", "d2rnn:3")
+
+
+def exact(a: np.ndarray) -> np.ndarray:
+    """A longdouble array as its float64 leading part and remainder, stacked:
+    the value exactly, without the padding bytes a comparison of bytes
+    would see."""
+    hi = a.astype(np.float64)
+    return np.stack([hi, (a - hi).astype(np.float64)])
 
 
 def dump(path: str) -> None:
@@ -140,6 +151,14 @@ def dump(path: str) -> None:
                         for li in gated[::-1]:
                             out[f"{key}/dos_energy{li}/descending"] = dos_energy(
                                 model, probe.frames, li)
+                        # a longdouble copy, bottom up then top down: its
+                        # states are kept across calls as the float64 ones
+                        ld = replace(model, theta=model.theta.astype(np.longdouble))
+                        energies = {li: [] for li in gated}
+                        for li in gated + gated[::-1]:
+                            energies[li].append(exact(dos_energy(ld, probe.frames, li)))
+                        for li in gated:
+                            out[f"{key}/dos_energy{li}/longdouble"] = np.stack(energies[li])
                         apply_sgd_step(model, out[key + "/grads"], 0.1, clip)
                         for li in gated[::-1]:
                             out[f"{key}/dos_energy{li}/stepped"] = dos_energy(

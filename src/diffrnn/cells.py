@@ -271,8 +271,8 @@ class Model:
 
     @functools.cached_property
     def _energy_memo(self) -> dict:
-        """``dos_energy``'s states of the last sequence it ran on this model
-        (``frames``, ``theta``, ``states``, ``h``); never pickled or copied."""
+        """``dos_energy``'s states of the last sequence it ran on this model,
+        keyed by value (``frames``, ``theta``, ``states``, ``h``); never pickled or copied."""
         return {}
 
     def __getstate__(self):
@@ -716,11 +716,6 @@ def predict_set(model: Model, sequences) -> list[int]:
     return [_read_out(logits)[0] for logits in forward_set(model, sequences)]
 
 
-def _same_bytes(a, b: np.ndarray) -> bool:
-    """Whether ``a``, an array or None, has ``b``'s shape and bytes."""
-    return a is not None and a.shape == b.shape and a.tobytes() == b.tobytes()
-
-
 def dos_energy(model: Model, frames: np.ndarray, layer: int) -> np.ndarray:
     """Per-frame L2 norms of the state derivatives of one layer.
 
@@ -730,7 +725,8 @@ def dos_energy(model: Model, frames: np.ndarray, layer: int) -> np.ndarray:
     the model keeps the states of every layer run on the last sequence, and
     the top one's hidden states, so a call for a layer already run reads
     its states and one for a higher layer runs only the layers missing.
-    Any change to the frames or to ``theta``, in any byte, starts over.
+    A change in the frames' or ``theta``'s values starts over: a NaN never
+    matches, while ``-0.0`` matches ``+0.0``, which changes no energy.
     """
     if not 0 <= layer < len(model.config.layers):
         raise IndexError(f"layer index {layer} out of range")
@@ -739,8 +735,8 @@ def dos_energy(model: Model, frames: np.ndarray, layer: int) -> np.ndarray:
         raise ValueError("classical RNN layers have no internal state derivatives")
     frames = _frames(model, frames)
     memo = model._energy_memo
-    if not (_same_bytes(memo.get("frames"), frames)
-            and _same_bytes(memo.get("theta"), model.theta)):
+    if not (np.array_equal(memo.get("frames"), frames)
+            and np.array_equal(memo.get("theta"), model.theta)):
         frames = frames.copy()
         memo.update(frames=frames, theta=model.theta.copy(), states=[], h=frames)
     states = memo["states"]

@@ -4,9 +4,11 @@ Subcommands: synth, train, eval, gradcheck, dos-energy, ensemble.
 
 Each option is declared once, with its default, by its argparse flag.
 synth, train, ensemble and gradcheck also read a JSON config file
-(--config) keyed by those options' names; its values replace the defaults,
-and explicit flags still win.  The effective configuration is echoed to the
-output directory so any run can be reproduced from its artifacts alone.
+(--config) keyed by those options' names; its values are parsed as the
+command's preset values, and explicit flags still win.  The effective
+configuration is echoed to the output directory so any run can be
+reproduced from its artifacts alone.  An option value too large to
+allocate is a usage error.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 """
@@ -29,8 +31,10 @@ from .cells import (
     CellKind,
     StackConfig,
     build_model,
+    container_ends,
     d2rnn_config,
     dos_energy,
+    layout,
     predict_set,
     stacked_lstm_config,
 )
@@ -59,11 +63,11 @@ class UsageError(ValueError):
 
 @contextlib.contextmanager
 def _usage_errors():
-    """A ValueError inside comes from option values alone, bad whatever the
-    data: a usage error (exit 1), not a data error (exit 2)."""
+    """A ValueError or MemoryError inside comes from option values alone,
+    bad whatever the data: a usage error (exit 1), not a data error (exit 2)."""
     try:
         yield
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         raise UsageError(str(exc)) from exc
 
 
@@ -188,14 +192,15 @@ def cmd_synth(args) -> int:
 def _run_settings(args, arch: str):
     """The set-up of a train or ensemble run of ``arch``: check ``--out`` and
     every option before any data is read (the model and PCA options on the
-    smallest valid data: one input unit, two classes, two samples), read the
+    smallest valid data: one input unit, two classes, two samples; that
+    model's parameter vector is allocated, unfilled), read the
     data and echo the effective config.  Returns the train config, the
     dataset and each split's (train, test) sets, produced in split order,
     with PCA fitted on each training set as its split comes up."""
     if args.out is None:
         raise UsageError(f"{args.command} requires --out DIR")
     with _usage_errors():
-        build_config(arch, 1, args.state_units, 2)
+        np.empty(container_ends(layout(build_config(arch, 1, args.state_units, 2)))[-1])
         seeded_rng(args.seed)
         if args.pca_energy is not None:
             pca_fit([[0.0], [1.0]], args.pca_energy)
@@ -402,26 +407,22 @@ def _parser() -> tuple[argparse.ArgumentParser, dict]:
 
 def main(argv=None) -> int:
     parser, commands = _parser()
+    argv = sys.argv[1:] if argv is None else argv
     args = parser.parse_args(argv)
     try:
         if getattr(args, "config", None):
-            # the file's values become the defaults; parsing again lets
-            # explicit flags win over them
+            # the file's checked values are the command's preset values;
+            # argparse fills in only what they lack, so explicit flags win
             command = commands[args.command]
-            saved = dict(command._defaults), [(a, a.default) for a in command._actions]
-            command.set_defaults(**_config_defaults(args.config, command))
-            try:
-                args = parser.parse_args(argv)
-            finally:    # the parser serves later calls with its own defaults
-                command._defaults = saved[0]
-                for action, default in saved[1]:
-                    action.default = default
+            preset = argparse.Namespace(command=args.command,
+                                        **_config_defaults(args.config, command))
+            args = command.parse_args(argv[1:], preset)
         return args.run(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (DataFormatError, CheckpointError, OSError, ValueError,
-            IndexError) as exc:
+            IndexError, MemoryError) as exc:   # too large for this data's width
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (TrainingDivergedError, FloatingPointError) as exc:

@@ -40,12 +40,13 @@ class Sequence:
         try:
             self.frames = np.asarray(self.frames, dtype=np.float64)
         except ValueError:
-            # numpy's text for a ragged list names no frame; -1: not a list
-            lengths = ({len(f) if isinstance(f, list) else -1 for f in self.frames}
-                       if isinstance(self.frames, list) else set())
-            if len(lengths) > 1:
-                raise ValueError("each frame must be a list of at least one number"
-                                 if -1 in lengths else "frames of differing lengths") from None
+            # numpy's text for a ragged or nested list names no frame
+            frames = self.frames if isinstance(self.frames, list) else []
+            if any(not isinstance(f, list) or any(isinstance(v, list) for v in f)
+                   for f in frames):
+                raise ValueError("each frame must be a list of at least one number") from None
+            if len({len(f) for f in frames}) > 1:
+                raise ValueError("frames of differing lengths") from None
             raise
         shape = self.frames.shape
         if not shape or not shape[0]:

@@ -469,6 +469,43 @@ class TestEnergyMemo:
             got = dos_energy(ld, frames, layer)
             assert_bitwise(got, dos_energy(longdouble_copy(model), frames, layer))
 
+    @pytest.mark.parametrize("arch", list(MEMO_ARCHS))
+    def test_a_longdouble_copy_runs_each_layer_once(self, monkeypatch, arch):
+        # the memo is keyed by value, so longdouble frames, whose padding
+        # bytes differ from call to call, still match
+        model = longdouble_copy(self.memo_model(arch))
+        frames = random_frames(seeded_rng(6), 7, 3)
+        layers = range(len(MEMO_ARCHS[arch]))
+        want = [self.cold(model, frames, layer) for layer in layers]
+        runs = self.count_runs(monkeypatch)
+        for layer in layers:
+            assert_bitwise(dos_energy(model, frames, layer), want[layer])
+        assert len(runs) == len(layers)
+
+    @pytest.mark.parametrize("arch", list(MEMO_ARCHS))
+    def test_a_zero_of_the_other_sign_gives_cold_energies(self, monkeypatch, arch):
+        model = self.memo_model(arch)
+        frames = random_frames(seeded_rng(6), 7, 3)
+        frames[2, 1] = frames[5, 0] = 0.0
+        top = len(MEMO_ARCHS[arch]) - 1
+        dos_energy(model, frames, top)
+        flipped = frames.copy()
+        flipped[2, 1] = flipped[5, 0] = -0.0
+        want = [self.cold(model, flipped, layer) for layer in range(top + 1)]
+        runs = self.count_runs(monkeypatch)
+        for layer in range(top + 1):
+            assert_bitwise(dos_energy(model, flipped, layer), want[layer])
+        assert not runs     # equal values: read from the memo
+
+    def test_frames_holding_a_nan_always_run_cold(self, monkeypatch):
+        model = self.memo_model("d2rnn3")
+        frames = random_frames(seeded_rng(6), 7, 3)
+        frames[4, 2] = np.nan
+        runs = self.count_runs(monkeypatch)
+        for calls in (1, 2):
+            assert np.isnan(dos_energy(model, frames, 1)).any()
+            assert len(runs) == 2 * calls
+
     def test_models_with_equal_theta_share_no_states(self, monkeypatch):
         frames = random_frames(seeded_rng(6), 7, 3)
         a, b = self.memo_model("d2rnn3"), self.memo_model("d2rnn3")

@@ -185,6 +185,7 @@ class TestTrain:
         ("[[]]", "each frame must be a list of at least one number"),
         ("[]", "a sequence needs at least one frame"),
         ("[1, 2]", "each frame must be a list of at least one number"),
+        ("[[1, [2]], [3, 4]]", "each frame must be a list of at least one number"),
     ])
     def test_frames_lacking_a_frame_or_number_are_data_errors(self, tmp_path, capsys,
                                                               command, frames, message):
@@ -455,6 +456,28 @@ class TestBadValues:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    # sizes whose byte count exceeds any address space: numpy refuses the
+    # allocation without touching memory
+    @pytest.mark.parametrize("argv", [
+        ["gradcheck", "--state-units", "100000000"],
+        ["train", "--state-units", "100000000"],
+        ["ensemble", "--state-units", "100000000"],
+        ["synth", "--dim", "100000000000000000"],
+    ], ids=["gradcheck", "train", "ensemble", "synth"])
+    def test_oversized_value_fails_with_one_line_before_any_output(self, tmp_path, capsys,
+                                                                   argv):
+        data, out = make_data(tmp_path), tmp_path / "out"
+        if argv[0] in ("train", "ensemble"):
+            argv = [*argv, "--data", str(data)]
+        if argv[0] != "gradcheck":
+            argv = [*argv, "--out", str(out)]
+        capsys.readouterr()
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.jsonl"]
+
     def test_value_bad_only_for_this_data_is_data_error(self, tmp_path, capsys):
         data = make_data(tmp_path, count=12)
         capsys.readouterr()
@@ -554,6 +577,32 @@ class TestParserStatesTheOptions:
         assert {k: docs["plain"]["config"][k] for k in defaults} == defaults
         capsys.readouterr()
         assert usage_error() == before
+
+    def test_a_config_run_writes_no_parser_state(self, tmp_path, monkeypatch):
+        # the file's values are the run's preset values, never the parser's
+        # defaults: the command's parser is the same before the run, while
+        # it parses, inside the running command and after the run
+        data = make_data(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"mode": "frame", "arch": "lstm", "seed": 3}))
+        command = cli._parser()[1]["train"]
+
+        def parser_state():
+            return dict(command._defaults), [a.default for a in command._actions]
+
+        seen, run, parse = [], command._defaults["run"], command.parse_known_args
+        monkeypatch.setitem(command._defaults, "run",
+                            lambda args: seen.append(parser_state()) or run(args))
+        monkeypatch.setattr(command, "parse_known_args",
+                            lambda *a: seen.append(parser_state()) or parse(*a))
+        before = parser_state()
+        assert main(["train", "--data", str(data), *FAST, "--config", str(cfg),
+                     "--out", str(tmp_path / "run")]) == 0
+        assert len(seen) >= 2 and all(state == before for state in seen)
+        assert parser_state() == before
+        doc = json.loads((tmp_path / "run" / "effective_config.json").read_text())
+        assert {k: doc["config"][k] for k in ("mode", "arch", "seed")} == \
+               {"mode": "frame", "arch": "lstm", "seed": 3}
 
     @pytest.mark.parametrize("command, key", [
         ("synth", "task"), ("train", "mode"), ("train", "truncation"),

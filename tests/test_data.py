@@ -204,6 +204,7 @@ class TestJsonl:
         ("[]", "a sequence needs at least one frame"),
         ("[1, 2]", "each frame must be a list of at least one number"),
         ("[[[1.0, 2.0]]]", "each frame must be a list of at least one number"),
+        ("[[1, [2]], [3, 4]]", "each frame must be a list of at least one number"),
     ])
     def test_frames_lacking_a_frame_or_number_rejected_with_line(self, tmp_path, frames, message):
         path = tmp_path / "empty.jsonl"
