@@ -37,6 +37,10 @@ tiny seeded models and compares them bit for bit:
   and tied hidden blocks included, compared bitwise in float64;
 * one ``grad_check`` report per architecture, with and without tied gate
   hidden weights (``{arch}/grad_check*`` and ``{arch}/tie=True/grad_check*``);
+* the benchmark's criterion-1 ``grad_check`` reports at its exact shapes
+  (input 4, T=5, 3 classes; lstm, dos:1, dos:2 and drnn:2 at 6 units,
+  d2rnn:3 at 5), built as the benchmark builds them at run seed 0, for
+  seeds 0-2, and of a tied rnn + drnn:2 stack (``criterion1/...`` keys);
 * the PCA projection ``apply_preprocess`` gives on noisy 16-dim data, fitted
   at energies 0.9 and 1.0, so that every frame goes through a many-component
   projection;
@@ -54,6 +58,7 @@ that differs and exits 1 if any does, 0 if every key is bitwise equal.
 Uses numpy and the standard library only and runs in well under a minute.
 """
 import argparse
+import inspect
 import json
 import os
 import subprocess
@@ -83,6 +88,8 @@ RAGGED = (3, 6, 1, 4, 6, 2, 5, 3, 1, 6, 4, 2)
 # the benchmark's training shapes: input dim, units, frames, sequences
 BENCH_DIM, BENCH_UNITS, BENCH_LENGTH, BENCH_COUNT = 16, 16, 20, 8
 BENCH_ARCHS = ("lstm", "dos:2", "drnn:2", "d2rnn:3")
+# the benchmark's criterion-1 checks: (arch, units) at input 4, T=5, 3 classes
+GRADCHECKS = (("lstm", 6), ("dos:1", 6), ("dos:2", 6), ("drnn:2", 6), ("d2rnn:3", 5))
 
 
 def exact(a: np.ndarray) -> np.ndarray:
@@ -97,9 +104,11 @@ def dump(path: str) -> None:
     """Write every result of the tree on ``sys.path`` to ``path`` (.npz)."""
     from diffrnn.backprop import backward, grad_check
     from diffrnn.cells import (CellKind, StackConfig, build_model, dos_energy, forward_rows,
-                               forward_set, predict_set, stack_forward)
+                               forward_set, param_blocks, predict_set, stack_forward)
+    from diffrnn.cli import build_config
     from diffrnn.data import Dataset, Sequence, apply_preprocess, fit_preprocess, gen_synthetic
     from diffrnn.ensemble import fit_ernn
+    from diffrnn.numerics import seeded_rng
     from diffrnn.train import (TrainConfig, apply_sgd_step, evaluate, loss_frame,
                                model_to_doc, train)
 
@@ -110,7 +119,14 @@ def dump(path: str) -> None:
     ragged = Dataset([Sequence(s.frames[:n], s.label, s.id)
                       for s, n in zip(data.sequences, RAGGED)], data.class_names)
     ragged_frames = [s.frames for s in ragged.sequences]
+    takes_vectors = "vectors" in inspect.signature(forward_rows).parameters
     out = {}
+
+    def put_report(key, report):
+        out[f"{key}/grad_check"] = np.array(
+            [[e.analytic, e.numeric, e.rel_error] for e in report.entries])
+        out[f"{key}/grad_check_summary"] = np.array([report.max_rel_error, report.passed])
+        out[f"{key}/grad_check_names"] = np.array([e.name for e in report.entries])
 
     for ai, (arch, layers) in enumerate(ARCHS.items()):
         for tie in (False, True):
@@ -170,14 +186,21 @@ def dump(path: str) -> None:
             out[f"{arch}/tie={tie}/checkpoint"] = np.frombuffer(
                 json.dumps(model_to_doc(model)).encode(), dtype=np.uint8)
             noise = np.random.default_rng(ai).normal(scale=0.1, size=(3, model.theta.size))
-            out[f"{arch}/tie={tie}/rows"] = forward_rows(model, model.theta + noise,
-                                                         probe.frames)
-            report = grad_check(model, probe.frames[:4], probe.label)
-            key = f"{arch}/tie=True" if tie else arch
-            out[f"{key}/grad_check"] = np.array(
-                [[e.analytic, e.numeric, e.rel_error] for e in report.entries])
-            out[f"{key}/grad_check_summary"] = np.array([report.max_rel_error, report.passed])
-            out[f"{key}/grad_check_names"] = np.array([e.name for e in report.entries])
+            vectors = model.theta + noise
+            # a tree from before per-row blocks takes the whole vectors
+            rows = vectors if takes_vectors else param_blocks(model.layout, vectors)
+            out[f"{arch}/tie={tie}/rows"] = forward_rows(model, rows, probe.frames)
+            put_report(f"{arch}/tie=True" if tie else arch,
+                       grad_check(model, probe.frames[:4], probe.label))
+    tied = StackConfig(((CellKind("rnn"), 6), (CellKind("drnn", 2), 6)), 4, 3,
+                       tie_gate_hidden_weights=True)
+    for s in range(3):
+        frames = seeded_rng(100 + s).normal(size=(5, 4))
+        for arch, units in GRADCHECKS:
+            model = build_model(build_config(arch, 4, units, 3), seed=s)
+            put_report(f"criterion1/{arch}/{s}", grad_check(model, frames, s % 3))
+        put_report(f"criterion1/rnn+drnn:2/tie=True/{s}",
+                   grad_check(build_model(tied, seed=s), frames, s % 3))
     ensemble = fit_ernn(ragged, 2, TrainConfig(learning_rate=0.1, epochs=2, seed=3), UNITS)
     out["ensemble/alphas"] = np.array([alpha for _, alpha in ensemble.members])
     for mi, (model, _alpha) in enumerate(ensemble.members):

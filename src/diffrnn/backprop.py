@@ -20,7 +20,6 @@ oracle.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -209,8 +208,9 @@ def backward(model: Model, tape: Tape, dlogits: np.ndarray, truncated: bool) -> 
 
 
 # A chunk of grad_check rows holds at most MAX_ROWS perturbed models, and
-# fewer where their working set would pass this many bytes; never fewer than
-# one entry's two rows.
+# fewer where their working set (per row, its copies of the blocks it
+# perturbs, what the forward builds from them and its activations) would
+# pass this many bytes; never fewer than one entry's two rows.
 CHUNK_BYTES = 8 << 20
 
 # grad_check's central-difference step and its pass bound on the relative error
@@ -247,6 +247,18 @@ class GradCheckReport:
 # Finite-difference oracle
 
 
+def _perturbed(theta: np.ndarray, block, ks: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """The rows of a ``theta`` block (start, stop, shape) for the entries
+    ``ks``: a (2 len(ks), *shape) stack whose row 2i moves entry ks[i] by +h
+    and row 2i+1 by -h where ks[i] lies in the block, the rest unmoved."""
+    a, b, shape = block
+    rows = np.repeat(theta[None, a:b], 2 * len(ks), axis=0)
+    i = np.flatnonzero((a <= ks) & (ks < b))
+    rows[2 * i, ks[i] - a] += h
+    rows[2 * i + 1, ks[i] - a] -= h
+    return rows.reshape(len(rows), *shape)
+
+
 def grad_check(model: Model, frames: np.ndarray, label: int) -> GradCheckReport:
     """Central finite differences vs. the full backward pass, every parameter.
 
@@ -254,16 +266,19 @@ def grad_check(model: Model, frames: np.ndarray, label: int) -> GradCheckReport:
     the model: central differences of a float64 loss at h=1e-5
     (``GRAD_CHECK_H``) carry ~1e-11 of cancellation noise, which would
     swamp honestly-tiny gradients deep in a stack.  Each entry's two
-    perturbed models (+h and -h) are two rows of
-    ``cells.forward_rows``, and up to ``MAX_ROWS`` rows step together, fewer
-    where their working set would pass ``CHUNK_BYTES``.  A
-    perturbation leaves the layers below its own unchanged, so a batch of
-    rows holds entries of one container and starts at its layer, from that
-    layer's input in one unperturbed longdouble forward; output-layer
-    entries cost only the last frame's projection.  Each row's loss is
-    bitwise the one a whole-stack ``stack_forward`` of its model gives.
-    Relative error is |g_a - g_n| / max(|g_a|, |g_n|, 1e-8); the check
-    passes iff the maximum over all parameters is below ``GRAD_CHECK_TOL``.
+    perturbed models (+h and -h) are two rows of ``cells.forward_rows``,
+    and up to ``MAX_ROWS`` rows step together, fewer where their working
+    set would pass ``CHUNK_BYTES``.  A perturbation leaves the layers below
+    its own unchanged, so a batch of rows holds entries of one container
+    and starts at its layer, from that layer's input in one unperturbed
+    longdouble forward; output-layer entries cost only the last frame's
+    projection.  The rows carry per-row copies of the layout blocks holding
+    their entries alone and share every other block with the model, so a
+    layer whose input terms or lag weights they do not perturb computes
+    them once.  Each row's loss is bitwise the one a whole-stack
+    ``stack_forward`` of its model gives.  Relative error is
+    |g_a - g_n| / max(|g_a|, |g_n|, 1e-8); the check passes iff the maximum
+    over all parameters is below ``GRAD_CHECK_TOL``.
     """
     from .train import loss_frame   # train imports this module
 
@@ -275,41 +290,44 @@ def grad_check(model: Model, frames: np.ndarray, label: int) -> GradCheckReport:
     ld_tape = stack_forward(ld_model, frames)
     # the input of each layer and of the output projection, unperturbed
     inputs = [lt.x for lt in ld_tape.layers] + [ld_tape.layers[-1].h]
-    ends = container_ends(model.layout)
+    lay, ends = model.layout, container_ends(model.layout)
     theta = ld_model.theta
     hl = np.longdouble(GRAD_CHECK_H)
 
-    # entry k of both vectors is the k-th entry in C order of the arrays in
-    # vector order
-    names = (f"{name}{list(idx)}" for name, arr in param_arrays(model.layout, theta)
-             for idx in np.ndindex(arr.shape))
-    entries = []
-    # a row's working set: its parameter vector, the per-row weight stacks
-    # its forward builds (lag weights, a tied hidden block: at most about
-    # three times as large) and its activations, about 12 per unit and frame
+    # a row's working set: its copies of the blocks it perturbs, all in its
+    # chunk's container, the per-row weights its forward builds from them
+    # (lag weights, a tied hidden block: at most about three times as
+    # large) and its activations, about 12 per unit and frame
     units = sum(u for _, u in model.config.layers)
-    row_bytes = theta.itemsize * (4 * theta.size + 12 * len(frames) * units)
-    per_call = max(1, min(MAX_ROWS, CHUNK_BYTES // row_bytes) // 2)
+    activations = 12 * len(frames) * units
     # chunks stop at container ends: container ``first`` (a layer, or the
     # output) holds entries start..end-1
-    chunks = ((first, k0, min(k0 + per_call, end))
-              for first, (start, end) in enumerate(zip([0, *ends], ends))
-              for k0 in range(start, end, per_call))
+    chunks = []
+    for first, (start, end) in enumerate(zip([0, *ends], ends)):
+        row_bytes = theta.itemsize * (4 * (end - start) + activations)
+        per_call = max(1, min(MAX_ROWS, CHUNK_BYTES // row_bytes) // 2)
+        chunks += [(first, k0, min(k0 + per_call, end)) for k0 in range(start, end, per_call)]
+    # entry k of both gradients is the k-th entry in C order of the arrays
+    # in vector order
+    numeric = np.empty(theta.size)
     for first, k0, k1 in chunks:
         ks = np.arange(k0, k1)
-        plus = 2 * np.arange(len(ks))       # row 2i is entry ks[i] + h, row 2i+1 - h
-        vectors = np.repeat(theta[None], 2 * len(ks), axis=0)
-        vectors[plus, ks] = theta[ks] + hl
-        vectors[plus + 1, ks] = theta[ks] - hl
-        logits = forward_rows(ld_model, vectors, inputs[first], first)
+        # rows 2i and 2i+1 move entry ks[i] by +h and -h
+        blocks = list(ld_model.blocks)
+        blocks[first] = tuple(_perturbed(theta, block, ks, hl) if block[0] < k1 and k0 < block[1]
+                              else own for own, block in zip(blocks[first], lay[first][2]))
+        logits = forward_rows(ld_model, blocks, inputs[first], first)
         loss = -np.log(softmax(logits)[:, label])
-        numeric = (loss[plus] - loss[plus + 1]) / (2.0 * hl)
-        for k, name, gn in zip(ks, names, numeric):
-            gn, ga = float(gn), float(analytic[k])
-            if not (math.isfinite(gn) and math.isfinite(ga)):
-                raise FloatingPointError(f"non-finite gradient at {name}")
-            rel = abs(ga - gn) / max(abs(ga), abs(gn), 1e-8)
-            entries.append(GradCheckEntry(name=name, analytic=ga, numeric=gn, rel_error=rel))
-    worst = max(entries, key=lambda e: e.rel_error)
+        numeric[k0:k1] = (loss[0::2] - loss[1::2]) / (2.0 * hl)    # rounded to float64
+    names = [f"{name}{list(idx)}" for name, arr in param_arrays(lay, theta)
+             for idx in np.ndindex(arr.shape)]
+    bad = ~(np.isfinite(numeric) & np.isfinite(analytic))
+    if bad.any():
+        raise FloatingPointError(f"non-finite gradient at {names[np.argmax(bad)]}")
+    rel = np.abs(analytic - numeric) / np.maximum(np.maximum(np.abs(analytic),
+                                                             np.abs(numeric)), 1e-8)
+    entries = [GradCheckEntry(*entry) for entry in zip(names, analytic.tolist(),
+                                                       numeric.tolist(), rel.tolist())]
+    worst = entries[np.argmax(rel)]
     return GradCheckReport(entries=entries, max_rel_error=worst.rel_error,
                            worst=worst.name, passed=worst.rel_error < GRAD_CHECK_TOL)

@@ -24,10 +24,10 @@ and get its (T, units) tapes.  Set-level callers (``forward_set``,
 ``predict_set``) run up to ``MAX_ROWS`` sequences together, longest first:
 at step t only the sequences longer than t are live, and one broadcast
 matmul per weight block serves them all.  ``forward_rows`` runs one
-sequence under many weight sets, one per row, each weight block stacked
-along the rows: the perturbed models of a gradient check.  Every product a
-row's numbers go through is the one a one-row run makes, so all give
-bitwise the same results, row by row.
+sequence under many weight sets, one per row, each weight block either
+shared or stacked along the rows: the perturbed models of a gradient check.
+Every product a row's numbers go through is the one a one-row run makes, so
+all give bitwise the same results, row by row.
 """
 from __future__ import annotations
 
@@ -366,10 +366,11 @@ class _Rows:
 
 
 @functools.lru_cache(maxsize=256)
-def _one_sequence(length: int) -> _Rows:
-    """The packing of one sequence of ``length`` frames.  Nothing changes a
-    ``_Rows`` once built, so every one-row call of a length shares one."""
-    return _Rows((length,))
+def _equal_lengths(length: int, count: int = 1) -> _Rows:
+    """The packing of ``count`` sequences of ``length`` frames each: one
+    sequence by default.  Nothing changes a ``_Rows`` once built, so every
+    call of a length and count shares one."""
+    return _Rows((length,) * count)
 
 
 def _steps(block: np.ndarray, n: int) -> np.ndarray:
@@ -395,14 +396,20 @@ def _lag_windows(past: np.ndarray, cols: np.ndarray, lags: int) -> np.ndarray:
 
 def _input_terms(x: np.ndarray, w: np.ndarray, b: np.ndarray, rows: _Rows) -> np.ndarray:
     """``x @ w.T + b`` over packed rows, one product per sequence: a single
-    product over all rows would round differently.  Per-row weights (a
-    (rows, 4u, in) ``w``) take rows of one length, one stacked product."""
-    if len(rows.index) == 1:    # one sequence: its packed rows are its frames
+    product over all rows would round differently.  Rows of one length take
+    one stacked product, ``w`` and ``b`` each shared or a (rows, ...) stack
+    of per-row ones; there ``x`` may be one sequence's (T, in) frames that
+    every row reads, and with shared weights their terms are computed once."""
+    n = len(rows.index)
+    if n == 1:      # one sequence: its packed rows are its frames
         return x @ w.T + b
-    if w.ndim == 3:
-        n = len(rows.index)
-        seqs = x.reshape(-1, n, x.shape[1]).swapaxes(0, 1)
-        return (seqs @ w.swapaxes(1, 2) + b[:, None]).swapaxes(0, 1).reshape(rows.size, -1)
+    if len(rows.runs) == 1:
+        if len(x) == rows.size:     # every row's frames, as (rows, T, in)
+            x = x.reshape(-1, n, x.shape[1]).swapaxes(0, 1)
+        z = x @ w.swapaxes(-1, -2) + (b[:, None] if b.ndim == 2 else b)
+        if z.ndim == 2:     # one sequence's terms serve every row
+            return np.repeat(z, n, axis=0)
+        return z.swapaxes(0, 1).reshape(rows.size, -1)
     out = np.empty((rows.size, w.shape[0]), x.dtype)
     for idx in rows.index:
         out[idx] = np.ascontiguousarray(x[idx]) @ w.T + b
@@ -648,7 +655,7 @@ def stack_forward(model: Model, frames: np.ndarray) -> Tape:
     last frame.
     """
     frames = _frames(model, frames)
-    rows = _one_sequence(len(frames))
+    rows = _equal_lengths(len(frames))
     layer_tapes = list(_layer_tapes(model, frames, rows))
     logits = _logits(model.blocks[-1], layer_tapes[-1].h, rows.index[0])
     return Tape(layers=layer_tapes, logits=logits)
@@ -681,22 +688,28 @@ def forward_set(model: Model, sequences) -> list[np.ndarray]:
     return logits
 
 
-def forward_rows(model: Model, vectors: np.ndarray, x: np.ndarray, first: int = 0) -> np.ndarray:
-    """The last frame's logits of ``model`` run with each row of ``vectors``
-    (rows >= 2, theta.size) as its parameter vector; the rows step together,
-    each with its own weights, through bitwise ``stack_forward``'s hidden
-    states.  Each row's logits are a matvec of its last frame: bitwise
+def forward_rows(model: Model, blocks, x: np.ndarray, first: int = 0) -> np.ndarray:
+    """The last frame's logits of ``model`` run under many weight sets, one
+    per row; the rows step together through bitwise ``stack_forward``'s
+    hidden states.  ``blocks`` holds per container the blocks
+    ``param_blocks`` gives, each either the model's own, shared by every
+    row, or a (rows, ...) stack of per-row ones; at least one is a stack,
+    of rows >= 2.  Only a layer whose input or weights differ across rows
+    computes per row: a shared derivative block folds its lag weights once.
+    Each row's logits are a matvec of its last frame: bitwise
     ``stack_forward``'s in longdouble, not in float64, where its one gemm
-    over all frames rounds differently.  ``x`` is the (T, in) input of layer
-    ``first`` and serves every row, so the rows must agree on the layers
-    below it, which do not run."""
-    n, steps = len(vectors), len(x)
-    blocks = param_blocks(model.layout, vectors)
-    x = np.repeat(x, n, axis=0)     # packed: every row's frame 0, then frame 1, ...
-    for tape in _layer_tapes(model, x, _Rows((steps,) * n), blocks, first):
-        x = tape.h
+    over all frames rounds differently.  ``x`` is the (T, in) input of
+    layer ``first`` and serves every row, so the rows must agree on the
+    layers below it, which do not run."""
+    n = next(len(b) for layer, own in zip(blocks, model.blocks)
+             for b, o in zip(layer, own) if b.ndim > o.ndim)
+    steps = len(x)
+    for tape in _layer_tapes(model, x, _equal_lengths(steps, n), blocks, first):
+        x = tape.h      # packed: every row's frame 0, then frame 1, ...
+    # the last frame's hidden states: one per row, or one serving every row
+    h = x.reshape(steps, -1, x.shape[1])[-1]
     w_yh, b_y = blocks[-1]
-    return np.tanh((w_yh @ x[-n:, :, None])[..., 0] + b_y)
+    return np.tanh((w_yh @ h[..., None])[..., 0] + b_y)
 
 
 def _read_out(logits: np.ndarray) -> tuple[int, np.ndarray]:
@@ -742,7 +755,7 @@ def dos_energy(model: Model, frames: np.ndarray, layer: int) -> np.ndarray:
     states = memo["states"]
     if len(states) <= layer:
         first = len(states)
-        tapes = _layer_tapes(model, memo["h"], _one_sequence(len(frames)), None, first)
+        tapes = _layer_tapes(model, memo["h"], _equal_lengths(len(frames)), None, first)
         for tape in itertools.islice(tapes, layer + 1 - first):
             states.append(tape.s)
             memo["h"] = tape.h

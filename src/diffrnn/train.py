@@ -298,6 +298,8 @@ def model_from_doc(doc: dict) -> Model:
         )
         seed = _typed(doc.get("seed", 0), int, "seed")
         theta = _theta_from_doc(config, doc)
+    except CheckpointError:     # raised here on purpose: it says what is wrong
+        raise
     except ShapeMismatchError as exc:   # it names the first array that does not fit
         raise CheckpointError(str(exc)) from exc
     except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:

@@ -361,24 +361,69 @@ class TestGradCheck:
         calls = []
         real = bp.forward_rows
 
-        def spy(ld_model, vectors, x, first=0):
-            ks = np.flatnonzero((vectors != ld_model.theta).any(axis=0))
+        def spy(ld_model, blocks, x, first=0):
+            ks = np.concatenate([start + np.flatnonzero((b != own).reshape(len(b), -1).any(axis=0))
+                                 for layer, owns, (_, _, spans) in zip(blocks, ld_model.blocks,
+                                                                       ld_model.layout)
+                                 for b, own, (start, _, _) in zip(layer, owns, spans)
+                                 if b is not own])
             calls.append((first, set(np.searchsorted(ends, ks, side="right"))))
-            return real(ld_model, vectors, x, first)
+            return real(ld_model, blocks, x, first)
 
         monkeypatch.setattr(bp, "forward_rows", spy)
         bp.grad_check(model, seeded_rng(12).normal(size=(5, 3)), label=1)
         assert all(containers == {first} for first, containers in calls)
         assert sorted({first for first, _ in calls}) == list(range(len(ends)))
 
+    @pytest.mark.parametrize("config", [
+        WIDE,
+        # one-unit layers: a chunk's entries span every block of a container
+        StackConfig(((CellKind("rnn"), 1), (CellKind("drnn", 1), 1)), 1, 2,
+                    tie_gate_hidden_weights=True)], ids=["wide", "one_unit"])
+    def test_rows_carry_only_the_blocks_holding_their_entries(self, monkeypatch, config):
+        # rows 2i and 2i+1 of a call move one entry by +h and -h; a call's
+        # per-row stacks are the blocks holding its entries, and every other
+        # block is the model's own array
+        model = build_model(config, seed=11)
+        entries = []
+        real = bp.forward_rows
+
+        def spy(ld_model, blocks, x, first=0):
+            moved, stacks = {}, []
+            for layer, owns, (_, _, spans) in zip(blocks, ld_model.blocks, ld_model.layout):
+                for b, own, (start, stop, _) in zip(layer, owns, spans):
+                    if b is not own:
+                        assert b.shape[1:] == own.shape
+                        stacks.append((start, stop, len(b)))
+                        diff = (b - own).reshape(len(b), -1)
+                        for row, col in zip(*np.nonzero(diff)):
+                            moved.setdefault(row, []).append((start + col, np.sign(diff[row, col])))
+            pairs = len(moved) // 2
+            assert sorted(moved) == list(range(2 * pairs))
+            ks = [moved[2 * i][0][0] for i in range(pairs)]
+            for i, k in enumerate(ks):
+                assert moved[2 * i] == [(k, 1)] and moved[2 * i + 1] == [(k, -1)]
+            assert sorted(stacks) == stacks     # blocks in vector order
+            assert [(start, stop) for start, stop, _ in stacks] == [
+                (start, stop) for _, _, spans in ld_model.layout for start, stop, _ in spans
+                if any(start <= k < stop for k in ks)]
+            assert all(rows == 2 * len(ks) for _, _, rows in stacks)
+            entries.extend(ks)
+            return real(ld_model, blocks, x, first)
+
+        monkeypatch.setattr(bp, "forward_rows", spy)
+        bp.grad_check(model, seeded_rng(12).normal(size=(5, config.input_units)), label=1)
+        assert entries == list(range(model.theta.size))
+
     def test_wide_chunks_stay_within_the_byte_budget(self, monkeypatch):
-        # MAX_ROWS rows of this model would take several times the budget;
-        # bounded by bytes, the check's transient peak stays under it, and
-        # its report is still the per-entry loop's
+        # MAX_ROWS rows of this model would take several times the budget
+        # (their peak is the per-row lag weights of its derivative block's
+        # chunks, about 2.5 MiB); bounded by bytes, the check's transient
+        # peak stays under it, and its report is still the per-entry loop's
         model = small_model([(CellKind("dos", 1), 12)], input_units=2, classes=3,
                             seed=3, tie=True)
         frames = seeded_rng(4).normal(size=(5, 2))
-        budget = 1 << 20
+        budget = 1 << 19
 
         def transient_peak():
             tracemalloc.start()
@@ -402,8 +447,10 @@ class TestGradCheck:
         ("lstm", 6, cells.MAX_ROWS), ("dos:1", 6, cells.MAX_ROWS),
         ("dos:2", 6, cells.MAX_ROWS), ("drnn:2", 6, cells.MAX_ROWS),
         ("d2rnn:3", 5, cells.MAX_ROWS),
-        # ``diffrnn gradcheck --state-units 150``: one entry a call, 5 MiB
-        # of rows where MAX_ROWS would hold 157 MiB
+        # ``diffrnn gradcheck --state-units 150``: one entry a call, as the
+        # layer's 160,500 entries bound a row at 16 (4 * 160,500 + 12 * 5 *
+        # 150) bytes, 9.9 MiB; two rows of its largest block, the 90,000
+        # hidden weights, take 2.7 MiB, where MAX_ROWS would take 88 MiB
         ("dos:1", 150, 2)])
     def test_rows_per_call(self, monkeypatch, arch, units, rows):
         model = build_model(build_config(arch, 4, units, 3), seed=1)
@@ -412,8 +459,9 @@ class TestGradCheck:
         class FirstCall(Exception):
             pass
 
-        def first_call(model, vectors, x, first=0):
-            seen.append(len(vectors))
+        def first_call(model, blocks, x, first=0):
+            seen.append(len(next(b for layer, owns in zip(blocks, model.blocks)
+                                 for b, own in zip(layer, owns) if b is not own)))
             raise FirstCall
 
         monkeypatch.setattr(bp, "forward_rows", first_call)

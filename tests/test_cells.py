@@ -663,7 +663,7 @@ class TestForwardRows:
         rng = seeded_rng(3)
         frames = random_frames(rng, 6, 3).astype(np.longdouble)
         vectors = model.theta + rng.normal(scale=0.1, size=(5, model.theta.size))
-        got = cells.forward_rows(model, vectors, frames)
+        got = cells.forward_rows(model, cells.param_blocks(model.layout, vectors), frames)
         assert got.shape == (5, 3)
         for y, other in zip(got, self.row_models(model, vectors)):
             assert_bitwise(y, stack_forward(other, frames).logits[-1])
@@ -677,7 +677,7 @@ class TestForwardRows:
         rng = seeded_rng(8)
         frames = random_frames(rng, 6, 3)
         vectors = model.theta + rng.normal(scale=0.1, size=(4, model.theta.size))
-        got = cells.forward_rows(model, vectors, frames)
+        got = cells.forward_rows(model, cells.param_blocks(model.layout, vectors), frames)
         for y, v in zip(got, vectors):
             other = replace(model)
             other.theta[:] = v
@@ -700,7 +700,8 @@ class TestForwardRows:
         ran = []
         real = cells._layer_forward
         monkeypatch.setattr(cells, "_layer_forward", lambda *a: ran.append(1) or real(*a))
-        for y, e in zip(cells.forward_rows(model, vectors, x, first), expected):
+        rows = cells.forward_rows(model, cells.param_blocks(model.layout, vectors), x, first)
+        for y, e in zip(rows, expected):
             assert_bitwise(y, e)
         assert len(ran) == (first <= 1) + (first <= 2)
 
@@ -807,8 +808,9 @@ class TestFusedGates:
         frames = random_frames(rng, 6, 3).astype(np.longdouble)
         vectors = lstm.theta + rng.normal(scale=0.1, size=(4, lstm.theta.size))
         dos0_vectors = np.stack([_with_lstm_weights(lstm, dos0, v) for v in vectors])
-        a = cells.forward_rows(lstm, vectors, frames)
-        assert np.array_equal(a, cells.forward_rows(dos0, dos0_vectors, frames))
+        a = cells.forward_rows(lstm, cells.param_blocks(lstm.layout, vectors), frames)
+        b = cells.forward_rows(dos0, cells.param_blocks(dos0.layout, dos0_vectors), frames)
+        assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("arch, per_step", [("lstm", 1), ("stacked2", 2), ("dos0", 3),
                                                 ("drnn2", 3), ("mixed", 4)])

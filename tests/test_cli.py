@@ -244,7 +244,7 @@ class TestEval:
         capsys.readouterr()
         assert main(["eval", "--checkpoint", str(checkpoint), "--data", str(data)]) == 2
         err = capsys.readouterr().err
-        assert err == f"error: malformed checkpoint: unknown layer type {tag!r}\n"
+        assert err == f"error: unknown layer type {tag!r}\n"
 
 
 class TestGradcheck:

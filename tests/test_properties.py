@@ -2,9 +2,10 @@
 
 Hypothesis draws a ``StackConfig`` of 1-3 layers of ``rnn``, ``lstm``,
 ``dos:n`` and ``drnn:N`` (orders 0-9, some reaching past the sequence),
-1-5 units, tied or untied gate hidden weights, and a sequence of 1-8
-frames; every draw must agree with the reference oracle, the gradient
-check, the checkpoint round trip and the set-level and per-row forwards.
+1-5 units, tied or untied gate hidden weights, a sequence of 1-8 frames
+and which weight blocks differ across the rows of a per-row forward; every
+draw must agree with the reference oracle, the gradient check, the
+checkpoint round trip and the set-level and per-row forwards.
 The benchmark's correctness checks (``perfbench/checks.py``) read the same
 models through their named arrays; their reader is pinned here too.
 """
@@ -25,6 +26,8 @@ from diffrnn.cells import (
     d2rnn_config,
     forward_rows,
     forward_set,
+    layout,
+    param_blocks,
     stack_forward,
 )
 from diffrnn.numerics import seeded_rng
@@ -43,8 +46,10 @@ KINDS = st.one_of(st.sampled_from([CellKind("rnn"), CellKind("lstm")]),
 
 @st.composite
 def cases(draw):
-    """A model of a drawn config, its frames, a label and ragged prefix
-    lengths of the frames."""
+    """A model of a drawn config, its frames, a label, ragged prefix
+    lengths of the frames, and for a per-row forward whether each weight
+    block differs across the rows and a container above the first to
+    start at."""
     layers = tuple((draw(KINDS), draw(st.integers(1, 5)))
                    for _ in range(draw(st.integers(1, 3))))
     config = StackConfig(layers, draw(st.integers(1, 3)), draw(st.integers(2, 3)),
@@ -54,7 +59,24 @@ def cases(draw):
     frames = seeded_rng(seed).normal(size=(steps, config.input_units))
     label = draw(st.integers(0, config.output_classes - 1))
     lengths = draw(st.lists(st.integers(1, steps), min_size=1, max_size=5))
-    return build_model(config, seed=seed), frames, label, lengths
+    blocks = sum(len(spans) for _, _, spans in layout(config))
+    per_row = draw(st.lists(st.booleans(), min_size=blocks, max_size=blocks))
+    first = draw(st.integers(1, len(layers)))
+    return build_model(config, seed=seed), frames, label, lengths, (per_row, first)
+
+
+def row_blocks(model, vectors, per_row, first):
+    """Per container the blocks ``forward_rows`` takes: the ``vectors``'
+    per-row stacks where ``per_row`` marks a block of container ``first`` or
+    above, else the model's own; the first block of container ``first``
+    is per-row if no other is."""
+    stacks = param_blocks(model.layout, vectors)
+    marks = iter(per_row)
+    chosen = [[next(marks) and c >= first for _ in own] for c, own in enumerate(model.blocks)]
+    if not any(map(any, chosen)):
+        chosen[first][0] = True
+    return [tuple(row if mark else block for row, block, mark in zip(rows, own, marks))
+            for rows, own, marks in zip(stacks, model.blocks, chosen)]
 
 
 def assert_bitwise(a, b):
@@ -77,7 +99,7 @@ def assert_read_by_the_benchmark(model, frames):
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(case=cases())
 def test_every_config_agrees_with_every_oracle(case, tmp_path_factory):
-    model, frames, label, lengths = case
+    model, frames, label, lengths, (per_row, first) = case
     tape = stack_forward(model, frames)
     want = np.array(reference.ref_stack_logits(model, frames))
     assert np.max(np.abs(tape.logits - want)) <= ORACLE_TOL
@@ -99,12 +121,28 @@ def test_every_config_agrees_with_every_oracle(case, tmp_path_factory):
     prefixes = [frames[:n] for n in lengths]
     for got, seq in zip(forward_set(model, prefixes), prefixes):
         assert_bitwise(got, stack_forward(model, seq).logits)
+    # sequences of one length take one stacked input product per layer
+    scaled = [frames * (1.0 + 0.5 * k) for k in range(3)]
+    for got, seq in zip(forward_set(model, scaled), scaled):
+        assert_bitwise(got, stack_forward(model, seq).logits)
 
+    # per-row weights for some blocks, shared ones for the others, from
+    # layer 0 and from a later container: the rows agree below it
     ld = dataclasses.replace(model, theta=model.theta.astype(np.longdouble))
     x = frames.astype(np.longdouble)
-    vectors = ld.theta + seeded_rng(label).normal(scale=0.1, size=(3, ld.theta.size))
-    for got, vector in zip(forward_rows(ld, vectors, x), vectors):
-        assert_bitwise(got, stack_forward(dataclasses.replace(ld, theta=vector), x).logits[-1])
+    ld_tape = stack_forward(ld, x)
+    inputs = [lt.x for lt in ld_tape.layers] + [ld_tape.layers[-1].h]
+    rng = seeded_rng(label)
+    for start in (0, first):
+        vectors = np.repeat(ld.theta[None], 3, axis=0)
+        blocks = row_blocks(ld, vectors, per_row, start)
+        for rows, own in zip(blocks, ld.blocks):
+            for block, shared in zip(rows, own):
+                if block is not shared:     # a view into ``vectors``
+                    block += rng.normal(scale=0.1, size=block.shape)
+        for got, vector in zip(forward_rows(ld, blocks, inputs[start], start), vectors):
+            want = stack_forward(dataclasses.replace(ld, theta=vector), x).logits[-1]
+            assert_bitwise(got, want)
 
     assert_read_by_the_benchmark(model, frames)
 

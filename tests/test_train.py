@@ -19,6 +19,7 @@ from diffrnn.cells import (
     dos_energy,
     forward_rows,
     param_arrays,
+    param_blocks,
     param_views,
     stack_forward,
 )
@@ -428,7 +429,8 @@ class TestParameterVector:
                                          truncation="truncated", clip_norm=0.5))
         evaluate(model, ds)
         grad_check(model, frames[:3], label)
-        forward_rows(model, np.stack([model.theta, -model.theta]), frames)
+        forward_rows(model, param_blocks(model.layout, np.stack([model.theta, -model.theta])),
+                     frames)
         dos_energy(model, frames, 2)
         checkpoint_save(model, tmp_path / "m.json")
         assert "layers" not in vars(model) and "output" not in vars(model)
@@ -486,10 +488,10 @@ class TestCheckpointFit:
         ("rnn", "cell", "layer 0: a rnn layer cannot hold 'cell' weights"),
         # only the layout's layer keys are layer tags: not "output", nor a
         # cell kind, nor any other JSON value
-        ("lstm", "output", "malformed checkpoint: unknown layer type 'output'"),
-        ("lstm", "lstm", "malformed checkpoint: unknown layer type 'lstm'"),
-        ("lstm", 7, "malformed checkpoint: unknown layer type 7"),
-        ("lstm", ["cell"], "malformed checkpoint: unknown layer type ['cell']"),
+        ("lstm", "output", "unknown layer type 'output'"),
+        ("lstm", "lstm", "unknown layer type 'lstm'"),
+        ("lstm", 7, "unknown layer type 7"),
+        ("lstm", ["cell"], "unknown layer type ['cell']"),
     ])
     def test_type_tag_contradicting_the_kind_rejected(self, kind, tag, message):
         # the tag alone contradicts the config: the fields are the kind's own
