@@ -33,8 +33,8 @@ tiny seeded models and compares them bit for bit:
 * per architecture, with and without tied gate hidden weights, the float64
   last-frame logits ``forward_rows`` gives for three perturbed parameter
   vectors of that fresh model stepped together as rows, each with its own
-  weights (``{arch}/tie={tie}/rows``): the per-row weight path, lag weights
-  and tied hidden blocks included, compared bitwise in float64;
+  weights (``{arch}/tie={tie}/rows``): the per-row weight path, lag
+  weights and tied hidden blocks included, compared bitwise in float64;
 * one ``grad_check`` report per architecture, with and without tied gate
   hidden weights (``{arch}/grad_check*`` and ``{arch}/tie=True/grad_check*``);
 * the benchmark's criterion-1 ``grad_check`` reports at its exact shapes
@@ -58,7 +58,6 @@ that differs and exits 1 if any does, 0 if every key is bitwise equal.
 Uses numpy and the standard library only and runs in well under a minute.
 """
 import argparse
-import inspect
 import json
 import os
 import subprocess
@@ -119,7 +118,6 @@ def dump(path: str) -> None:
     ragged = Dataset([Sequence(s.frames[:n], s.label, s.id)
                       for s, n in zip(data.sequences, RAGGED)], data.class_names)
     ragged_frames = [s.frames for s in ragged.sequences]
-    takes_vectors = "vectors" in inspect.signature(forward_rows).parameters
     out = {}
 
     def put_report(key, report):
@@ -187,9 +185,10 @@ def dump(path: str) -> None:
                 json.dumps(model_to_doc(model)).encode(), dtype=np.uint8)
             noise = np.random.default_rng(ai).normal(scale=0.1, size=(3, model.theta.size))
             vectors = model.theta + noise
-            # a tree from before per-row blocks takes the whole vectors
-            rows = vectors if takes_vectors else param_blocks(model.layout, vectors)
-            out[f"{arch}/tie={tie}/rows"] = forward_rows(model, rows, probe.frames)
+            # the rows' last frame: a tree from before per-frame rows gives
+            # it alone, as (rows, classes)
+            rows = forward_rows(model, param_blocks(model.layout, vectors), probe.frames)
+            out[f"{arch}/tie={tie}/rows"] = rows.reshape(len(vectors), -1, CLASSES)[:, -1]
             put_report(f"{arch}/tie=True" if tie else arch,
                        grad_check(model, probe.frames[:4], probe.label))
     tied = StackConfig(((CellKind("rnn"), 6), (CellKind("drnn", 2), 6)), 4, 3,

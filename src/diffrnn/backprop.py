@@ -271,14 +271,14 @@ def grad_check(model: Model, frames: np.ndarray, label: int) -> GradCheckReport:
     set would pass ``CHUNK_BYTES``.  A perturbation leaves the layers below
     its own unchanged, so a batch of rows holds entries of one container
     and starts at its layer, from that layer's input in one unperturbed
-    longdouble forward; output-layer entries cost only the last frame's
-    projection.  The rows carry per-row copies of the layout blocks holding
-    their entries alone and share every other block with the model, so a
-    layer whose input terms or lag weights they do not perturb computes
-    them once.  Each row's loss is bitwise the one a whole-stack
-    ``stack_forward`` of its model gives.  Relative error is
-    |g_a - g_n| / max(|g_a|, |g_n|, 1e-8); the check passes iff the maximum
-    over all parameters is below ``GRAD_CHECK_TOL``.
+    longdouble forward; output-layer entries cost only the projection.
+    The rows carry per-row copies of the layout blocks holding their
+    entries alone and share every other block with the model, so a layer
+    whose input terms or lag weights they do not perturb computes them
+    once.  Each row's loss, read from its last frame's logits, is bitwise
+    the one a whole-stack ``stack_forward`` of its model gives.  Relative
+    error is |g_a - g_n| / max(|g_a|, |g_n|, 1e-8); the check passes iff
+    the maximum over all parameters is below ``GRAD_CHECK_TOL``.
     """
     from .train import loss_frame   # train imports this module
 
@@ -317,7 +317,7 @@ def grad_check(model: Model, frames: np.ndarray, label: int) -> GradCheckReport:
         blocks[first] = tuple(_perturbed(theta, block, ks, hl) if block[0] < k1 and k0 < block[1]
                               else own for own, block in zip(blocks[first], lay[first][2]))
         logits = forward_rows(ld_model, blocks, inputs[first], first)
-        loss = -np.log(softmax(logits)[:, label])
+        loss = -np.log(softmax(logits[:, -1])[:, label])
         numeric[k0:k1] = (loss[0::2] - loss[1::2]) / (2.0 * hl)    # rounded to float64
     names = [f"{name}{list(idx)}" for name, arr in param_arrays(lay, theta)
              for idx in np.ndindex(arr.shape)]

@@ -27,7 +27,10 @@ matmul per weight block serves them all.  ``forward_rows`` runs one
 sequence under many weight sets, one per row, each weight block either
 shared or stacked along the rows: the perturbed models of a gradient check.
 Every product a row's numbers go through is the one a one-row run makes, so
-all give bitwise the same results, row by row.
+all give bitwise the same results, row by row: the same hidden states, and
+one output projection (``_logits``) of all of a sequence's frames.  The
+class of a sequence is its highest final-frame score (``class_decision``),
+whoever asks.
 """
 from __future__ import annotations
 
@@ -639,12 +642,14 @@ def _layer_tapes(model: Model, x: np.ndarray, rows: _Rows, blocks=None, first: i
         yield tape
 
 
-def _logits(blocks, h: np.ndarray, idx) -> np.ndarray:
-    """The tanh output projection, through the output's ``blocks``, of one
-    sequence's final-layer hidden states, its rows ``idx`` of the packed
-    ``h``."""
+def _logits(blocks, h: np.ndarray) -> np.ndarray:
+    """The tanh output projection, through the output's ``blocks``, of
+    final-layer hidden states: one sequence's (T, u), or a (rows, T, u)
+    stack of them.  The blocks are shared or (rows, ...) stacks of per-row
+    ones; each row takes the product a one-sequence projection makes."""
     w_yh, b_y = blocks
-    return np.tanh(np.ascontiguousarray(h[idx]) @ w_yh.T + b_y)
+    z = np.ascontiguousarray(h) @ w_yh.swapaxes(-1, -2)
+    return np.tanh(z + (b_y[:, None] if b_y.ndim == 2 else b_y))
 
 
 def stack_forward(model: Model, frames: np.ndarray) -> Tape:
@@ -657,7 +662,7 @@ def stack_forward(model: Model, frames: np.ndarray) -> Tape:
     frames = _frames(model, frames)
     rows = _equal_lengths(len(frames))
     layer_tapes = list(_layer_tapes(model, frames, rows))
-    logits = _logits(model.blocks[-1], layer_tapes[-1].h, rows.index[0])
+    logits = _logits(model.blocks[-1], layer_tapes[-1].h)
     return Tape(layers=layer_tapes, logits=logits)
 
 
@@ -684,49 +689,47 @@ def forward_set(model: Model, sequences) -> list[np.ndarray]:
         for tape in _layer_tapes(model, _pack([seqs[i] for i in chunk], rows), rows):
             pass
         for i, idx in zip(chunk, rows.index):
-            logits[i] = _logits(model.blocks[-1], tape.h, idx)
+            logits[i] = _logits(model.blocks[-1], tape.h[idx])
     return logits
 
 
 def forward_rows(model: Model, blocks, x: np.ndarray, first: int = 0) -> np.ndarray:
-    """The last frame's logits of ``model`` run under many weight sets, one
-    per row; the rows step together through bitwise ``stack_forward``'s
-    hidden states.  ``blocks`` holds per container the blocks
-    ``param_blocks`` gives, each either the model's own, shared by every
-    row, or a (rows, ...) stack of per-row ones; at least one is a stack,
-    of rows >= 2.  Only a layer whose input or weights differ across rows
-    computes per row: a shared derivative block folds its lag weights once.
-    Each row's logits are a matvec of its last frame: bitwise
-    ``stack_forward``'s in longdouble, not in float64, where its one gemm
-    over all frames rounds differently.  ``x`` is the (T, in) input of
-    layer ``first`` and serves every row, so the rows must agree on the
-    layers below it, which do not run."""
+    """The (rows, T, classes) logits of ``model`` run under many weight
+    sets, one per row: each row's are bitwise ``stack_forward``'s of its
+    model, the rows stepping together.  ``blocks`` holds per container the
+    blocks ``param_blocks`` gives, each either the model's own, shared by
+    every row, or a (rows, ...) stack of per-row ones; at least one is a
+    stack, of rows >= 2.  Only a layer whose input or weights differ across
+    rows computes per row: a shared derivative block folds its lag weights
+    once.  ``x`` is the (T, in) input of layer ``first`` and serves every
+    row, so the rows must agree on the layers below it, which do not run."""
     n = next(len(b) for layer, own in zip(blocks, model.blocks)
              for b, o in zip(layer, own) if b.ndim > o.ndim)
     steps = len(x)
     for tape in _layer_tapes(model, x, _equal_lengths(steps, n), blocks, first):
         x = tape.h      # packed: every row's frame 0, then frame 1, ...
-    # the last frame's hidden states: one per row, or one serving every row
-    h = x.reshape(steps, -1, x.shape[1])[-1]
-    w_yh, b_y = blocks[-1]
-    return np.tanh((w_yh @ h[..., None])[..., 0] + b_y)
+    # each row's hidden states, or one sequence's serving every row
+    return _logits(blocks[-1], x.reshape(steps, -1, x.shape[1]).swapaxes(0, 1))
 
 
-def _read_out(logits: np.ndarray) -> tuple[int, np.ndarray]:
-    """Class decision from the final frame's probabilities."""
-    p = softmax(logits[-1])
-    return int(np.argmax(p)), p
+def class_decision(logits: np.ndarray) -> int:
+    """The class of a sequence: its highest final-frame score.  Exact where
+    the softmax's argmax is not: it can round two close scores to one
+    probability."""
+    return int(np.argmax(logits[-1]))
 
 
 def predict_sequence(model: Model, frames: np.ndarray) -> tuple[int, np.ndarray]:
-    """Class decision from the final frame's probabilities."""
-    return _read_out(stack_forward(model, frames).logits)
+    """``class_decision`` of a sequence, and its final frame's class
+    probabilities."""
+    logits = stack_forward(model, frames).logits
+    return class_decision(logits), softmax(logits[-1])
 
 
 def predict_set(model: Model, sequences) -> list[int]:
-    """``predict_sequence``'s class decision for each of a set of sequences,
-    in input order, from one ``forward_set`` call."""
-    return [_read_out(logits)[0] for logits in forward_set(model, sequences)]
+    """``class_decision`` of each of a set of sequences, in input order,
+    from one ``forward_set`` call."""
+    return [class_decision(logits) for logits in forward_set(model, sequences)]
 
 
 def dos_energy(model: Model, frames: np.ndarray, layer: int) -> np.ndarray:

@@ -271,8 +271,8 @@ def make_splits(dataset: Dataset, plan) -> list[tuple[list[int], list[int]]]:
 
 
 def fit_preprocess(train_split: Dataset, energy: float = 0.9) -> PcaTransform:
-    frames = [f for seq in train_split.sequences for f in seq.frames]
-    return pca_fit(frames, energy)
+    frames = [seq.frames for seq in train_split.sequences]
+    return pca_fit(np.concatenate(frames) if frames else [], energy)
 
 
 def apply_preprocess(t: PcaTransform, dataset: Dataset) -> Dataset:

@@ -25,13 +25,6 @@ class DegenerateDataError(ValueError):
     """Input data carries no usable variance."""
 
 
-def as_vector(x) -> np.ndarray:
-    v = np.asarray(x, dtype=np.float64)
-    if v.ndim != 1:
-        raise ShapeMismatchError(f"expected a 1-d vector, got shape {v.shape}")
-    return v
-
-
 # bound once: one name lookup a call where ``np.exp`` takes two
 _copysign, _exp, _sign, _fmax, _add, _divide = (
     np.copysign, np.exp, np.sign, np.fmax, np.add, np.divide)
@@ -96,11 +89,12 @@ class PcaTransform:
 
 
 def pca_fit(samples, energy: float = 0.9) -> PcaTransform:
-    """Fit PCA retaining the smallest component count whose cumulative
-    eigenvalue mass reaches ``energy``."""
+    """Fit PCA to ``samples``, an (n, d) array of n samples or anything
+    ``np.asarray`` makes one of, retaining the smallest component count
+    whose cumulative eigenvalue mass reaches ``energy``."""
     if not 0.0 < energy <= 1.0:
         raise ValueError(f"energy must lie in (0, 1], got {energy}")
-    x = np.asarray([as_vector(s) for s in samples], dtype=np.float64)
+    x = np.asarray(samples, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 2:
         raise DegenerateDataError("PCA needs at least 2 samples of equal dimension")
     mean = x.mean(axis=0)

@@ -19,6 +19,7 @@ from .cells import (
     CellKind,
     Model,
     StackConfig,
+    class_decision,
     forward_set,
     layout,
     param_arrays,
@@ -148,8 +149,7 @@ def sgd_epoch(model: Model, dataset, config: TrainConfig,
             raise TrainingDivergedError(
                 f"non-finite loss on sequence {seq.id!r}: {loss}")
         total_loss += loss
-        pred = int(np.argmax(tape.logits[-1]))
-        confusion[seq.label, pred] += 1
+        confusion[seq.label, class_decision(tape.logits)] += 1
         grad = backward(model, tape, dlogits, truncated=truncated)
         apply_sgd_step(model, grad, config.learning_rate, config.clip_norm)
     accuracy = float(np.trace(confusion)) / len(seqs)
@@ -164,17 +164,16 @@ def train(model: Model, dataset, config: TrainConfig) -> list[Metrics]:
 
 
 def evaluate(model: Model, dataset) -> Metrics:
-    """Accuracy and confusion matrix; prediction is the argmax of the
-    final frame's class probabilities.  The whole set runs through one
-    ``forward_set`` call; losses are summed in dataset order."""
+    """Accuracy and confusion matrix of the sequences' ``class_decision``.
+    The whole set runs through one ``forward_set`` call; losses are summed
+    in dataset order."""
     confusion = _zero_confusion(model, dataset, "evaluate")
     total_loss = 0.0
     all_logits = forward_set(model, [seq.frames for seq in dataset.sequences])
     for seq, logits in zip(dataset.sequences, all_logits):
         loss, _ = loss_frame(logits, [seq.label])
         total_loss += loss
-        pred = int(np.argmax(logits[-1]))
-        confusion[seq.label, pred] += 1
+        confusion[seq.label, class_decision(logits)] += 1
     n = len(dataset.sequences)
     return Metrics(mean_loss=total_loss / n,
                    accuracy=float(np.trace(confusion)) / n,

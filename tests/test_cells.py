@@ -659,32 +659,18 @@ class TestForwardRows:
     @pytest.mark.parametrize("tie", [False, True], ids=["untied", "tied"])
     @pytest.mark.parametrize("arch", list(SET_ARCHS))
     def test_rows_match_stack_forward(self, arch, tie):
-        model = longdouble_copy(set_model(arch, tie, seed=2))
+        # every frame's logits, in float64 as well as in longdouble
+        model = set_model(arch, tie, seed=2)
         rng = seeded_rng(3)
-        frames = random_frames(rng, 6, 3).astype(np.longdouble)
-        vectors = model.theta + rng.normal(scale=0.1, size=(5, model.theta.size))
-        got = cells.forward_rows(model, cells.param_blocks(model.layout, vectors), frames)
-        assert got.shape == (5, 3)
-        for y, other in zip(got, self.row_models(model, vectors)):
-            assert_bitwise(y, stack_forward(other, frames).logits[-1])
-
-    @pytest.mark.parametrize("arch", ["lstm", "d2rnn3", "mixed"])
-    def test_float64_logits_are_a_matvec_of_the_last_frame(self, arch):
-        # the hidden states are stack_forward's, bitwise, in float64 too; the
-        # projection is each row's matvec of its last frame, not the gemm
-        # over all frames that stack_forward's logits come from
-        model = set_model(arch, seed=7)
-        rng = seeded_rng(8)
         frames = random_frames(rng, 6, 3)
-        vectors = model.theta + rng.normal(scale=0.1, size=(4, model.theta.size))
-        got = cells.forward_rows(model, cells.param_blocks(model.layout, vectors), frames)
-        for y, v in zip(got, vectors):
-            other = replace(model)
-            other.theta[:] = v
-            tape = stack_forward(other, frames)
-            w_yh, b_y = other.output.w_yh, other.output.b_y
-            assert_bitwise(y, np.tanh((w_yh @ tape.layers[-1].h[-1][:, None])[:, 0] + b_y))
-            assert np.allclose(y, tape.logits[-1], rtol=0, atol=1e-15)
+        vectors = model.theta + rng.normal(scale=0.1, size=(5, model.theta.size))
+        for dtype in (np.float64, np.longdouble):
+            typed = replace(model, theta=model.theta.astype(dtype))
+            x, rows = frames.astype(dtype), vectors.astype(dtype)
+            got = cells.forward_rows(typed, cells.param_blocks(typed.layout, rows), x)
+            assert got.shape == (5, 6, 3)
+            for y, v in zip(got, rows):
+                assert_bitwise(y, stack_forward(replace(typed, theta=v), x).logits)
 
     @pytest.mark.parametrize("first", [1, 2, 3])
     def test_layers_below_first_do_not_run(self, first, monkeypatch):
@@ -696,7 +682,7 @@ class TestForwardRows:
         start = cells.container_ends(model.layout)[first - 1]
         vectors = np.repeat(model.theta[None], 4, axis=0)
         vectors[:, start:] += seeded_rng(6).normal(scale=0.1, size=(4, model.theta.size - start))
-        expected = [stack_forward(m, frames).logits[-1] for m in self.row_models(model, vectors)]
+        expected = [stack_forward(m, frames).logits for m in self.row_models(model, vectors)]
         ran = []
         real = cells._layer_forward
         monkeypatch.setattr(cells, "_layer_forward", lambda *a: ran.append(1) or real(*a))

@@ -127,22 +127,24 @@ def test_every_config_agrees_with_every_oracle(case, tmp_path_factory):
         assert_bitwise(got, stack_forward(model, seq).logits)
 
     # per-row weights for some blocks, shared ones for the others, from
-    # layer 0 and from a later container: the rows agree below it
-    ld = dataclasses.replace(model, theta=model.theta.astype(np.longdouble))
-    x = frames.astype(np.longdouble)
-    ld_tape = stack_forward(ld, x)
-    inputs = [lt.x for lt in ld_tape.layers] + [ld_tape.layers[-1].h]
-    rng = seeded_rng(label)
-    for start in (0, first):
-        vectors = np.repeat(ld.theta[None], 3, axis=0)
-        blocks = row_blocks(ld, vectors, per_row, start)
-        for rows, own in zip(blocks, ld.blocks):
-            for block, shared in zip(rows, own):
-                if block is not shared:     # a view into ``vectors``
-                    block += rng.normal(scale=0.1, size=block.shape)
-        for got, vector in zip(forward_rows(ld, blocks, inputs[start], start), vectors):
-            want = stack_forward(dataclasses.replace(ld, theta=vector), x).logits[-1]
-            assert_bitwise(got, want)
+    # layer 0 and from a later container: the rows agree below it; every
+    # frame's logits, in float64 and in longdouble
+    for dtype in (np.float64, np.longdouble):
+        typed = dataclasses.replace(model, theta=model.theta.astype(dtype))
+        x = frames.astype(dtype)
+        typed_tape = stack_forward(typed, x)
+        inputs = [lt.x for lt in typed_tape.layers] + [typed_tape.layers[-1].h]
+        rng = seeded_rng(label)
+        for start in (0, first):
+            vectors = np.repeat(typed.theta[None], 3, axis=0)
+            blocks = row_blocks(typed, vectors, per_row, start)
+            for rows, own in zip(blocks, typed.blocks):
+                for block, shared in zip(rows, own):
+                    if block is not shared:     # a view into ``vectors``
+                        block += rng.normal(scale=0.1, size=block.shape)
+            for got, vector in zip(forward_rows(typed, blocks, inputs[start], start), vectors):
+                want = stack_forward(dataclasses.replace(typed, theta=vector), x).logits
+                assert_bitwise(got, want)
 
     assert_read_by_the_benchmark(model, frames)
 

@@ -21,9 +21,11 @@ from diffrnn.cells import (
     param_arrays,
     param_blocks,
     param_views,
+    predict_sequence,
+    predict_set,
     stack_forward,
 )
-from diffrnn.data import Dataset, gen_synthetic
+from diffrnn.data import Dataset, Sequence, gen_synthetic
 from diffrnn.numerics import ShapeMismatchError, seeded_rng, softmax
 from diffrnn.train import (
     CheckpointError,
@@ -564,6 +566,26 @@ class TestEvaluate:
             assert np.array_equal(m.confusion, np.diag(np.diag(m.confusion)))
         else:
             pytest.skip("model did not converge to perfect accuracy")
+
+
+def test_every_caller_decides_by_the_highest_score():
+    # final scores one ulp apart, which the softmax rounds to one probability
+    model = tiny_model(classes=3)
+    model.output.w_yh[:] = 0.0
+    model.output.b_y[:] = [0.2027325540540822, 0.20273255405408222, 0.1]
+    frames = seeded_rng(1).normal(size=(5, 3))
+    y = stack_forward(model, frames).logits[-1]
+    assert y[1] == np.nextafter(y[0], 1.0) and y[2] < y[0]
+    p = softmax(y)
+    assert p[0] == p[1]
+
+    label, probs = predict_sequence(model, frames)
+    assert label == 1 and np.array_equal(probs, p)
+    assert predict_set(model, [frames, frames[:2]]) == [1, 1]
+    ds = Dataset([Sequence(frames, 0)], ["a", "b", "c"])
+    assert evaluate(model, ds).confusion.tolist() == [[0, 1, 0], [0, 0, 0], [0, 0, 0]]
+    m = sgd_epoch(model, ds, TrainConfig(learning_rate=0.0, epochs=1))
+    assert m.confusion.tolist() == [[0, 1, 0], [0, 0, 0], [0, 0, 0]]
 
 
 class TestCheckpoint:
