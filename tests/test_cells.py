@@ -672,6 +672,25 @@ class TestForwardRows:
             for y, v in zip(got, rows):
                 assert_bitwise(y, stack_forward(replace(typed, theta=v), x).logits)
 
+    @pytest.mark.parametrize("arch", ["lstm", "d2rnn3", "mixed"])
+    def test_float64_logits_are_a_matvec_of_the_last_frame(self, arch):
+        # in float64 each row's final-frame logits are stack_forward's,
+        # bitwise, and so come from the gemm over all frames: the matvec of
+        # the last frame's hidden state alone agrees up to rounding
+        model = set_model(arch, seed=7)
+        rng = seeded_rng(8)
+        frames = random_frames(rng, 6, 3)
+        vectors = model.theta + rng.normal(scale=0.1, size=(4, model.theta.size))
+        got = cells.forward_rows(model, cells.param_blocks(model.layout, vectors), frames)
+        for y, v in zip(got, vectors):
+            other = replace(model)
+            other.theta[:] = v
+            tape = stack_forward(other, frames)
+            assert_bitwise(y[-1], tape.logits[-1])
+            w_yh, b_y = other.output.w_yh, other.output.b_y
+            matvec = np.tanh((w_yh @ tape.layers[-1].h[-1][:, None])[:, 0] + b_y)
+            assert np.allclose(y[-1], matvec, rtol=0, atol=1e-15)
+
     @pytest.mark.parametrize("first", [1, 2, 3])
     def test_layers_below_first_do_not_run(self, first, monkeypatch):
         model = longdouble_copy(set_model("mixed", seed=4))
