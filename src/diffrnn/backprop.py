@@ -29,7 +29,6 @@ from .cells import (
     Model,
     Tape,
     container_ends,
-    dos,
     forward_rows,
     lag_weights,
     param_arrays,
@@ -58,20 +57,24 @@ def _cell_backward(wd, kind, ltape, dh_in, truncated, tie, gblocks):
     as single time-batched matmuls against the tape after it.  The loop
     iterates per-step views, newest step first, and adds into them in
     place: ``dh[t - 1] += ...`` would fetch the row, add into it and then
-    assign it back.  Truncation keeps only the order-0 DoS paths in the lag
-    weights the state gradient flows through; otherwise the forward's lag
-    weights serve, and with no DoS path left none are built.
+    assign it back.  The state gradient flows back through the DoS paths
+    as ``lag_weights`` of ``wd``, whose transpose maps each step's gate
+    gradients onto the states the derivatives read; truncation keeps only
+    the order-0 paths, and with no DoS path left none are built.  The
+    derivative weights' gradients read the forward's derivatives.
     """
     T, u = ltape.s.shape
     # either every order or a prefix of them: order 0, or none
     flow = tuple(n for n in kind.dos_orders if not truncated or n == 0)
     if flow:
-        lags, cur = ((ltape.lags, ltape.cur) if flow == kind.dos_orders
-                     else lag_weights(wd, flow))
-        n_lags, cur_dot = len(lags), cur.T.dot
+        n_lags = max(flow) + 1
         # one product per step gives both dh[t-1] (block 0) and the lagged
-        # state gradients (blocks 1..)
-        back_t = np.concatenate([ltape.wh[None], lags]).transpose(0, 2, 1)
+        # state gradients (blocks 1..); the lag weights fill the stack in
+        # place, as a copy would touch twice the fresh memory at width
+        stack = np.zeros((1 + n_lags, 4 * u, u))
+        stack[0] = ltape.wh
+        cur_dot = lag_weights(wd, flow, stack[1:])[1].T.dot
+        back_t = stack.transpose(0, 2, 1)
         back = np.empty((1 + n_lags, u, 1))
         back_h, back_lag = back[0, :, 0], back[1:, :, 0]
     else:
@@ -147,8 +150,8 @@ def _cell_backward(wd, kind, ltape, dh_in, truncated, tie, gblocks):
         gwh[:u] += gwh[2 * u:3 * u]
         gwh[u:3 * u] = 0.0
     dzo_a = dz_gates[:, 2]
-    for k, n in enumerate(kind.dos_orders):
-        d = dos(n, ltape.s)         # row t-1 is what the i/f gates see at t
+    for k in range(len(kind.dos_orders)):
+        d = ltape.d[:, k]       # row t-1 is what the i/f gates see at t
         gwd[:2, k] = (dz_all[1:, :2 * u].T @ d[:-1]).reshape(2, u, u)
         np.matmul(dzo_a.T, d, out=gwd[2, k])
     np.add.reduce(dz_all, 0, out=gb)
@@ -274,11 +277,12 @@ def grad_check(model: Model, frames: np.ndarray, label: int) -> GradCheckReport:
     longdouble forward; output-layer entries cost only the projection.
     The rows carry per-row copies of the layout blocks holding their
     entries alone and share every other block with the model, so a layer
-    whose input terms or lag weights they do not perturb computes them
-    once.  Each row's loss, read from its last frame's logits, is bitwise
-    the one a whole-stack ``stack_forward`` of its model gives.  Relative
-    error is |g_a - g_n| / max(|g_a|, |g_n|, 1e-8); the check passes iff
-    the maximum over all parameters is below ``GRAD_CHECK_TOL``.
+    computes its input terms, and lays out its derivative block by order,
+    once where the rows leave the weights they read alone.  Each row's loss
+    is read from the logits of its last frame, the only one projected,
+    bitwise the one a whole-stack ``stack_forward`` of its model gives.
+    Relative error is |g_a - g_n| / max(|g_a|, |g_n|, 1e-8); the check
+    passes iff the maximum over all parameters is below ``GRAD_CHECK_TOL``.
     """
     from .train import loss_frame   # train imports this module
 
@@ -296,15 +300,16 @@ def grad_check(model: Model, frames: np.ndarray, label: int) -> GradCheckReport:
 
     # a row's working set: its copies of the blocks it perturbs, all in its
     # chunk's container, the per-row weights its forward builds from them
-    # (lag weights, a tied hidden block: at most about three times as
-    # large) and its activations, about 12 per unit and frame
-    units = sum(u for _, u in model.config.layers)
-    activations = 12 * len(frames) * units
+    # (a derivative block laid out by order, a tied hidden block: at most
+    # as large again) and its activations, about 12 per unit and frame and
+    # one more per derivative order
+    units = sum((12 + len(kind.dos_orders)) * u for kind, u in model.config.layers)
+    activations = len(frames) * units
     # chunks stop at container ends: container ``first`` (a layer, or the
     # output) holds entries start..end-1
     chunks = []
     for first, (start, end) in enumerate(zip([0, *ends], ends)):
-        row_bytes = theta.itemsize * (4 * (end - start) + activations)
+        row_bytes = theta.itemsize * (2 * (end - start) + activations)
         per_call = max(1, min(MAX_ROWS, CHUNK_BYTES // row_bytes) // 2)
         chunks += [(first, k0, min(k0 + per_call, end)) for k0 in range(start, end, per_call)]
     # entry k of both gradients is the k-th entry in C order of the arrays
@@ -316,7 +321,7 @@ def grad_check(model: Model, frames: np.ndarray, label: int) -> GradCheckReport:
         blocks = list(ld_model.blocks)
         blocks[first] = tuple(_perturbed(theta, block, ks, hl) if block[0] < k1 and k0 < block[1]
                               else own for own, block in zip(blocks[first], lay[first][2]))
-        logits = forward_rows(ld_model, blocks, inputs[first], first)
+        logits = forward_rows(ld_model, blocks, inputs[first], first, project=np.s_[-1:])
         loss = -np.log(softmax(logits[:, -1])[:, label])
         numeric[k0:k1] = (loss[0::2] - loss[1::2]) / (2.0 * hl)    # rounded to float64
     names = [f"{name}{list(idx)}" for name, arr in param_arrays(lay, theta)

@@ -16,7 +16,10 @@ stack as well as homogeneous LSTM stacks.
 
 Gate update order within a step matters and is fixed as: input/forget gates
 read the derivative of the PREVIOUS state; the state is then updated; the
-output gate reads the derivative of the CURRENT state.
+output gate reads the derivative of the CURRENT state.  So each step takes
+the derivatives of its new state once, and one product per order of the
+gates' derivative matrices with them serves the o gate at once and the i
+and f gates at the next step.
 
 One time loop per layer serves three kinds of caller.  One-row callers
 (``stack_forward``, ``predict_sequence``, ``dos_energy``) run one sequence
@@ -387,14 +390,15 @@ def _steps(block: np.ndarray, n: int) -> np.ndarray:
     return block.reshape(*lead, size // n, n, width, 1)
 
 
-def _lag_windows(past: np.ndarray, cols: np.ndarray, lags: int) -> np.ndarray:
-    """(steps, lags, ...) view of ``past``, which holds the ``lags`` states
-    before a run of steps and then the run's own, oldest first, as column
-    vectors ``cols`` (a view of ``past`` from its first element): window k
-    holds the states before step k, newest first."""
-    s0 = cols.strides[0]
-    return np.ndarray((len(cols) - lags, lags, *cols.shape[1:]), past.dtype, past,
-                      (lags - 1) * s0, (s0, -s0, *cols.strides[1:]))
+def _windows(past: np.ndarray, lead: int, order: int) -> np.ndarray:
+    """(steps, order+1, rows * units) view of ``past``, a run's (lead +
+    steps, rows, units) states: the ``lead`` states before the run, then its
+    own, oldest first.  Window k holds step k's state and the ``order``
+    states before it, newest first; each time step's rows lie side by side."""
+    flat = past.reshape(len(past), -1)
+    s0, s1 = flat.strides
+    return np.ndarray((len(flat) - lead, order + 1, flat.shape[1]), flat.dtype, flat,
+                      lead * s0, (s0, -s0, s1))
 
 
 def _input_terms(x: np.ndarray, w: np.ndarray, b: np.ndarray, rows: _Rows) -> np.ndarray:
@@ -425,12 +429,13 @@ class LayerTape:
     per live sequence and step: for one sequence, arrays are (T, units) and
     row index = t-1.  The tape of one sequence keeps what a backward pass
     needs: a gated layer's input ``x``, every activation (views into one
-    per-step block), and the weights its forward ran with, the fused input
-    and hidden gate blocks ``wx`` and ``wh`` and ``lag_weights`` of its
-    derivative orders (``lags``, ``cur``; None without any); a classical
-    RNN layer's ``x`` and ``h``.  A gated layer's tape of many sequences
-    keeps ``h`` alone, so a set-level forward holds one run's activations
-    at a time."""
+    per-step block), the derivatives ``d`` of its states, (T, K, units) for
+    its K orders (None without any; row t those of s_t, which the o gate
+    read at t and the i and f gates at t+1), and the fused input and hidden
+    gate blocks ``wx`` and ``wh`` its forward ran with; a classical RNN
+    layer's ``x`` and ``h``.  A gated layer's tape of many sequences keeps
+    ``h`` alone, so a set-level forward holds one run's activations at a
+    time."""
 
     h: np.ndarray
     x: np.ndarray | None = None
@@ -440,10 +445,9 @@ class LayerTape:
     g: np.ndarray | None = None     # candidate tanh activation
     s: np.ndarray | None = None
     tanh_s: np.ndarray | None = None
+    d: np.ndarray | None = None
     wx: np.ndarray | None = None
     wh: np.ndarray | None = None
-    lags: np.ndarray | None = None
-    cur: np.ndarray | None = None
 
 
 @dataclass
@@ -468,8 +472,26 @@ def _binomials(order: int, dtype: np.dtype, ndim: int) -> np.ndarray:
     return col
 
 
-def lag_weights(wd: np.ndarray, orders):
-    """The DoS gate terms of ``orders`` as weights on past states.
+@functools.lru_cache(maxsize=64)
+def _derivative_weights(kind: CellKind, dtype: np.dtype) -> np.ndarray:
+    """The derivatives of a ``kind`` layer's state as weights on a window of
+    its states, newest first (``_windows``): a (K, 1, max_order+1) stack,
+    row k the binomial weights of the k-th of its K orders, zero past them.
+    Each row is a product of its own, a vector times the window, which
+    numpy runs as a plain loop over the lags in order (the window's
+    negative stride admits no BLAS call), so each derivative is bitwise
+    ``dos``'s, for one row or many."""
+    orders = kind.dos_orders
+    coef = np.zeros((len(orders), 1, kind.max_order + 1), dtype)
+    for row, n in zip(coef, orders):
+        row[0, :n + 1] = _binomials(n, dtype, 0)
+    coef.flags.writeable = False    # every caller shares it
+    return coef
+
+
+def lag_weights(wd: np.ndarray, orders, out: np.ndarray | None = None):
+    """The DoS gate terms of ``orders`` as weights on past states, which
+    the backward's adjoint reads.
 
     ``wd`` is a gated layer's derivative block, its (3, K, u, u) w_id, w_fd
     and w_od matrices of its K orders, and ``orders`` a prefix of those
@@ -481,11 +503,12 @@ def lag_weights(wd: np.ndarray, orders):
     a (rows, 3, K, u, u) block, give a (K+1, rows, 4u, u) stack and a
     (rows, u, u) weight.  Each order adds its binomial column times its
     i and f matrices, and then times its o matrix, to all its lags in one
-    broadcast each, so every lag sums its terms in ascending order."""
+    broadcast each, so every lag sums its terms in ascending order.  The
+    stack is ``out`` if given, a zero array of its shape, else a new one."""
     # the orders' axis first: per order, (3, u, u) matrices, or (rows, 3, u, u)
     wd = wd.transpose(1, 0, 2, 3) if wd.ndim == 4 else wd.transpose(2, 0, 1, 3, 4)
     u, dt, lead = wd.shape[-1], wd.dtype, wd.shape[1:-3]
-    lags = np.zeros((max(orders, default=0) + 1, *lead, 4 * u, u), dt)
+    lags = np.zeros((max(orders, default=0) + 1, *lead, 4 * u, u), dt) if out is None else out
     cur = np.zeros((*lead, u, u), dt)
     # the i and f rows of each lag block, as (2, u, u) like an order's w_id, w_fd
     lags_if = lags[..., :2 * u, :].reshape(*lags.shape[:-2], 2, u, u)
@@ -514,17 +537,30 @@ def _layer_forward(blocks, kind: CellKind, tie: bool, x: np.ndarray,
     activations straight into the run's rows of the tape arrays, and its
     products into buffers held across steps.  Without DoS terms the o gate
     reads nothing of the new state, so one ``sigmoid`` call writes the i, f
-    and o gates."""
+    and o gates.  With them, each step takes the derivatives of its new
+    state once, from a window of states (``_derivative_weights``), and one
+    product per order of its i|f|o derivative matrices with them, summed
+    over the orders in ascending order, gives the o gate's term now and the
+    i and f gates' at the next step; a run carries the latter, and the
+    states the window reaches back to, into the next."""
     wx, wh, wd, bias = blocks
     u = wh.shape[-1]
     dt = x.dtype
-    orders = kind.dos_orders
+    orders, order = kind.dos_orders, kind.max_order
     if tie:
         # the i, f and o gates all read the hidden state through w_ih
         w_ih = wh[..., :u, :]
         wh = np.concatenate([w_ih, w_ih, w_ih, wh[..., 3 * u:, :]], axis=-2)
-    lags, cur = lag_weights(wd, orders) if orders else (None, None)
-    n_lags = len(lags) if orders else 1
+    # a step reads the state before it (the f gate) and the ``order`` before
+    # that (the derivatives of its new state)
+    lead = max(order, 1)
+    if orders:
+        # per order, its w_id, w_fd and w_od matrices as one (3u, u) i|f|o
+        # block: (K, 1, 3u, u) shared, (K, rows, 3u, u) per row
+        w_d = np.moveaxis(wd, -3, 0).reshape(len(orders), -1, 3 * u, u)
+        coef = _derivative_weights(kind, dt)
+        # the derivative terms before a run's first step: zero before a sequence
+        p_last = np.zeros((rows.runs[0][2], 3, u), dt)
     zx = _input_terms(x, wx, bias, rows)      # (rows, 4u) input-side gate terms
     add, multiply, tanh, matmul, reduce = np.add, np.multiply, np.tanh, np.matmul, np.add.reduce
 
@@ -540,17 +576,17 @@ def _layer_forward(blocks, kind: CellKind, tie: bool, x: np.ndarray,
         acts = np.empty((steps, 5, n * u), dt)
         acts_r = acts if n == 1 else acts.reshape(steps, 5, n, u, 1)
         i_r, f_r, o_r, g_r, th_r = acts_r.swapaxes(0, 1)
-        past = np.zeros((n_lags + steps, n, u), dt)
+        past = np.zeros((lead + steps, n, u), dt)
         if t0:
-            past[:n_lags] = hist[:, :n]
+            past[:lead] = hist[:, :n]
         past_r = _steps(past.reshape(-1, u), n)
-        s_r, sp_r = past_r[n_lags:], past_r[n_lags - 1:-1]
+        s_r, sp_r = past_r[lead:], past_r[lead - 1:-1]
         z_all = np.empty((n, 4, u), dt)
         z = _steps(z_all.reshape(n, 4 * u), n)[0]
         gates_r = _steps(z_all.transpose(1, 0, 2), n)[:, 0]
         (z_i, z_f, z_o, z_g), z_ifo = gates_r, gates_r[:3]
-        # step buffers for the products wh h, i * g and cur s
-        zh, ig, zs = np.empty_like(z), np.empty_like(s_r[0]), np.empty_like(s_r[0])
+        # step buffers for the products wh h and i * g
+        zh, ig = np.empty_like(z), np.empty_like(s_r[0])
         wh_mv, h = _mv(wh, n), _steps(h_last[:n], n)[0]
         if not orders:
             for zx_k, ifo_k, g_k, th_k, sp_k, s_k, h_k in zip(
@@ -563,33 +599,53 @@ def _layer_forward(blocks, kind: CellKind, tie: bool, x: np.ndarray,
                 s_k += ig
                 h = multiply(o_t, tanh(s_k, th_k), h_k)
         else:
-            # the lag products take the states as column vectors even for
-            # one row, and broadcast shared lag weights over the rows
-            cols = past_r if n > 1 else past_r[..., None]
-            z_lag = z if n > 1 else z[:, None]
-            lag_r = lags.reshape(n_lags, -1, 4 * u, u) if n > 1 else lags
-            win_r = _lag_windows(past, cols, n_lags)
-            if n_lags == 1:     # a single lag block: no sum over blocks
-                lag_r, win_r = lag_r[0], win_r[:, 0]
-            lag = np.empty((*win_r.shape[1:-2], 4 * u, 1), dt)
-            lag_sum, cur_mv = np.empty_like(z_lag), _mv(cur, n)
-            for zx_k, win_k, i_k, f_k, o_k, g_k, th_k, sp_k, s_k, h_k in zip(
-                    zx_r, win_r, i_r, f_r, o_r, g_r, th_r, sp_r, s_r, h_r):
+            n_orders = len(orders)
+            # the run's derivatives, (steps, K, n u): order 0 is the state
+            if order:
+                d_a = np.empty((steps, n_orders, n * u), dt)
+                win_r = _windows(past, lead, order)
+                dc_r = d_a.reshape(steps, n_orders, 1, n * u)
+            else:
+                d_a = past[lead:].reshape(steps, 1, n * u)
+                win_r = dc_r = (None,) * steps
+            # p: the (n, 3, u) derivative terms, i and f rows for the next
+            # step and o rows for this one; per order into p_k, then summed
+            p = p_last[:n]
+            if n == 1:
+                p_flat = p.reshape(3 * u)
+                z_if, p_if, p_o = z[:2 * u], p_flat[:2 * u], p_flat[2 * u:]
+            else:
+                z_if, p_if, p_o = z_all[:, :2], p[:, :2], p[:, 2, :, None]
+            if n == 1 and n_orders == 1:
+                d_mv, d_r, p_k = w_d[0, 0].dot, d_a[:, 0], p_flat
+            else:
+                d_mv = functools.partial(matmul, w_d)
+                d_r = d_a.reshape(steps, n_orders, n, u, 1)
+                p_k = (p.reshape(1, n, 3 * u, 1) if n_orders == 1
+                       else np.empty((n_orders, n, 3 * u, 1), dt))
+            p_sum = p.reshape(n, 3 * u, 1)
+            for zx_k, win_k, dc_k, d_k, i_k, f_k, o_k, g_k, th_k, sp_k, s_k, h_k in zip(
+                    zx_r, win_r, dc_r, d_r, i_r, f_r, o_r, g_r, th_r, sp_r, s_r, h_r):
                 wh_mv(h, zh)
                 add(zx_k, zh, z)
-                matmul(lag_r, win_k, lag)
-                z_lag += reduce(lag, 0, None, lag_sum) if n_lags > 1 else lag
+                add(z_if, p_if, z_if)
                 multiply(sigmoid(z_i, i_k), tanh(z_g, g_k), ig)
                 multiply(sigmoid(z_f, f_k), sp_k, s_k)
                 s_k += ig
-                cur_mv(s_k, zs)
-                z_o += zs
+                if order:
+                    matmul(coef, win_k, dc_k)
+                d_mv(d_k, p_k)
+                if n_orders > 1:
+                    reduce(p_k, 0, None, p_sum)
+                add(z_o, p_o, z_o)
                 h = multiply(sigmoid(z_o, o_k), tanh(s_k, th_k), h_k)
+            p_last = p
         hist, h_last = past[steps:], h_a[stop - n:stop]
     if len(rows.index) > 1:
         return LayerTape(h=h_a)
-    return LayerTape(x=x, i=i_r, f=f_r, o=o_r, g=g_r, s=past[n_lags:].reshape(-1, u),
-                     h=h_a, tanh_s=th_r, wx=wx, wh=wh, lags=lags, cur=cur)
+    return LayerTape(x=x, i=i_r, f=f_r, o=o_r, g=g_r, s=past[lead:].reshape(-1, u),
+                     h=h_a, tanh_s=th_r, d=d_a.reshape(-1, n_orders, u) if orders else None,
+                     wx=wx, wh=wh)
 
 
 def _rnn_layer_forward(blocks, x: np.ndarray, rows: _Rows) -> LayerTape:
@@ -693,23 +749,28 @@ def forward_set(model: Model, sequences) -> list[np.ndarray]:
     return logits
 
 
-def forward_rows(model: Model, blocks, x: np.ndarray, first: int = 0) -> np.ndarray:
+def forward_rows(model: Model, blocks, x: np.ndarray, first: int = 0, *,
+                 project: slice = slice(None)) -> np.ndarray:
     """The (rows, T, classes) logits of ``model`` run under many weight
     sets, one per row: each row's are bitwise ``stack_forward``'s of its
     model, the rows stepping together.  ``blocks`` holds per container the
     blocks ``param_blocks`` gives, each either the model's own, shared by
     every row, or a (rows, ...) stack of per-row ones; at least one is a
     stack, of rows >= 2.  Only a layer whose input or weights differ across
-    rows computes per row: a shared derivative block folds its lag weights
+    rows computes per row: a shared derivative block is laid out by order
     once.  ``x`` is the (T, in) input of layer ``first`` and serves every
-    row, so the rows must agree on the layers below it, which do not run."""
+    row, so the rows must agree on the layers below it, which do not run.
+    ``project`` picks the frames to project, all by default; in longdouble
+    each of them is bitwise the same projected alone (numpy's longdouble
+    matmul is a plain dot per entry), while in float64 only all frames
+    together are sure to be ``stack_forward``'s."""
     n = next(len(b) for layer, own in zip(blocks, model.blocks)
              for b, o in zip(layer, own) if b.ndim > o.ndim)
     steps = len(x)
     for tape in _layer_tapes(model, x, _equal_lengths(steps, n), blocks, first):
         x = tape.h      # packed: every row's frame 0, then frame 1, ...
     # each row's hidden states, or one sequence's serving every row
-    return _logits(blocks[-1], x.reshape(steps, -1, x.shape[1]).swapaxes(0, 1))
+    return _logits(blocks[-1], x.reshape(steps, -1, x.shape[1]).swapaxes(0, 1)[:, project])
 
 
 def class_decision(logits: np.ndarray) -> int:

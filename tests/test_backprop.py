@@ -361,14 +361,14 @@ class TestGradCheck:
         calls = []
         real = bp.forward_rows
 
-        def spy(ld_model, blocks, x, first=0):
+        def spy(ld_model, blocks, x, first=0, **kw):
             ks = np.concatenate([start + np.flatnonzero((b != own).reshape(len(b), -1).any(axis=0))
                                  for layer, owns, (_, _, spans) in zip(blocks, ld_model.blocks,
                                                                        ld_model.layout)
                                  for b, own, (start, _, _) in zip(layer, owns, spans)
                                  if b is not own])
             calls.append((first, set(np.searchsorted(ends, ks, side="right"))))
-            return real(ld_model, blocks, x, first)
+            return real(ld_model, blocks, x, first, **kw)
 
         monkeypatch.setattr(bp, "forward_rows", spy)
         bp.grad_check(model, seeded_rng(12).normal(size=(5, 3)), label=1)
@@ -388,7 +388,7 @@ class TestGradCheck:
         entries = []
         real = bp.forward_rows
 
-        def spy(ld_model, blocks, x, first=0):
+        def spy(ld_model, blocks, x, first=0, **kw):
             moved, stacks = {}, []
             for layer, owns, (_, _, spans) in zip(blocks, ld_model.blocks, ld_model.layout):
                 for b, own, (start, stop, _) in zip(layer, owns, spans):
@@ -409,7 +409,7 @@ class TestGradCheck:
                 if any(start <= k < stop for k in ks)]
             assert all(rows == 2 * len(ks) for _, _, rows in stacks)
             entries.extend(ks)
-            return real(ld_model, blocks, x, first)
+            return real(ld_model, blocks, x, first, **kw)
 
         monkeypatch.setattr(bp, "forward_rows", spy)
         bp.grad_check(model, seeded_rng(12).normal(size=(5, config.input_units)), label=1)
@@ -417,9 +417,10 @@ class TestGradCheck:
 
     def test_wide_chunks_stay_within_the_byte_budget(self, monkeypatch):
         # MAX_ROWS rows of this model would take several times the budget
-        # (their peak is the per-row lag weights of its derivative block's
-        # chunks, about 2.5 MiB); bounded by bytes, the check's transient
-        # peak stays under it, and its report is still the per-entry loop's
+        # (their peak, about 2.1 MiB, is the per-row copies of its blocks and
+        # what the forward builds from them); bounded by bytes, the check's
+        # transient peak stays under it, and its report is still the
+        # per-entry loop's
         model = small_model([(CellKind("dos", 1), 12)], input_units=2, classes=3,
                             seed=3, tie=True)
         frames = seeded_rng(4).normal(size=(5, 2))
@@ -448,8 +449,8 @@ class TestGradCheck:
         ("dos:2", 6, cells.MAX_ROWS), ("drnn:2", 6, cells.MAX_ROWS),
         ("d2rnn:3", 5, cells.MAX_ROWS),
         # ``diffrnn gradcheck --state-units 150``: one entry a call, as the
-        # layer's 160,500 entries bound a row at 16 (4 * 160,500 + 12 * 5 *
-        # 150) bytes, 9.9 MiB; two rows of its largest block, the 90,000
+        # layer's 160,500 entries bound a row at 16 (2 * 160,500 + 13 * 5 *
+        # 150) bytes, 5.0 MiB; two rows of its largest block, the 90,000
         # hidden weights, take 2.7 MiB, where MAX_ROWS would take 88 MiB
         ("dos:1", 150, 2)])
     def test_rows_per_call(self, monkeypatch, arch, units, rows):
@@ -459,7 +460,7 @@ class TestGradCheck:
         class FirstCall(Exception):
             pass
 
-        def first_call(model, blocks, x, first=0):
+        def first_call(model, blocks, x, first=0, **kw):
             seen.append(len(next(b for layer, owns in zip(blocks, model.blocks)
                                  for b, own in zip(layer, owns) if b is not own)))
             raise FirstCall
@@ -511,20 +512,34 @@ class TestTruncationContract:
         assert np.array_equal(backward(model, tape, dlogits, truncated=False),
                               backward(model, tape, dlogits, truncated=True))
 
-    @pytest.mark.parametrize("layers,builds", [
-        # layer 0 keeps its whole order-0 flow, layers 1-2 keep none
-        ([(CellKind("dos", 0), 4), (CellKind("dos", 1), 4), (CellKind("dos", 2), 4)], 0),
-        # orders 1-2 are cut, order 0 still flows
-        ([(CellKind("drnn", 2), 4)], 1)])
-    def test_truncation_builds_lag_weights_only_for_a_cut_flow(self, monkeypatch, layers,
-                                                              builds):
+    @pytest.mark.parametrize("layers,flows", [
+        # full mode folds every layer's orders, top down; truncated mode
+        # only layer 0's order 0, its whole flow
+        ([(CellKind("dos", 0), 4), (CellKind("dos", 1), 4), (CellKind("dos", 2), 4)],
+         [(2,), (1,), (0,)]),
+        # truncated mode cuts orders 1-2 and folds order 0
+        ([(CellKind("drnn", 2), 4)], [(0, 1, 2)])])
+    def test_backward_builds_lag_weights_once_per_flowing_layer(self, monkeypatch, layers,
+                                                                flows):
+        # the forward folds none; the backward folds, layer by layer, the
+        # orders the state gradient flows through
         model = small_model(layers, seed=8)
+        calls, real = [], cells.lag_weights
+
+        def spy(wd, orders, out=None):
+            calls.append(orders)
+            return real(wd, orders, out)
+
+        monkeypatch.setattr(bp, "lag_weights", spy)
+        monkeypatch.setattr(cells, "lag_weights", spy)
         tape = stack_forward(model, seeded_rng(9).normal(size=(5, 3)))
+        assert calls == []
         _, dlogits = loss_frame(tape.logits, [0])
-        calls = []
-        monkeypatch.setattr(bp, "lag_weights", lambda *a: calls.append(a) or cells.lag_weights(*a))
+        backward(model, tape, dlogits, truncated=False)
+        assert calls == flows
+        calls.clear()
         backward(model, tape, dlogits, truncated=True)
-        assert len(calls) == builds
+        assert calls == [(0,)]
 
     def test_full_differs_on_order1_instance(self):
         model = small_model([(CellKind("dos", 1), 4)], seed=8)

@@ -710,6 +710,71 @@ class TestForwardRows:
             assert_bitwise(y, e)
         assert len(ran) == (first <= 1) + (first <= 2)
 
+    def test_last_frame_alone_in_longdouble(self):
+        # grad_check projects each row's last frame alone: in longdouble it
+        # is bitwise that frame of the projection of every frame
+        model = longdouble_copy(set_model("mixed", seed=2))
+        rng = seeded_rng(3)
+        frames = random_frames(rng, 6, 3).astype(np.longdouble)
+        vectors = model.theta + rng.normal(scale=0.1, size=(4, model.theta.size))
+        blocks = cells.param_blocks(model.layout, vectors)
+        every = cells.forward_rows(model, blocks, frames)
+        assert_bitwise(cells.forward_rows(model, blocks, frames, project=np.s_[-1:]),
+                       every[:, -1:])
+
+
+class TestDerivativeTerms:
+    """A DoS layer's gates read its state's derivatives, taken once a step
+    from a window of states, whichever caller runs it."""
+
+    ORDER3 = {"dos3": [("dos", 3)], "drnn3": [("drnn", 3)],
+              "d2rnn3": [("dos", 0), ("dos", 1), ("dos", 2)]}
+
+    @pytest.mark.parametrize("arch", list(ORDER3))
+    def test_wide_layers_match_oracle(self, arch):
+        # 48 units over 30-40 frames, one sequence, a ragged set and rows
+        model = small_model([(CellKind(k, n), 48) for k, n in self.ORDER3[arch]],
+                            input_units=5, classes=3, seed=3)
+        rng = seeded_rng(4)
+        seqs = [random_frames(rng, t, 5) for t in (40, 33, 30, 37, 31)]
+        refs = [np.array(ref_stack_logits(model, frames)) for frames in seqs]
+        for frames, ref in zip(seqs, refs):
+            assert np.max(np.abs(stack_forward(model, frames).logits - ref)) < 1e-9
+        for logits, ref in zip(forward_set(model, seqs), refs):
+            assert np.max(np.abs(logits - ref)) < 1e-9
+        vectors = model.theta + rng.normal(scale=0.05, size=(3, model.theta.size))
+        rows = cells.forward_rows(model, cells.param_blocks(model.layout, vectors), seqs[2])
+        for logits, v in zip(rows, vectors):
+            other = replace(model)
+            other.theta[:] = v
+            assert np.max(np.abs(logits - np.array(ref_stack_logits(other, seqs[2])))) < 1e-9
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.longdouble], ids=["f64", "ld"])
+    @pytest.mark.parametrize("arch", list(ORDER3))
+    def test_window_crosses_run_boundaries(self, arch, dtype):
+        # neighbouring lengths differ by less than the highest order, so a
+        # step's window reaches back across runs of one and two steps
+        model = small_model([(CellKind(k, n), 3) for k, n in self.ORDER3[arch]],
+                            classes=3, seed=5)
+        model = replace(model, theta=model.theta.astype(dtype))
+        rng = seeded_rng(6)
+        seqs = [random_frames(rng, t, 3).astype(dtype) for t in (9, 8, 8, 6, 5, 3, 2, 1)]
+        for frames, logits in zip(seqs, forward_set(model, seqs)):
+            assert_bitwise(logits, stack_forward(model, frames).logits)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.longdouble], ids=["f64", "ld"])
+    @pytest.mark.parametrize("kind", [CellKind("dos", 0), CellKind("dos", 3),
+                                      CellKind("drnn", 4)], ids=["dos0", "dos3", "drnn4"])
+    def test_tape_derivatives_are_dos(self, kind, dtype):
+        # the tape keeps each order's derivatives of the states, bitwise dos's,
+        # which the backward's weight gradients read
+        model = small_model([(kind, 4)], seed=7)
+        model = replace(model, theta=model.theta.astype(dtype))
+        layer = stack_forward(model, random_frames(seeded_rng(8), 7, 3)).layers[0]
+        assert layer.d.shape == (7, len(kind.dos_orders), 4)
+        for k, n in enumerate(kind.dos_orders):
+            assert_bitwise(layer.d[:, k], dos(n, layer.s))
+
 
 def _lag_weights_per_pair(params, orders):
     """``lag_weights`` as a loop over every (order, lag) pair, the reference:
@@ -748,10 +813,10 @@ class TestLagWeights:
             assert_bitwise(a, b)
 
     def test_highest_drnn_order_runs(self):
-        # a drnn:1029 layer has 1029 * 1030 / 2 (order, lag) pairs; its lag
-        # weights take one broadcast per order, and the backward's per-order
-        # weight gradients and dos_energy one dos call per order, each
-        # stopping at the sequence's last lag
+        # a drnn:1029 layer has 1029 * 1030 / 2 (order, lag) pairs; its
+        # derivatives take one product per order and step, the backward's
+        # lag weights one broadcast per order, and dos_energy one dos call
+        # per order, stopping at the sequence's last lag
         model = small_model([(CellKind("drnn", cells.MAX_ORDER), 5)], input_units=2)
         frames = seeded_rng(0).normal(size=(3, 2))
         start = time.perf_counter()
