@@ -551,14 +551,16 @@ def _layer_forward(blocks, kind: CellKind, tie: bool, x: np.ndarray,
         # the i, f and o gates all read the hidden state through w_ih
         w_ih = wh[..., :u, :]
         wh = np.concatenate([w_ih, w_ih, w_ih, wh[..., 3 * u:, :]], axis=-2)
-    # a step reads the state before it (the f gate) and the ``order`` before
-    # that (the derivatives of its new state)
-    lead = max(order, 1)
+    # a step reads the state before it (the f gate) and, for its new state's
+    # derivatives, up to ``order`` states back; those before the longest
+    # sequence's first frame are zeros and add nothing, so the window stops
+    depth = min(order, rows.runs[-1][1] - 1)
+    lead = max(depth, 1)
     if orders:
         # per order, its w_id, w_fd and w_od matrices as one (3u, u) i|f|o
         # block: (K, 1, 3u, u) shared, (K, rows, 3u, u) per row
         w_d = np.moveaxis(wd, -3, 0).reshape(len(orders), -1, 3 * u, u)
-        coef = _derivative_weights(kind, dt)
+        coef = _derivative_weights(kind, dt)[..., :depth + 1]
         # the derivative terms before a run's first step: zero before a sequence
         p_last = np.zeros((rows.runs[0][2], 3, u), dt)
     zx = _input_terms(x, wx, bias, rows)      # (rows, 4u) input-side gate terms
@@ -600,10 +602,15 @@ def _layer_forward(blocks, kind: CellKind, tie: bool, x: np.ndarray,
                 h = multiply(o_t, tanh(s_k, th_k), h_k)
         else:
             n_orders = len(orders)
-            # the run's derivatives, (steps, K, n u): order 0 is the state
+            # the run's derivatives, (steps, K, n u): order 0 is the state;
+            # only a sequence's tape keeps them, many rows reuse one step's
             if order:
-                d_a = np.empty((steps, n_orders, n * u), dt)
-                win_r = _windows(past, lead, order)
+                kept = steps if len(rows.index) == 1 else 1
+                d_a = np.empty((kept, n_orders, n * u), dt)
+                if kept < steps:    # every step's view is the one buffer
+                    d_a = np.lib.stride_tricks.as_strided(d_a, (steps, *d_a.shape[1:]),
+                                                          (0, *d_a.strides[1:]))
+                win_r = _windows(past, lead, depth)
                 dc_r = d_a.reshape(steps, n_orders, 1, n * u)
             else:
                 d_a = past[lead:].reshape(steps, 1, n * u)

@@ -2,6 +2,7 @@ import copy
 import math
 import pickle
 import time
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -761,6 +762,21 @@ class TestDerivativeTerms:
         seqs = [random_frames(rng, t, 3).astype(dtype) for t in (9, 8, 8, 6, 5, 3, 2, 1)]
         for frames, logits in zip(seqs, forward_set(model, seqs)):
             assert_bitwise(logits, stack_forward(model, frames).logits)
+
+    def test_many_rows_keep_one_step_of_derivatives(self):
+        # a set-level forward keeps no tape, so a high order's derivatives,
+        # 101 rows of them per frame here, take one step's buffer, not 1.5 MiB
+        model = small_model([(CellKind("drnn", 100), 2)], input_units=2, seed=9)
+        rng = seeded_rng(10)
+        seqs = [random_frames(rng, 120, 2) for _ in range(8)]
+        forward_set(model, seqs[:1])
+        tracemalloc.start()
+        try:
+            forward_set(model, seqs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 120 * 101 * 8 * 2 * 8 // 2
 
     @pytest.mark.parametrize("dtype", [np.float64, np.longdouble], ids=["f64", "ld"])
     @pytest.mark.parametrize("kind", [CellKind("dos", 0), CellKind("dos", 3),
