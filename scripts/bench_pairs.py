@@ -16,10 +16,13 @@ the workloads already there: per end-to-end metric of ``BENCHMARK.json``, the
 median and quartiles (``statistics.quantiles(values, n=4)``) of each side,
 the change's median over the parent's, the number of pairs the change won
 (ties count for neither) and every run's value; and the benchmark's counts of
-attempted and failed operations, summed over each side's runs.  Nothing under
+attempted and failed operations, summed over each side's runs, with each
+run's failed checks (the ``FAILED`` lines of its output, counted by check,
+per side and seed).  Nothing under
 either tree is written.  Uses the standard library only.
 """
 import argparse
+import collections
 import json
 import os
 import statistics
@@ -43,6 +46,9 @@ def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
                            f"{proc.stderr.strip()[-500:]}")
     result = json.loads(lines[-1])
     result["provenance"] = json.loads(lines[0])["provenance"]
+    result["failures"] = collections.Counter(
+        line[len("FAILED "):].split(":")[0] for line in proc.stdout.splitlines()
+        if line.startswith("FAILED "))
     return result
 
 
@@ -115,6 +121,8 @@ def main(argv=None) -> int:
         "seeds": seeds,
         "attempted": {side: sum(r["attempted"] for r in runs[side]) for side in SIDES},
         "failed": {side: sum(r["failed"] for r in runs[side]) for side in SIDES},
+        "failed_checks": {side: {str(seed): r["failures"] for seed, r in zip(seeds, runs[side])
+                                 if r["failures"]} for side in SIDES},
         "metrics": summarise(bench["end_to_end"], runs),
     }
     with open(args.out, "w") as fh:

@@ -33,8 +33,8 @@ tiny seeded models and compares them bit for bit:
 * per architecture, with and without tied gate hidden weights, the float64
   last-frame logits ``forward_rows`` gives for three perturbed parameter
   vectors of that fresh model stepped together as rows, each with its own
-  weights (``{arch}/tie={tie}/rows``): the per-row weight path, lag
-  weights and tied hidden blocks included, compared bitwise in float64;
+  weights (``{arch}/tie={tie}/rows``): the per-row weight path, derivative
+  blocks and tied hidden blocks included, compared bitwise in float64;
 * one ``grad_check`` report per architecture, with and without tied gate
   hidden weights (``{arch}/grad_check*`` and ``{arch}/tie=True/grad_check*``);
 * the benchmark's criterion-1 ``grad_check`` reports at its exact shapes
@@ -48,13 +48,18 @@ tiny seeded models and compares them bit for bit:
   3-epoch training histories and trained parameters, and the logits and
   ``backward`` gradients on a held-out sequence, for lstm, dos:2, drnn:2 and
   d2rnn:3, each with and without tied gate hidden weights, in full and
-  truncated backprop (``bench/...`` keys).
+  truncated backprop (``bench/...`` keys);
+* ``backward`` gradients of one fresh model per architecture at 64 units
+  and T=50 (dim 64; lstm, dos:2, drnn:2 and d2rnn:3, full and truncated;
+  ``wide/...`` keys), and of a drnn:3 layer over 1 and 2 frames, fewer
+  than its highest order (``short/...`` keys).
 
     python3 scripts/tensor_parity.py PARENT_SRC CHANGE_SRC
 
 PARENT_SRC and CHANGE_SRC are directories holding the ``diffrnn`` package
 (a checkout's ``src``).  Prints the maximum absolute deviation of every key
-that differs and exits 1 if any does, 0 if every key is bitwise equal.
+that differs, and its ratio to the parent's largest magnitude under that
+key, and exits 1 if any does, 0 if every key is bitwise equal.
 Uses numpy and the standard library only and runs in well under a minute.
 """
 import argparse
@@ -77,7 +82,7 @@ ARCHS = {
     "drnn:2": [("drnn", 2)],
     "d2rnn:3": [("dos", 0), ("dos", 1), ("dos", 2)],
     "mixed": [("rnn", 0), ("drnn", 1), ("lstm", 0)],
-    # orders high enough that many (order, lag) pairs meet in one lag weight
+    # orders high enough that their derivative windows reach past the start
     "dos:5": [("dos", 5)],
     "drnn:6": [("drnn", 6)],
 }
@@ -89,6 +94,8 @@ BENCH_DIM, BENCH_UNITS, BENCH_LENGTH, BENCH_COUNT = 16, 16, 20, 8
 BENCH_ARCHS = ("lstm", "dos:2", "drnn:2", "d2rnn:3")
 # the benchmark's criterion-1 checks: (arch, units) at input 4, T=5, 3 classes
 GRADCHECKS = (("lstm", 6), ("dos:1", 6), ("dos:2", 6), ("drnn:2", 6), ("d2rnn:3", 5))
+# wide backward gradients: units (= input dim) and frames
+WIDE_UNITS, WIDE_LENGTH = 64, 50
 
 
 def exact(a: np.ndarray) -> np.ndarray:
@@ -228,6 +235,23 @@ def dump(path: str) -> None:
                 out[key + "/logits"] = tape.logits
                 _, dlogits = loss_frame(tape.logits, bench_probe.frame_labels)
                 out[key + "/grads"] = backward(model, tape, dlogits, truncation == "truncated")
+    for ai, arch in enumerate(BENCH_ARCHS):
+        config = StackConfig(tuple((CellKind(k, n), WIDE_UNITS) for k, n in ARCHS[arch]),
+                             WIDE_UNITS, 3)
+        model = build_model(config, seed=30 + ai)
+        frames = seeded_rng(31 + ai).normal(size=(WIDE_LENGTH, WIDE_UNITS))
+        tape = stack_forward(model, frames)
+        _, dlogits = loss_frame(tape.logits, [t % 3 for t in range(WIDE_LENGTH)])
+        for truncation in ("full", "truncated"):
+            out[f"wide/{arch}/{truncation}"] = backward(model, tape, dlogits,
+                                                        truncation == "truncated")
+    model = build_model(StackConfig(((CellKind("drnn", 3), UNITS),), DIM, CLASSES), seed=40)
+    for steps in (1, 2):
+        tape = stack_forward(model, seeded_rng(41).normal(size=(steps, DIM)))
+        _, dlogits = loss_frame(tape.logits, [1] * steps)
+        for truncation in ("full", "truncated"):
+            out[f"short/drnn:3/T={steps}/{truncation}"] = backward(model, tape, dlogits,
+                                                                   truncation == "truncated")
     np.savez(path, **out)
 
 
@@ -242,8 +266,9 @@ def max_deviation(a: np.ndarray, b: np.ndarray) -> str:
         return f"{a.dtype}{a.shape} vs {b.dtype}{b.shape}"
     if a.dtype.kind not in "fiub":
         return f"{int(np.sum(a != b))} entries differ"
-    diff = np.abs(a.astype(np.float64) - b.astype(np.float64))
-    return f"max |difference| {np.nanmax(diff, initial=0.0):.3e}"
+    diff = np.nanmax(np.abs(a.astype(np.float64) - b.astype(np.float64)), initial=0.0)
+    scale = np.nanmax(np.abs(a.astype(np.float64)), initial=0.0)
+    return f"max |difference| {diff:.3e} ({diff / scale if scale else np.inf:.3e} of the largest)"
 
 
 def compare(parent_path: str, change_path: str) -> int:

@@ -13,6 +13,10 @@ Two modes:
 
 Weight gradients for the derivative matrices themselves are computed in both
 modes; truncation only stops the flow into the states behind the derivative.
+That flow runs in derivative form, as the forward's gate terms do: the
+gradient at each order's derivative of a state, spread by the binomial
+weights over the states the derivative read.  Full and truncated mode share
+every other product, so with zero derivative matrices they agree bitwise.
 
 ``grad_check`` compares the full backward pass against central finite
 differences parameter-by-parameter and is the module's own correctness
@@ -28,9 +32,9 @@ from .cells import (
     MAX_ROWS,
     Model,
     Tape,
+    _derivative_weights,
     container_ends,
     forward_rows,
-    lag_weights,
     param_arrays,
     param_blocks,
     stack_forward,
@@ -45,100 +49,114 @@ def _shifted(rows: np.ndarray) -> np.ndarray:
     return out
 
 
+# the [i, f, o, g] gate blocks of the layout in the order [i, f, g, o], and
+# back again
+_IFGO = np.array([0, 1, 3, 2])
+
+
 def _cell_backward(wd, kind, ltape, dh_in, truncated, tie, gblocks):
     """Backward through one gated layer, whose derivative block is ``wd``.
     ``dh_in`` is (T, units) gradient at the layer's hidden outputs; writes
     the weight gradients into ``gblocks``, the layer's blocks (``layout``)
     in the gradient vector, and returns dx (T, input_units).
 
-    The time loop only carries the recurrences (state and hidden gradients);
-    the gate derivative factors are formed for all T before it, as blocks
-    that let one product serve several gradients, and the weight gradients
-    as single time-batched matmuls against the tape after it.  The loop
-    iterates per-step views, newest step first, and adds into them in
+    The time loop only carries the recurrences (state and hidden gradients).
+    Every gate derivative factor is formed for all T before it, as per-step
+    coefficient rows: dh times [o(1-o) tanh s, o(1-tanh^2 s)] gives the o
+    gate's gradient and the state gradient's term, ds times [f, g i(1-i),
+    s_prev f(1-f), i(1-g^2)] the state gradient carried back and the i, f
+    and g gates'.  The products write straight into one buffer of the gate
+    gradients, time t's as [i, f, g, o] at row t + 1: the state term into
+    the g slot that the ds product overwrites later in the step, the
+    carried gradient into the o slot of step t-1, not yet written.  So the
+    gradients the DoS paths read, [o(t), i(t+1), f(t+1)], lie side by side,
+    and ``wh``'s rows, reordered to match once per call, meet one
+    contiguous 4u block.  The state gradient flows back through the DoS
+    paths in derivative form: one product of the stacked (K u, 3u)
+    [w_od^T | w_id^T | w_fd^T] of the K orders it flows through gives the
+    gradient at each order's derivative of s_t, and the binomial weights
+    (``_derivative_weights``) spread those over s_t and the states the
+    derivatives read, back no further than the sequence's start.
+    Truncation keeps only the order-0 paths; with no DoS path left the loop
+    drops the three DoS calls and keeps every other product as it is.  The
+    loop iterates per-step views, newest step first, and adds into them in
     place: ``dh[t - 1] += ...`` would fetch the row, add into it and then
-    assign it back.  The state gradient flows back through the DoS paths
-    as ``lag_weights`` of ``wd``, whose transpose maps each step's gate
-    gradients onto the states the derivatives read; truncation keeps only
-    the order-0 paths, and with no DoS path left none are built.  The
-    derivative weights' gradients read the forward's derivatives.
+    assign it back.  The weight gradients are single time-batched matmuls
+    against the tape after it; the derivative weights' read the forward's
+    derivatives.
     """
     T, u = ltape.s.shape
     # either every order or a prefix of them: order 0, or none
     flow = tuple(n for n in kind.dos_orders if not truncated or n == 0)
-    if flow:
-        n_lags = max(flow) + 1
-        # one product per step gives both dh[t-1] (block 0) and the lagged
-        # state gradients (blocks 1..); the lag weights fill the stack in
-        # place, as a copy would touch twice the fresh memory at width
-        stack = np.zeros((1 + n_lags, 4 * u, u))
-        stack[0] = ltape.wh
-        cur_dot = lag_weights(wd, flow, stack[1:])[1].T.dot
-        back_t = stack.transpose(0, 2, 1)
-        back = np.empty((1 + n_lags, u, 1))
-        back_h, back_lag = back[0, :, 0], back[1:, :, 0]
-    else:
-        n_lags, wh_dot = 0, ltape.wh.T.dot
-
-    o_a, th_a = ltape.o, ltape.tanh_s
-    # dh feeds one (2, u) chain, (dh * [o, tanh s]) * [1-tanh^2 s, o]: row 0
-    # is the state gradient's term, row 1 times 1-o is the o gate's
-    oth = np.empty((T, 3, u))
-    oth[:, 0], oth[:, 1], oth[:, 2] = 1.0 - th_a * th_a, o_a, th_a
-    d_o, d_g = 1.0 - o_a, 1.0 - ltape.g * ltape.g
-    # one (4, u) product ds * [g, s_prev, f, i] feeds the i and f gates'
-    # chain, ((ds * [g, s_prev]) * [i, f]) * [1-i, 1-f], the state gradient
-    # carried back (ds * f) and the g gate's (ds * i) * (1-g^2)
-    fac = np.empty((T, 4, u))
-    fac[:, 0], fac[0, 1], fac[1:, 1] = ltape.g, 0.0, ltape.s[:-1]
-    fac[:, 2], fac[:, 3] = ltape.f, ltape.i
-    i_f = fac[:, 3:1:-1].copy()     # contiguous rows step faster
-    dz_all = np.empty((T, 4 * u))
-    dz_gates = dz_all.reshape(T, 4, u)
+    depth = min(max(flow, default=0), T - 1)
+    i_a, f_a, o_a, g_a, th_a = ltape.i, ltape.f, ltape.o, ltape.g, ltape.tanh_s
+    # dh -> [dz_o, state term], ds -> [carried ds, dz_i, dz_f, dz_g]
+    hc = np.empty((T, 2, u))
+    np.multiply(o_a * (1.0 - o_a), th_a, hc[:, 0])
+    np.multiply(o_a, 1.0 - th_a * th_a, hc[:, 1])
+    sc = np.empty((T, 4, u))
+    sc[:, 0] = f_a
+    np.multiply(g_a, i_a * (1.0 - i_a), sc[:, 1])
+    sc[0, 2] = 0.0      # s_prev is zero at t = 0
+    np.multiply(ltape.s[:-1], (f_a * (1.0 - f_a))[1:], sc[1:, 2])
+    np.multiply(i_a, 1.0 - g_a * g_a, sc[:, 3])
+    # time t's gate gradients [i, f, g, o] are row t + 1 of ``z``; rows 0
+    # and T + 1 pad: step 0 carries into the first's o slot, and step T-1
+    # reads i(T) and f(T), zero, from the second.  Per step t, ``zt`` holds
+    # the slots [o(t-1), i(t), f(t), g(t), o(t), i(t+1), f(t+1)]
+    z = np.zeros((T + 2) * 4 * u)
+    slot = z.itemsize * u
+    zt = np.ndarray((T, 7, u), z.dtype, z, 3 * slot, (4 * slot, slot, z.itemsize))
+    ho = zt[:, 4:2:-1]      # [o(t), g(t)]: the state term goes in the g slot
     dh = np.concatenate([np.zeros((1, u)), dh_in])    # row 0: what t = 0 sends back
-    # newest-first like the forward's states: row T-1-t is time t, and lags
-    # reaching before the sequence land in the padding rows from T on
-    ds = np.zeros((T + n_lags + 1, u))
-    # the step's product blocks and their rows, held across steps
-    hb, sb, db = np.empty((2, u)), np.empty((4, u)), np.empty(u)
-    (hb_s, hb_o), (sb_if, sb_s, sb_g) = hb, (sb[:2], sb[2], sb[3])
+    # row lead + t is time t; the rows before take what reaches before t = 0
+    lead = max(depth, 1)
+    ds = np.zeros((lead + T, u))
+    wh_dot = ltape.wh.reshape(4, u, u).take(_IFGO, 0).reshape(4 * u, u).T.dot
+    db = np.empty(u)
     multiply, matmul = np.multiply, np.matmul
     # per-step views, newest step first: the step's own rows, then the rows
     # its carried gradients go to
-    steps = zip(dh[:0:-1], oth[::-1, 1:], oth[::-1, :2], d_o[::-1], dz_gates[::-1, 2], ds,
-                fac[::-1], i_f[::-1], dz_gates[::-1, :2], (1.0 - i_f)[::-1], d_g[::-1],
-                dz_gates[::-1, 3], ds[1:], dh[-2::-1])
+    steps = zip(dh[:0:-1], hc[::-1], ho[::-1], ho[::-1, 1], ds[lead:][::-1], sc[::-1],
+                zt[::-1, :4], zt[::-1, 0], ds[lead - 1:-1][::-1],
+                zt[::-1, 1:5].reshape(T, 4 * u), dh[-2::-1])
     if flow:
+        K = len(flow)
+        # per order, [w_od; w_id; w_fd] transposed: (K u, 3u)
+        w_oif = np.concatenate((wd[2:, :K], wd[:2, :K]))
+        d_dot = w_oif.transpose(1, 3, 0, 2).reshape(K * u, 3 * u).dot
+        prod = np.empty(K * u)
+        prod_k = prod.reshape(K, u)
+        if flow == (0,):    # order 0 alone weighs s_t alone, by 1
+            spread, back = None, prod_k
+        else:
+            # lag j of the derivatives weighs s_{t-j}: window row depth - j
+            spread = _derivative_weights(kind, z.dtype)[:K, 0, depth::-1].T.copy()
+            back = np.empty((depth + 1, u))
         s0 = ds.strides[0]
-        wins = np.ndarray((T, n_lags, u), ds.dtype, ds, s0, (s0, *ds.strides))
-        for (dh_t, h_in, h_out, d_o_t, dzo, dst, fac_t, i_f_t, dzif, d_if, d_g_t, dzg, nxt,
-             prev), dz_t, win in zip(steps, dz_all[::-1, :, None], wins):
-            multiply(dh_t, h_in, hb)
-            hb *= h_out
-            dst += hb_s
-            multiply(hb_o, d_o_t, dzo)
-            dst += cur_dot(dzo, db)
-            multiply(dst, fac_t, sb)
-            multiply(sb_if, i_f_t, dzif)
-            dzif *= d_if
-            multiply(sb_g, d_g_t, dzg)
-            nxt += sb_s
-            matmul(back_t, dz_t, back)
-            prev += back_h
-            win += back_lag
-    else:
-        for (dh_t, h_in, h_out, d_o_t, dzo, dst, fac_t, i_f_t, dzif, d_if, d_g_t, dzg, nxt,
-             prev), dz_t in zip(steps, dz_all[::-1]):
-            multiply(dh_t, h_in, hb)
-            hb *= h_out
-            dst += hb_s
-            multiply(hb_o, d_o_t, dzo)
-            multiply(dst, fac_t, sb)
-            multiply(sb_if, i_f_t, dzif)
-            dzif *= d_if
-            multiply(sb_g, d_g_t, dzg)
-            nxt += sb_s
+        wins = np.ndarray((T, depth + 1, u), ds.dtype, ds, s0 * (lead - depth), (s0, *ds.strides))
+        for (dh_t, hc_t, ho_t, hs, dst, sc_t, sv_t, carried, nxt, dz_t, prev), dof, win in zip(
+                steps, zt[::-1, 4:].reshape(T, 3 * u), wins[::-1]):
+            multiply(dh_t, hc_t, ho_t)
+            dst += hs
+            d_dot(dof, prod)
+            if spread is not None:
+                matmul(spread, prod_k, back)
+            win += back
+            multiply(dst, sc_t, sv_t)
+            nxt += carried
             prev += wh_dot(dz_t, db)
+    else:
+        for dh_t, hc_t, ho_t, hs, dst, sc_t, sv_t, carried, nxt, dz_t, prev in steps:
+            multiply(dh_t, hc_t, ho_t)
+            dst += hs
+            multiply(dst, sc_t, sv_t)
+            nxt += carried
+            prev += wh_dot(dz_t, db)
+
+    # the gate gradients in the layout's [i, f, o, g] order
+    dz_all = z[4 * u:-4 * u].reshape(T, 4, u).take(_IFGO, 1).reshape(T, 4 * u)
+    dz_gates = dz_all.reshape(T, 4, u)
 
     gwx, gwh, gwd, gb = gblocks
     np.matmul(dz_all.T, ltape.x, out=gwx)

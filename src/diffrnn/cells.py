@@ -480,46 +480,14 @@ def _derivative_weights(kind: CellKind, dtype: np.dtype) -> np.ndarray:
     Each row is a product of its own, a vector times the window, which
     numpy runs as a plain loop over the lags in order (the window's
     negative stride admits no BLAS call), so each derivative is bitwise
-    ``dos``'s, for one row or many."""
+    ``dos``'s, for one row or many.  The backward reads the same weights to
+    spread each derivative's gradient over the states it read."""
     orders = kind.dos_orders
     coef = np.zeros((len(orders), 1, kind.max_order + 1), dtype)
     for row, n in zip(coef, orders):
         row[0, :n + 1] = _binomials(n, dtype, 0)
     coef.flags.writeable = False    # every caller shares it
     return coef
-
-
-def lag_weights(wd: np.ndarray, orders, out: np.ndarray | None = None):
-    """The DoS gate terms of ``orders`` as weights on past states, which
-    the backward's adjoint reads.
-
-    ``wd`` is a gated layer's derivative block, its (3, K, u, u) w_id, w_fd
-    and w_od matrices of its K orders, and ``orders`` a prefix of those
-    orders.  An order-n derivative is sum_j c(n, j) s_{t-j}, so the terms
-    fold into a (K+1, 4u, u) stack whose block j weighs s_{t-1-j}, K the
-    highest order: i and f rows hold lags 0..K of the previous state's
-    derivatives, o rows lags 1..K of the current state's, s rows zeros.
-    Also returns the o gate's (u, u) weight on s_t itself.  Per-row weights,
-    a (rows, 3, K, u, u) block, give a (K+1, rows, 4u, u) stack and a
-    (rows, u, u) weight.  Each order adds its binomial column times its
-    i and f matrices, and then times its o matrix, to all its lags in one
-    broadcast each, so every lag sums its terms in ascending order.  The
-    stack is ``out`` if given, a zero array of its shape, else a new one."""
-    # the orders' axis first: per order, (3, u, u) matrices, or (rows, 3, u, u)
-    wd = wd.transpose(1, 0, 2, 3) if wd.ndim == 4 else wd.transpose(2, 0, 1, 3, 4)
-    u, dt, lead = wd.shape[-1], wd.dtype, wd.shape[1:-3]
-    lags = np.zeros((max(orders, default=0) + 1, *lead, 4 * u, u), dt) if out is None else out
-    cur = np.zeros((*lead, u, u), dt)
-    # the i and f rows of each lag block, as (2, u, u) like an order's w_id, w_fd
-    lags_if = lags[..., :2 * u, :].reshape(*lags.shape[:-2], 2, u, u)
-    for n, w in zip(orders, wd):
-        col, w_od = _binomials(n, dt, w.ndim), w[..., 2, :, :]
-        cur += w_od
-        lags_if[:n + 1] += col * w[..., :2, :, :]
-        if n:
-            # col[1:, 0]: a rank less, for the o gate's (u, u) matrices
-            lags[:n, ..., 2 * u:3 * u, :] += col[1:, 0] * w_od
-    return lags, cur
 
 
 def _mv(w: np.ndarray, n: int):

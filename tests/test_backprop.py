@@ -311,6 +311,13 @@ class TestGradCheck:
         report = grad_check(model, frames, label=1)
         assert report.passed, report.format()
 
+    @pytest.mark.parametrize("steps", [1, 2])
+    def test_drnn3_passes_on_sequences_shorter_than_its_orders(self, steps):
+        # the state gradient's window of past states stops at the first frame
+        model = small_model([(CellKind("drnn", 3), 3)], seed=11)
+        report = grad_check(model, seeded_rng(12).normal(size=(steps, 3)), label=1)
+        assert report.passed, report.format()
+
     def test_fault_injection_is_caught(self, monkeypatch):
         # a backward pass that is wrong by 5% anywhere must fail the check
         real = bp.backward
@@ -496,13 +503,21 @@ class TestTruncationContract:
                         d[n][:] = 0.0
 
     def test_zero_dos_matrices_bitwise_equal(self):
-        model = build_model(d2rnn_config(3, 3, 4, 2), seed=8)
-        self._zero_dos_weights(model)
-        frames = seeded_rng(9).normal(size=(5, 3))
-        tape = stack_forward(model, frames)
-        _, dlogits = loss_frame(tape.logits, [0])
-        assert np.array_equal(backward(model, tape, dlogits, truncated=False),
-                              backward(model, tape, dlogits, truncated=True))
+        # with every derivative matrix zero the DoS products add exact zeros,
+        # and full and truncated mode share every other product: tied and
+        # untied, a drnn:3 layer (truncation keeps its order 0 alone) and
+        # sequences of 1 and 2 frames, fewer than the highest order
+        d2rnn = [(CellKind("dos", n), 4) for n in range(3)]
+        for layers in (d2rnn, [(CellKind("drnn", 3), 4)]):
+            for tie in (False, True):
+                model = small_model(layers, seed=8, tie=tie)
+                self._zero_dos_weights(model)
+                for steps in (1, 2, 5):
+                    frames = seeded_rng(9).normal(size=(steps, 3))
+                    tape = stack_forward(model, frames)
+                    _, dlogits = loss_frame(tape.logits, [0] * steps)
+                    assert np.array_equal(backward(model, tape, dlogits, truncated=False),
+                                          backward(model, tape, dlogits, truncated=True))
 
     def test_order0_cell_never_severed(self):
         model = small_model([(CellKind("dos", 0), 4)], seed=8)
@@ -511,35 +526,6 @@ class TestTruncationContract:
         _, dlogits = loss_frame(tape.logits, [0])
         assert np.array_equal(backward(model, tape, dlogits, truncated=False),
                               backward(model, tape, dlogits, truncated=True))
-
-    @pytest.mark.parametrize("layers,flows", [
-        # full mode folds every layer's orders, top down; truncated mode
-        # only layer 0's order 0, its whole flow
-        ([(CellKind("dos", 0), 4), (CellKind("dos", 1), 4), (CellKind("dos", 2), 4)],
-         [(2,), (1,), (0,)]),
-        # truncated mode cuts orders 1-2 and folds order 0
-        ([(CellKind("drnn", 2), 4)], [(0, 1, 2)])])
-    def test_backward_builds_lag_weights_once_per_flowing_layer(self, monkeypatch, layers,
-                                                                flows):
-        # the forward folds none; the backward folds, layer by layer, the
-        # orders the state gradient flows through
-        model = small_model(layers, seed=8)
-        calls, real = [], cells.lag_weights
-
-        def spy(wd, orders, out=None):
-            calls.append(orders)
-            return real(wd, orders, out)
-
-        monkeypatch.setattr(bp, "lag_weights", spy)
-        monkeypatch.setattr(cells, "lag_weights", spy)
-        tape = stack_forward(model, seeded_rng(9).normal(size=(5, 3)))
-        assert calls == []
-        _, dlogits = loss_frame(tape.logits, [0])
-        backward(model, tape, dlogits, truncated=False)
-        assert calls == flows
-        calls.clear()
-        backward(model, tape, dlogits, truncated=True)
-        assert calls == [(0,)]
 
     def test_full_differs_on_order1_instance(self):
         model = small_model([(CellKind("dos", 1), 4)], seed=8)

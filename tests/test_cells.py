@@ -793,8 +793,11 @@ class TestDerivativeTerms:
 
 
 def _lag_weights_per_pair(params, orders):
-    """``lag_weights`` as a loop over every (order, lag) pair, the reference:
-    each lag sums its orders' terms in ascending order."""
+    """The DoS gate terms of ``orders`` folded into weights on past states,
+    by a loop over every (order, lag) pair: a (K+1, 4u, u) stack whose
+    block j weighs s_{t-1-j} (i and f rows: lags 0..K of the previous
+    state's derivatives; o rows: lags 1..K of the current state's; s rows
+    zero), K the highest order, and the o gate's (u, u) weight on s_t."""
     w = params.w_ih
     u = w.shape[-1]
     lags = np.zeros((max(orders, default=0) + 1, *w.shape[:-2], 4 * u, u), w.dtype)
@@ -810,29 +813,63 @@ def _lag_weights_per_pair(params, orders):
     return lags, cur
 
 
+def _lag_logits(model, theta, frames):
+    """The logits of the one-layer gated ``model`` under the 1-D parameter
+    vector ``theta``, its DoS gate terms taken as the per-pair lag weights
+    (``_lag_weights_per_pair``) times the past states: the fold of the
+    derivatives into weights on states, in the dtype of ``theta``."""
+    (kind, u), = model.config.layers
+    layer, out = cells.param_views(model.layout, theta)
+    lags, cur = _lag_weights_per_pair(layer, kind.dos_orders)
+    wx = np.concatenate([layer.w_ix, layer.w_fx, layer.w_ox, layer.w_sx])
+    wh = np.concatenate([layer.w_ih, layer.w_fh, layer.w_oh, layer.w_sh])
+    b = np.concatenate([layer.b_i, layer.b_f, layer.b_o, layer.b_s])
+    past = [np.zeros(u, theta.dtype)] * len(lags)    # s_{t-1}, s_{t-2}, ...
+    h, hs = np.zeros(u, theta.dtype), []
+    for x in frames.astype(theta.dtype):
+        z = wx @ x + wh @ h + b + sum(w @ s for w, s in zip(lags, past))
+        i, f = 1 / (1 + np.exp(-z[:u])), 1 / (1 + np.exp(-z[u:2 * u]))
+        s = f * past[0] + i * np.tanh(z[3 * u:])
+        h = np.tanh(s) / (1 + np.exp(-(z[2 * u:3 * u] + cur @ s)))
+        past = [s] + past[:-1]
+        hs.append(h)
+    return np.tanh(np.array(hs) @ out.w_yh.T + out.b_y)
+
+
 class TestLagWeights:
     @pytest.mark.parametrize("rows", [0, 3], ids=["shared", "per_row"])
     @pytest.mark.parametrize("dtype", [np.float64, np.longdouble], ids=["f64", "ld"])
     @pytest.mark.parametrize("kind, order", [("dos", n) for n in range(7)]
                              + [("drnn", n) for n in range(13)])
     def test_equals_per_pair_loop(self, kind, order, dtype, rows):
+        # the forward's derivative-form DoS terms (binomial windows of the
+        # states, one product per order) are the per-pair lag weights on
+        # past states, for shared and per-row weights, whose transpose the
+        # backward's state gradient takes; the 8 frames leave the window
+        # of orders above 7 cut at the sequence's start
         model = small_model([(CellKind(kind, order), 3)], seed=order)
         theta = model.theta.astype(dtype)
+        frames = random_frames(seeded_rng(order), 8, 3)
         if rows:
             noise = seeded_rng(order).normal(scale=0.3, size=(rows, theta.size))
-            theta = theta + noise.astype(dtype)
-        layer, _ = cells.param_views(model.layout, theta)
-        (_, _, wd, _), _ = cells.param_blocks(model.layout, theta)
-        orders = CellKind(kind, order).dos_orders
-        got, expected = cells.lag_weights(wd, orders), _lag_weights_per_pair(layer, orders)
-        for a, b in zip(got, expected):
-            assert_bitwise(a, b)
+            thetas = theta + noise.astype(dtype)
+            got = cells.forward_rows(model, cells.param_blocks(model.layout, thetas),
+                                     frames.astype(dtype))
+        else:
+            thetas = theta[None]
+            got = stack_forward(replace(model, theta=theta), frames).logits[None]
+        assert got.dtype == dtype
+        tol = 1e-13 if dtype == np.float64 else 1e-16
+        for row, logits in zip(thetas, got):
+            np.testing.assert_allclose(logits, _lag_logits(model, row, frames), rtol=0, atol=tol)
 
     def test_highest_drnn_order_runs(self):
         # a drnn:1029 layer has 1029 * 1030 / 2 (order, lag) pairs; its
-        # derivatives take one product per order and step, the backward's
-        # lag weights one broadcast per order, and dos_energy one dos call
-        # per order, stopping at the sequence's last lag
+        # derivatives take one product per order and step, the backward one
+        # product of every order's matrices per step, spread by the binomial
+        # weights over the states back to the sequence's start, and
+        # dos_energy one dos call per order, stopping at the sequence's last
+        # lag
         model = small_model([(CellKind("drnn", cells.MAX_ORDER), 5)], input_units=2)
         frames = seeded_rng(0).normal(size=(3, 2))
         start = time.perf_counter()
