@@ -2,7 +2,7 @@
 """Interleaved parent/change runs of the benchmark, summarised per metric.
 
     python3 scripts/bench_pairs.py PARENT_TREE CHANGE_TREE --workload W --pairs N \\
-        --out BENCH_N.json [--first-seed 51] [--change TEXT] [--claim METRIC]
+        --out BENCH_N.json [--first-seed 51] [--change TEXT] [--claim WORKLOAD/METRIC]
 
 PARENT_TREE and CHANGE_TREE are full checkouts (``src``, ``tests/reference.py``
 and ``perfbench``); each tree runs its own ``perfbench/run.py --seconds S
@@ -18,8 +18,11 @@ the change's median over the parent's, the number of pairs the change won
 (ties count for neither) and every run's value; and the benchmark's counts of
 attempted and failed operations, summed over each side's runs, with each
 run's failed checks (the ``FAILED`` lines of its output, counted by check,
-per side and seed).  Nothing under
-either tree is written.  Uses the standard library only.
+per side and seed).  ``--claim`` names the one end-to-end metric the change
+claims to improve, and on which workload, in the benchmark's own key form
+(``train-sweep/train_seq_per_s``); both names must be ones the change tree's
+``BENCHMARK.json`` declares.  Nothing under either tree is written.  Uses the
+standard library only.
 """
 import argparse
 import collections
@@ -84,12 +87,19 @@ def main(argv=None) -> int:
     ap.add_argument("--out", required=True, help="JSON file to write or update")
     ap.add_argument("--first-seed", type=int, default=51)
     ap.add_argument("--change", help="one line naming the change measured")
-    ap.add_argument("--claim", help="the metric the change claims to improve")
+    ap.add_argument("--claim", metavar="WORKLOAD/METRIC",
+                    help="the workload and end-to-end metric the change claims to improve")
     args = ap.parse_args(argv)
     if args.pairs < 2:
         ap.error("need at least 2 pairs for quartiles")
     with open(os.path.join(args.change_tree, "BENCHMARK.json")) as fh:
         bench = json.load(fh)
+    if args.claim:
+        workload, _, metric = args.claim.partition("/")
+        if workload not in {w["name"] for w in bench["workloads"]}:
+            ap.error(f"--claim: unknown workload {workload!r}")
+        if metric not in {m["name"] for m in bench["end_to_end"]}:
+            ap.error(f"--claim: unknown end-to-end metric {metric!r}")
     seconds = bench["run_seconds"]
     trees = {"parent": args.parent_tree, "change": args.change_tree}
     seeds = [args.first_seed + i for i in range(args.pairs)]
@@ -108,7 +118,7 @@ def main(argv=None) -> int:
     prov = runs["change"][0]["provenance"]
     doc.setdefault("change", args.change or "")
     if args.claim:
-        doc["claim"] = {"metric": args.claim, "workload": args.workload}
+        doc["claim"] = {"metric": metric, "workload": workload}
     doc["command"] = (f"OPENBLAS_NUM_THREADS=1 python3 perfbench/run.py --workload W "
                       f"--seed S --seconds {seconds:g} --trace 0")
     doc["host"] = (f"{prov['nproc']}-vCPU {prov['cpu']}, Python {prov['python']}, "

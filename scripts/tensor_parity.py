@@ -13,11 +13,12 @@ tiny seeded models and compares them bit for bit:
   with no clipping and with clip norm 0.5;
 * per trained model, the logits, the gradients ``backward`` gives on a
   held-out sequence, ``evaluate`` on the held-out set and ``dos_energy`` of
-  every gated layer, bottom up, then top down (``.../descending``), then
-  bottom up and top down on a longdouble copy of the model, both calls of
-  each layer under one key (``.../longdouble``), then top down again after
-  one in-place SGD step of the same model along those gradients
-  (``.../stepped``);
+  every gated layer, bottom up, then top down (``.../descending``), then,
+  in a stack of two or more gated layers, a first call for the second of
+  them on a fresh copy of the model (``.../cold``), then bottom up and top
+  down on a longdouble copy of the model, both calls of each layer under
+  one key (``.../longdouble``), then top down again after one in-place SGD
+  step of the same model along those gradients (``.../stepped``);
 * per trained model, ``evaluate`` and every sequence's logits on a ragged,
   unsorted set (lengths 1..LENGTH, with repeats), where sequences of
   different lengths share a time loop: the logits come from the set-level
@@ -172,6 +173,11 @@ def dump(path: str) -> None:
                         for li in gated[::-1]:
                             out[f"{key}/dos_energy{li}/descending"] = dos_energy(
                                 model, probe.frames, li)
+                        # a first call for the second gated layer, on a copy
+                        # that holds no states yet
+                        if len(gated) > 1:
+                            out[f"{key}/dos_energy{gated[1]}/cold"] = dos_energy(
+                                replace(model), probe.frames, gated[1])
                         # a longdouble copy, bottom up then top down: its
                         # states are kept across calls as the float64 ones
                         ld = replace(model, theta=model.theta.astype(np.longdouble))

@@ -32,6 +32,7 @@ from .cells import (
     MAX_ROWS,
     Model,
     Tape,
+    _TIED_ROWS,
     _derivative_weights,
     container_ends,
     forward_rows,
@@ -54,11 +55,11 @@ def _shifted(rows: np.ndarray) -> np.ndarray:
 _IFGO = np.array([0, 1, 3, 2])
 
 
-def _cell_backward(wd, kind, ltape, dh_in, truncated, tie, gblocks):
-    """Backward through one gated layer, whose derivative block is ``wd``.
-    ``dh_in`` is (T, units) gradient at the layer's hidden outputs; writes
-    the weight gradients into ``gblocks``, the layer's blocks (``layout``)
-    in the gradient vector, and returns dx (T, input_units).
+def _cell_backward(blocks, kind, ltape, dh_in, truncated, tie, gblocks):
+    """Backward through one gated layer under ``blocks``, the weight blocks
+    (``layout``) its forward ran with.  ``dh_in`` is (T, units) gradient at
+    the layer's hidden outputs; writes the weight gradients into ``gblocks``,
+    the layer's blocks in the gradient vector, and returns dx (T, input_units).
 
     The time loop only carries the recurrences (state and hidden gradients).
     Every gate derivative factor is formed for all T before it, as per-step
@@ -70,7 +71,7 @@ def _cell_backward(wd, kind, ltape, dh_in, truncated, tie, gblocks):
     the g slot that the ds product overwrites later in the step, the
     carried gradient into the o slot of step t-1, not yet written.  So the
     gradients the DoS paths read, [o(t), i(t+1), f(t+1)], lie side by side,
-    and ``wh``'s rows, reordered to match once per call, meet one
+    and the hidden block's rows, reordered to match once per call, meet one
     contiguous 4u block.  The state gradient flows back through the DoS
     paths in derivative form: one product of the stacked (K u, 3u)
     [w_od^T | w_id^T | w_fd^T] of the K orders it flows through gives the
@@ -86,6 +87,7 @@ def _cell_backward(wd, kind, ltape, dh_in, truncated, tie, gblocks):
     derivatives.
     """
     T, u = ltape.s.shape
+    wx, wh, wd, _ = blocks
     # either every order or a prefix of them: order 0, or none
     flow = tuple(n for n in kind.dos_orders if not truncated or n == 0)
     depth = min(max(flow, default=0), T - 1)
@@ -112,7 +114,8 @@ def _cell_backward(wd, kind, ltape, dh_in, truncated, tie, gblocks):
     # row lead + t is time t; the rows before take what reaches before t = 0
     lead = max(depth, 1)
     ds = np.zeros((lead + T, u))
-    wh_dot = ltape.wh.reshape(4, u, u).take(_IFGO, 0).reshape(4 * u, u).T.dot
+    hidden = _TIED_ROWS[_IFGO] if tie else _IFGO      # the gates' hidden blocks, [i, f, g, o]
+    wh_dot = wh.reshape(4, u, u).take(hidden, 0).reshape(4 * u, u).T.dot
     db = np.empty(u)
     multiply, matmul = np.multiply, np.matmul
     # per-step views, newest step first: the step's own rows, then the rows
@@ -173,7 +176,7 @@ def _cell_backward(wd, kind, ltape, dh_in, truncated, tie, gblocks):
         gwd[:2, k] = (dz_all[1:, :2 * u].T @ d[:-1]).reshape(2, u, u)
         np.matmul(dzo_a.T, d, out=gwd[2, k])
     np.add.reduce(dz_all, 0, out=gb)
-    return dz_all @ ltape.wx
+    return dz_all @ wx
 
 
 def _rnn_backward(blocks, ltape, dh_in, gblocks):
@@ -199,7 +202,8 @@ def backward(model: Model, tape: Tape, dlogits: np.ndarray, truncated: bool) -> 
     one row per frame (rows may be zero for frames that carry no loss): a
     fresh float64 vector laid out like ``model.theta``, whose named arrays
     ``param_arrays(model.layout, grad)`` gives.  Each layer writes into its
-    blocks (``param_blocks``) of the vector."""
+    blocks (``param_blocks``) of the vector.  The weights are read from
+    ``model``, not ``tape``: they must be the ones its forward ran with."""
     dlogits = np.asarray(dlogits, dtype=np.float64)
     if dlogits.shape != tape.logits.shape:
         raise ValueError(
@@ -220,8 +224,8 @@ def backward(model: Model, tape: Tape, dlogits: np.ndarray, truncated: bool) -> 
         if kind.kind == "rnn":
             dh = _rnn_backward(model.blocks[li], tape.layers[li], dh, grads[li])
         else:
-            dh = _cell_backward(model.blocks[li][2], kind, tape.layers[li], dh, truncated,
-                                tie, grads[li])
+            dh = _cell_backward(model.blocks[li], kind, tape.layers[li], dh, truncated, tie,
+                                grads[li])
     if not np.isfinite(vector).all():
         name = next(name for name, a in param_arrays(lay, vector) if not np.isfinite(a).all())
         raise FloatingPointError(f"non-finite gradient in {name}")

@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import copy
 import functools
-import itertools
 import math
 from dataclasses import FrozenInstanceError, dataclass, field
 from types import SimpleNamespace
@@ -277,8 +276,8 @@ class Model:
 
     @functools.cached_property
     def _energy_memo(self) -> dict:
-        """``dos_energy``'s states of the last sequence it ran on this model,
-        keyed by value (``frames``, ``theta``, ``states``, ``h``); never pickled or copied."""
+        """``dos_energy``'s layer ``states`` of the last sequence it ran on this
+        model, keyed by value (``frames``, ``theta``); never pickled or copied."""
         return {}
 
     def __getstate__(self):
@@ -429,13 +428,12 @@ class LayerTape:
     per live sequence and step: for one sequence, arrays are (T, units) and
     row index = t-1.  The tape of one sequence keeps what a backward pass
     needs: a gated layer's input ``x``, every activation (views into one
-    per-step block), the derivatives ``d`` of its states, (T, K, units) for
-    its K orders (None without any; row t those of s_t, which the o gate
-    read at t and the i and f gates at t+1), and the fused input and hidden
-    gate blocks ``wx`` and ``wh`` its forward ran with; a classical RNN
-    layer's ``x`` and ``h``.  A gated layer's tape of many sequences keeps
-    ``h`` alone, so a set-level forward holds one run's activations at a
-    time."""
+    per-step block) and the derivatives ``d`` of its states, (T, K, units)
+    for its K orders (None without any; row t those of s_t, which the o gate
+    read at t and the i and f gates at t+1); a classical RNN layer's ``x``
+    and ``h``.  It holds no weights: the backward reads the model's.  A
+    gated layer's tape of many sequences keeps ``h`` alone, so a set-level
+    forward holds one run's activations at a time."""
 
     h: np.ndarray
     x: np.ndarray | None = None
@@ -446,8 +444,6 @@ class LayerTape:
     s: np.ndarray | None = None
     tanh_s: np.ndarray | None = None
     d: np.ndarray | None = None
-    wx: np.ndarray | None = None
-    wh: np.ndarray | None = None
 
 
 @dataclass
@@ -496,6 +492,11 @@ def _mv(w: np.ndarray, n: int):
     return w.dot if n == 1 else functools.partial(np.matmul, w)
 
 
+# with tied gate hidden weights, the hidden block each of the [i, f, o, s]
+# gates reads: w_ih serves the i, f and o gates
+_TIED_ROWS = np.array([0, 0, 0, 3])
+
+
 def _layer_forward(blocks, kind: CellKind, tie: bool, x: np.ndarray,
                    rows: _Rows) -> LayerTape:
     """One gated layer over the packed input ``x`` of the sequences ``rows``
@@ -516,9 +517,7 @@ def _layer_forward(blocks, kind: CellKind, tie: bool, x: np.ndarray,
     dt = x.dtype
     orders, order = kind.dos_orders, kind.max_order
     if tie:
-        # the i, f and o gates all read the hidden state through w_ih
-        w_ih = wh[..., :u, :]
-        wh = np.concatenate([w_ih, w_ih, w_ih, wh[..., 3 * u:, :]], axis=-2)
+        wh = np.take(wh.reshape(*wh.shape[:-2], 4, u, u), _TIED_ROWS, -3).reshape(wh.shape)
     # a step reads the state before it (the f gate) and, for its new state's
     # derivatives, up to ``order`` states back; those before the longest
     # sequence's first frame are zeros and add nothing, so the window stops
@@ -619,8 +618,7 @@ def _layer_forward(blocks, kind: CellKind, tie: bool, x: np.ndarray,
     if len(rows.index) > 1:
         return LayerTape(h=h_a)
     return LayerTape(x=x, i=i_r, f=f_r, o=o_r, g=g_r, s=past[lead:].reshape(-1, u),
-                     h=h_a, tanh_s=th_r, d=d_a.reshape(-1, n_orders, u) if orders else None,
-                     wx=wx, wh=wh)
+                     h=h_a, tanh_s=th_r, d=d_a.reshape(-1, n_orders, u) if orders else None)
 
 
 def _rnn_layer_forward(blocks, x: np.ndarray, rows: _Rows) -> LayerTape:
@@ -663,8 +661,7 @@ def _layer_tapes(model: Model, x: np.ndarray, rows: _Rows, blocks=None, first: i
     layers from ``first`` on run, ``x`` being the input of layer
     ``first``."""
     tie = model.config.tie_gate_hidden_weights
-    stack = zip(model.config.layers, blocks or model.blocks)
-    for (kind, _units), layer in itertools.islice(stack, first, None):
+    for (kind, _units), layer in list(zip(model.config.layers, blocks or model.blocks))[first:]:
         if kind.kind == "rnn":
             tape = _rnn_layer_forward(layer, x, rows)
         else:
@@ -772,13 +769,12 @@ def dos_energy(model: Model, frames: np.ndarray, layer: int) -> np.ndarray:
     """Per-frame L2 norms of the state derivatives of one layer.
 
     Returns (T, max_order+1): column k is |d^(k) s_t| for orders 0..max_order
-    of the chosen layer (a plain LSTM layer reports order 0 only).  Only the
-    layers up to the chosen one run, and each at most once per sequence:
-    the model keeps the states of every layer run on the last sequence, and
-    the top one's hidden states, so a call for a layer already run reads
-    its states and one for a higher layer runs only the layers missing.
-    A change in the frames' or ``theta``'s values starts over: a NaN never
-    matches, while ``-0.0`` matches ``+0.0``, which changes no energy.
+    of the chosen layer (a plain LSTM layer reports order 0 only).  The
+    whole stack runs once per sequence: the model keeps every layer's states
+    of the last sequence it ran, which serve a call for any layer, so a
+    one-off call for a low layer also runs the layers above it.  New values
+    of the frames or ``theta`` run it again: a NaN never matches, while
+    ``-0.0`` matches ``+0.0``, which changes no energy.
     """
     if not 0 <= layer < len(model.config.layers):
         raise IndexError(f"layer index {layer} out of range")
@@ -789,15 +785,9 @@ def dos_energy(model: Model, frames: np.ndarray, layer: int) -> np.ndarray:
     memo = model._energy_memo
     if not (np.array_equal(memo.get("frames"), frames)
             and np.array_equal(memo.get("theta"), model.theta)):
-        frames = frames.copy()
-        memo.update(frames=frames, theta=model.theta.copy(), states=[], h=frames)
-    states = memo["states"]
-    if len(states) <= layer:
-        first = len(states)
-        tapes = _layer_tapes(model, memo["h"], _equal_lengths(len(frames)), None, first)
-        for tape in itertools.islice(tapes, layer + 1 - first):
-            states.append(tape.s)
-            memo["h"] = tape.h
-    s = states[layer]
+        tapes = _layer_tapes(model, frames, _equal_lengths(len(frames)))
+        memo.update(frames=frames.copy(), theta=model.theta.copy(),
+                    states=[tape.s for tape in tapes])
+    s = memo["states"][layer]
     return np.stack([np.linalg.norm(dos(k, s), axis=1)
                      for k in range(kind.max_order + 1)], axis=1)

@@ -231,7 +231,8 @@ def make_splits(dataset: Dataset, plan) -> list[tuple[list[int], list[int]]]:
     KFold: seeded shuffle, then k disjoint exhaustive test folds (not
     stratified).  MonteCarlo: per-class stratified draws; floor(fraction *
     class size) examples of each class go to train, the remainder to test,
-    independently per trial.
+    independently per trial.  A trial with no training example is a
+    ValueError; its test side is never empty, as the fraction is below 1.
     """
     n = len(dataset.sequences)
     if isinstance(plan, KFold):
@@ -253,7 +254,7 @@ def make_splits(dataset: Dataset, plan) -> list[tuple[list[int], list[int]]]:
         for i, seq in enumerate(dataset.sequences):
             by_class.setdefault(seq.label, []).append(i)
         out = []
-        for _ in range(plan.trials):
+        for trial in range(plan.trials):
             train, test = [], []
             for label in sorted(by_class):
                 idx = np.array(by_class[label])
@@ -261,6 +262,9 @@ def make_splits(dataset: Dataset, plan) -> list[tuple[list[int], list[int]]]:
                 n_train = int(len(idx) * plan.train_fraction)
                 train.extend(int(j) for j in idx[:n_train])
                 test.extend(int(j) for j in idx[n_train:])
+            if not train:
+                raise ValueError(f"Monte Carlo trial {trial}: a train fraction of "
+                                 f"{plan.train_fraction:g} leaves no training sequence")
             out.append((sorted(train), sorted(test)))
         return out
     raise TypeError(f"unknown split plan {type(plan)}")

@@ -23,7 +23,7 @@ import numpy as np
 from .cells import CellKind, Model, StackConfig, build_model, predict_sequence, predict_set
 from .data import Dataset
 from .numerics import seeded_rng
-from .train import CheckpointError, TrainConfig, model_from_doc, model_to_doc, train
+from .train import TrainConfig, model_to_doc, train
 
 ALPHA_CAP = math.log(1e6)
 
@@ -126,7 +126,8 @@ def predict_ensemble(e: EnsembleModel, frames) -> tuple[int, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# Persistence: container document embedding the member checkpoints
+# Persistence: a run's record, one JSON document embedding the member
+# checkpoints; nothing reads it whole, each member reads with model_from_doc
 
 
 def ensemble_save(e: EnsembleModel, path) -> None:
@@ -138,30 +139,3 @@ def ensemble_save(e: EnsembleModel, path) -> None:
     }
     with open(path, "w") as fh:
         fh.write(json.dumps(doc) + "\n")     # see train.checkpoint_save
-
-
-def _alpha(value) -> float:
-    if type(value) not in (int, float) or not math.isfinite(value):
-        raise TypeError(f"member weight {value!r} is not a finite number")
-    return float(value)
-
-
-def ensemble_load(path) -> EnsembleModel:
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (OSError, ValueError, RecursionError) as exc:    # see train.checkpoint_load
-        raise CheckpointError(f"cannot read ensemble {path}: {exc}") from exc
-    try:
-        members = [(m["checkpoint"], _alpha(m["alpha"])) for m in doc["members"]]
-        n_classes = doc["n_classes"]
-        if type(n_classes) is not int or n_classes < 2:
-            raise TypeError(f"n_classes {n_classes!r} is not an integer >= 2")
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CheckpointError(f"{path} is not an ensemble file "
-                              f"({type(exc).__name__}: {exc})") from exc
-    members = [(model_from_doc(c), a) for c, a in members]
-    try:
-        return EnsembleModel(members=members, n_classes=n_classes)
-    except ValueError as exc:
-        raise CheckpointError(f"{path}: {exc}") from exc

@@ -362,16 +362,12 @@ class TestPredictAndEnergy:
             assert abs(e[t, 1] - np.linalg.norm(ref_dos(1, s, t))) < 1e-12
 
     @pytest.mark.parametrize("layer", [0, 1, 2])
-    def test_dos_energy_runs_only_the_layers_it_reports(self, monkeypatch, layer):
+    def test_dos_energy_is_of_the_forward_states(self, layer):
         model = build_model(d2rnn_config(3, 3, 4, 2), seed=4)
         frames = random_frames(seeded_rng(6), 5, 3)
         s = stack_forward(model, frames).layers[layer].s
         want = np.stack([np.linalg.norm(dos(k, s), axis=1) for k in range(layer + 1)], axis=1)
-        runs = []
-        real = cells._layer_forward
-        monkeypatch.setattr(cells, "_layer_forward", lambda *a: runs.append(1) or real(*a))
         assert np.array_equal(dos_energy(model, frames, layer), want)
-        assert len(runs) == layer + 1
 
     def test_dos_energy_rejects_rnn_layer(self):
         model = small_model([(CellKind("rnn"), 4)])
@@ -384,19 +380,26 @@ class TestPredictAndEnergy:
             dos_energy(model, np.zeros((3, 3)), layer=5)
 
 
-# stacks whose every layer has internal states
+# stacks of two or more gated layers, one under an rnn layer
 MEMO_ARCHS = {
     "d2rnn3": [("dos", 0), ("dos", 1), ("dos", 2)],
     "drnn2+lstm": [("drnn", 2), ("lstm", 0)],
+    "mixed": [("rnn", 0), ("drnn", 1), ("lstm", 0)],
 }
-MEMO_ORDERS = {"ascending": lambda n: list(range(n)),
-               "descending": lambda n: list(range(n))[::-1],
-               "mixed": lambda n: [1, 0, n - 1, 1, 0]}
+# orders of calls over a stack's gated layers
+MEMO_ORDERS = {"ascending": lambda g: g,
+               "descending": lambda g: g[::-1],
+               "mixed": lambda g: [g[1], g[0], g[-1], g[1], g[0]]}
+
+
+def gated(arch):
+    """The layers of a ``MEMO_ARCHS`` stack that have internal states."""
+    return [li for li, (kind, _) in enumerate(MEMO_ARCHS[arch]) if kind != "rnn"]
 
 
 class TestEnergyMemo:
     """A model keeps the layer states of the last sequence ``dos_energy``
-    ran on it: each layer runs once per sequence, and nothing stale is
+    ran on it: the whole stack runs once per sequence, and nothing stale is
     ever served."""
 
     @staticmethod
@@ -410,9 +413,12 @@ class TestEnergyMemo:
 
     @staticmethod
     def count_runs(monkeypatch):
+        """The list that every layer forward, gated or rnn, appends to."""
         runs = []
-        real = cells._layer_forward
-        monkeypatch.setattr(cells, "_layer_forward", lambda *a: runs.append(1) or real(*a))
+        for name in ("_layer_forward", "_rnn_layer_forward"):
+            real = getattr(cells, name)
+            monkeypatch.setattr(cells, name,
+                                lambda *a, real=real: runs.append(1) or real(*a))
         return runs
 
     @pytest.mark.parametrize("order", list(MEMO_ORDERS))
@@ -420,7 +426,7 @@ class TestEnergyMemo:
     def test_any_call_order_gives_cold_energies(self, arch, order):
         model = self.memo_model(arch)
         frames = random_frames(seeded_rng(6), 7, 3)
-        for layer in MEMO_ORDERS[order](len(MEMO_ARCHS[arch])):
+        for layer in MEMO_ORDERS[order](gated(arch)):
             assert_bitwise(dos_energy(model, frames, layer), self.cold(model, frames, layer))
 
     @pytest.mark.parametrize("arch", list(MEMO_ARCHS))
@@ -428,45 +434,41 @@ class TestEnergyMemo:
         n = len(MEMO_ARCHS[arch])
         frames = random_frames(seeded_rng(6), 7, 3)
         runs = self.count_runs(monkeypatch)
-        for layer in range(n - 1):
+        for first in gated(arch):
             model = self.memo_model(arch)
-            dos_energy(model, frames, layer)
-            assert len(runs) == layer + 1      # cold: the layers up to it
-            dos_energy(model, frames, layer + 1)
-            assert len(runs) == layer + 2      # warm: the one above
-            for below in range(layer + 2):
-                dos_energy(model, frames, below)
-            assert len(runs) == layer + 2      # read from the memo
+            dos_energy(model, frames, first)
+            assert len(runs) == n       # cold, for any layer: every layer once
+            for layer in gated(arch):
+                dos_energy(model, frames, layer)
+            assert len(runs) == n       # read from the memo
             runs.clear()
 
     @pytest.mark.parametrize("arch", list(MEMO_ARCHS))
     def test_an_sgd_step_starts_over(self, arch):
         model = self.memo_model(arch)
         frames = random_frames(seeded_rng(6), 7, 3)
-        top = len(MEMO_ARCHS[arch]) - 1
-        dos_energy(model, frames, top)
+        dos_energy(model, frames, gated(arch)[-1])
         grad = seeded_rng(7).normal(size=model.theta.size)
         apply_sgd_step(model, grad, 0.1, None)
-        for layer in range(top, -1, -1):
+        for layer in gated(arch)[::-1]:
             assert_bitwise(dos_energy(model, frames, layer), self.cold(model, frames, layer))
 
     @pytest.mark.parametrize("arch", list(MEMO_ARCHS))
     def test_an_edited_frame_starts_over(self, arch):
         model = self.memo_model(arch)
         frames = random_frames(seeded_rng(6), 7, 3)
-        dos_energy(model, frames, 0)
+        dos_energy(model, frames, gated(arch)[0])
         frames[3, 1] += 0.5     # in place, in the caller's array
-        for layer in range(len(MEMO_ARCHS[arch])):
+        for layer in gated(arch):
             assert_bitwise(dos_energy(model, frames, layer), self.cold(model, frames, layer))
 
     @pytest.mark.parametrize("arch", list(MEMO_ARCHS))
     def test_a_longdouble_copy_runs_in_longdouble(self, arch):
         model = self.memo_model(arch)
         frames = random_frames(seeded_rng(6), 7, 3)
-        top = len(MEMO_ARCHS[arch]) - 1
-        dos_energy(model, frames, top)
+        dos_energy(model, frames, gated(arch)[-1])
         ld = longdouble_copy(model)
-        for layer in range(top, -1, -1):
+        for layer in gated(arch)[::-1]:
             got = dos_energy(ld, frames, layer)
             assert_bitwise(got, dos_energy(longdouble_copy(model), frames, layer))
 
@@ -476,25 +478,23 @@ class TestEnergyMemo:
         # bytes differ from call to call, still match
         model = longdouble_copy(self.memo_model(arch))
         frames = random_frames(seeded_rng(6), 7, 3)
-        layers = range(len(MEMO_ARCHS[arch]))
-        want = [self.cold(model, frames, layer) for layer in layers]
+        want = {layer: self.cold(model, frames, layer) for layer in gated(arch)}
         runs = self.count_runs(monkeypatch)
-        for layer in layers:
+        for layer in gated(arch):
             assert_bitwise(dos_energy(model, frames, layer), want[layer])
-        assert len(runs) == len(layers)
+        assert len(runs) == len(MEMO_ARCHS[arch])
 
     @pytest.mark.parametrize("arch", list(MEMO_ARCHS))
     def test_a_zero_of_the_other_sign_gives_cold_energies(self, monkeypatch, arch):
         model = self.memo_model(arch)
         frames = random_frames(seeded_rng(6), 7, 3)
         frames[2, 1] = frames[5, 0] = 0.0
-        top = len(MEMO_ARCHS[arch]) - 1
-        dos_energy(model, frames, top)
+        dos_energy(model, frames, gated(arch)[-1])
         flipped = frames.copy()
         flipped[2, 1] = flipped[5, 0] = -0.0
-        want = [self.cold(model, flipped, layer) for layer in range(top + 1)]
+        want = {layer: self.cold(model, flipped, layer) for layer in gated(arch)}
         runs = self.count_runs(monkeypatch)
-        for layer in range(top + 1):
+        for layer in gated(arch):
             assert_bitwise(dos_energy(model, flipped, layer), want[layer])
         assert not runs     # equal values: read from the memo
 
@@ -505,7 +505,7 @@ class TestEnergyMemo:
         runs = self.count_runs(monkeypatch)
         for calls in (1, 2):
             assert np.isnan(dos_energy(model, frames, 1)).any()
-            assert len(runs) == 2 * calls
+            assert len(runs) == 3 * calls       # the whole stack, every call
 
     def test_models_with_equal_theta_share_no_states(self, monkeypatch):
         frames = random_frames(seeded_rng(6), 7, 3)

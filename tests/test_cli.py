@@ -8,8 +8,7 @@ from diffrnn.backprop import GradCheckReport
 from diffrnn.cells import build_model, dos_energy
 from diffrnn.cli import build_config, main, parse_split
 from diffrnn.data import KFold, MonteCarlo, load_jsonl
-from diffrnn.ensemble import ensemble_load
-from diffrnn.train import CheckpointError, checkpoint_load, checkpoint_save, model_to_doc
+from diffrnn.train import checkpoint_load, checkpoint_save, model_to_doc
 
 
 def make_data(tmp_path, name="data.jsonl", count=12, length=6, dim=4, seed=0):
@@ -340,12 +339,6 @@ class TestEnsembleCommand:
         assert ens_rows[1].split(",")[1] == single_acc       # ensemble == member
 
 
-def _ensemble_text(alpha) -> str:
-    model = build_model(build_config("dos:0", 4, 2, 2), seed=0)
-    return json.dumps({"format_version": 1, "n_classes": 2, "members": [
-        {"alpha": alpha, "checkpoint": model_to_doc(model)}]})
-
-
 class TestBadValues:
     """Bad values fail where they enter, with a one-line error, never with a
     traceback."""
@@ -362,26 +355,12 @@ class TestBadValues:
         ("train", '{"shuffle": 1}'),
         ("ensemble", '{"boost_variant": "m1"}'),
         ("ensemble", '{"max_order": 1.0}'),
-        ("ensemble_load", None),
-        ("ensemble_load", "not json"),
-        ("ensemble_load", "\udcff"),
-        ("ensemble_load", _ensemble_text("x")),
-        ("ensemble_load", _ensemble_text(True)),
-        ("ensemble_load", _ensemble_text(float("nan"))),
-        ("ensemble_load", '{"members": %s}' % TOO_DEEP),
     ], ids=["not_object", "list", "str_for_int", "int_for_str", "float_for_int",
             "bool_for_int", "str_for_float", "bool_for_float", "int_for_bool",
-            "removed_key", "float_for_int_ensemble", "ensemble_missing",
-            "ensemble_not_json", "ensemble_not_utf8", "alpha_str", "alpha_bool",
-            "alpha_nan", "ensemble_nested_too_deep"])
+            "removed_key", "float_for_int_ensemble"])
     def test_bad_config_or_ensemble_file(self, tmp_path, capsys, reader, body):
         path = tmp_path / "file.json"
-        if body is not None:
-            path.write_bytes(body.encode("utf-8", "surrogateescape"))
-        if reader == "ensemble_load":
-            with pytest.raises(CheckpointError):
-                ensemble_load(path)
-            return
+        path.write_text(body)
         data = make_data(tmp_path)
         rc = main([reader, "--data", str(data), "--config", str(path), *FAST,
                    "--out", str(tmp_path / "run")])
@@ -484,6 +463,18 @@ class TestBadValues:
         assert main(["train", "--data", str(data), *FAST, "--split", "kfold:13",
                      "--out", str(tmp_path / "run")]) == 2
         assert "k must be in [2, 12]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["train"], ["train", "--pca-energy", "0.9"],
+                                      ["ensemble"]], ids=["train", "train_pca", "ensemble"])
+    def test_empty_monte_carlo_training_side_is_named(self, tmp_path, capsys, argv):
+        # 6 sequences per class: a fraction of 0.05 draws none of either
+        data = make_data(tmp_path, count=12)
+        capsys.readouterr()
+        assert main([*argv, "--data", str(data), *FAST, "--split", "mc:0.05:2",
+                     "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert err == ("error: Monte Carlo trial 0: a train fraction of 0.05 leaves no "
+                       "training sequence\n")
 
 
 class TestFileSystemErrors:

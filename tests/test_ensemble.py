@@ -12,14 +12,13 @@ from diffrnn.data import gen_synthetic
 from diffrnn.ensemble import (
     ALPHA_CAP,
     EnsembleModel,
-    ensemble_load,
     ensemble_save,
     fit_ernn,
     predict_ensemble,
     samme_round,
     vote,
 )
-from diffrnn.train import CheckpointError, TrainConfig, checkpoint_save, model_to_doc, train
+from diffrnn.train import TrainConfig, model_to_doc, train
 
 
 def constant_predictor(cls, classes=2, dim=2):
@@ -173,21 +172,6 @@ class TestFitErnn:
         with pytest.raises(ValueError):
             fit_ernn(self._dataset(), max_order=-1, config=self.CFG, state_units=3)
 
-    def test_round_trip(self, tmp_path):
-        e = fit_ernn(self._dataset(), max_order=1, config=self.CFG, state_units=3)
-        path = tmp_path / "ensemble.json"
-        ensemble_save(e, path)
-        back = ensemble_load(path)
-        assert back.n_classes == e.n_classes
-        assert [a for _, a in back.members] == [a for _, a in e.members]
-        for (ma, _), (mb, _) in zip(e.members, back.members):
-            for (name, x), (_, y) in zip(param_arrays(ma.layout, ma.theta),
-                                         param_arrays(ma.layout, mb.theta)):
-                assert np.array_equal(x, y), name
-        frames = self._dataset().sequences[0].frames
-        assert np.array_equal(predict_ensemble(e, frames)[1],
-                              predict_ensemble(back, frames)[1])
-
     def test_file_is_the_document_as_one_json_line(self, tmp_path):
         e = fit_ernn(self._dataset(), max_order=1, config=self.CFG, state_units=3)
         path = tmp_path / "ensemble.json"
@@ -196,38 +180,3 @@ class TestFitErnn:
                "members": [{"alpha": alpha, "checkpoint": model_to_doc(model)}
                            for model, alpha in e.members]}
         assert path.read_text() == json.dumps(doc) + "\n"
-
-    @pytest.mark.parametrize("drop", [None, "members", "n_classes"])
-    def test_non_ensemble_document_rejected(self, tmp_path, drop):
-        path = tmp_path / "not_ensemble.json"
-        if drop is None:    # a plain model checkpoint
-            checkpoint_save(constant_predictor(0), path)
-        else:
-            e = EnsembleModel(members=[(constant_predictor(0), 1.0)], n_classes=2)
-            ensemble_save(e, path)
-            doc = json.loads(path.read_text())
-            del doc[drop]
-            path.write_text(json.dumps(doc))
-        with pytest.raises(CheckpointError, match="not an ensemble file"):
-            ensemble_load(path)
-
-    @staticmethod
-    def _saved_with_n_classes(path, model, n_classes):
-        ensemble_save(EnsembleModel(members=[(model, 1.0)],
-                                    n_classes=model.config.output_classes), path)
-        doc = json.loads(path.read_text())
-        doc["n_classes"] = n_classes
-        path.write_text(json.dumps(doc))
-
-    @pytest.mark.parametrize("n_classes", [2.7, "3", True, 1, None, [2]])
-    def test_class_count_must_be_an_integer_of_at_least_two(self, tmp_path, n_classes):
-        path = tmp_path / "ensemble.json"
-        self._saved_with_n_classes(path, constant_predictor(0), n_classes)
-        with pytest.raises(CheckpointError, match="not an ensemble file"):
-            ensemble_load(path)
-
-    def test_member_with_another_class_count_rejected(self, tmp_path):
-        path = tmp_path / "ensemble.json"
-        self._saved_with_n_classes(path, constant_predictor(2, classes=3), 2)
-        with pytest.raises(CheckpointError, match="member 0 has 3 classes, the ensemble 2"):
-            ensemble_load(path)
